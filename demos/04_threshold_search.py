@@ -2,8 +2,8 @@
 """Independent confirmation of the covering thresholds at small n.
 
 The exhaustive search knows nothing about the constructions: it pins vertex
-0 as uncovered, enumerates link graphs up to isomorphism, and completes them
-by branch and bound.  Its exact values match floor(n/3) for K4^- and
+0 as uncovered, enumerates its labelled link graphs sparsest first, and
+completes them by branch and bound, raising the target level by level.  Its exact values match floor(n/3) for K4^- and
 floor((2n-2)/3) for K5^-.  A randomized spot-check then samples dense
 3-graphs just above the threshold and confirms that none is covering-free.
 """

@@ -6,7 +6,7 @@ Subcommands::
     verify     --family ... [params] [--in PATH] [--format text|json]
     covering   --in PATH --pattern {K4-|K5-|K4|Kt:T|Kt-:T} [--vertex V|--all] [--format ...]
     koenig     --in PATH --sides PATH [--format ...]
-    oracle     --n N --pattern P [--budget-nodes K] [--budget-seconds S] [--threads T]
+    oracle     --n N --pattern P [--budget-nodes K] [--budget-seconds S] [--allow-large] [--format ...]
     export     --in PATH --format {json|hg} [--out PATH]
 
 Exit codes: 0 success / verified / covered / exhaustive; 1 verification or
@@ -28,7 +28,7 @@ from .constructions import FAMILIES, check_construction, construct, verify_claim
 from .fileio import FormatError, dumps_json, load, parse_any, save, write_edge_list
 from .hypergraphs import Graph, TriGraph
 from .koenig import bipartite_edge_coloring
-from .oracle import DEFAULT_SEED, exact_c2
+from .oracle import exact_c2
 from .patterns import builtin_pattern, covering_report
 
 EXIT_OK = 0
@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="accepted for reproducibility; the exhaustive search is deterministic")
     p.add_argument("--allow-large", action="store_true",
                    help="override the n <= 8 hard cap (requires a budget)")
     add_format(p)
@@ -159,10 +156,10 @@ def _cmd_covering(args: argparse.Namespace) -> int:
     if not isinstance(obj, TriGraph):
         raise FormatError("covering analysis needs a 3-graph input (HG 3 header)")
     pattern = builtin_pattern(args.pattern)
+    v = _resolve_vertex(args.vertex, obj) if args.vertex is not None else None
     report = covering_report(obj, pattern)
     _emit(report.to_dict(), args.format)
-    if args.vertex is not None:
-        v = _resolve_vertex(args.vertex, obj)
+    if v is not None:
         return EXIT_OK if v not in report.uncovered else EXIT_FAIL
     return EXIT_OK if report.fully_covered else EXIT_FAIL
 
@@ -192,7 +189,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         pattern,
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
-        threads=args.threads,
         allow_large=args.allow_large,
     )
     if args.format == "json":

@@ -29,8 +29,10 @@ class FormatError(ValueError):
 
 
 def _check_label(label: str) -> str:
-    if not label or any(ch.isspace() for ch in label):
-        raise FormatError(f"class label {label!r} must be non-empty and contain no whitespace")
+    if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+        raise FormatError(
+            f"class label {label!r} must be a non-empty string with no whitespace"
+        )
     return label
 
 
@@ -139,14 +141,24 @@ def to_json_dict(obj: GraphLike) -> dict:
     }
 
 
+def _json_int(value: object, what: str) -> int:
+    # bool is an int subclass, and 5.0 == 5, so both would slip past a
+    # comparison and reach the writer as "True" or "5.0"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"bad {what}: {value!r} is not an integer")
+    return value
+
+
 def from_json_dict(doc: dict) -> GraphLike:
     try:
-        k = doc["uniformity"]
-        n = doc["n"]
-        edges = [tuple(e) for e in doc["edges"]]
-        classes = {int(v): lab for v, lab in doc.get("classes", {}).items()}
+        k = _json_int(doc["uniformity"], "uniformity")
+        n = _json_int(doc["n"], "vertex count")
+        edges = [tuple(_json_int(v, "vertex index") for v in e) for e in doc["edges"]]
+        classes = {int(v): _check_label(lab) for v, lab in doc.get("classes", {}).items()}
         distinguished = doc.get("distinguished")
-    except (KeyError, TypeError, ValueError) as exc:
+        if distinguished is not None:
+            distinguished = _json_int(distinguished, "distinguished vertex")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from None
     try:
         if k == 3:

@@ -7,22 +7,28 @@ vertex 0 as the uncovered one, dividing the space by n without loss.
 Search strategy (branch and bound):
 
 * The edges through vertex 0 form its link, a 2-graph on the other n-1
-  vertices.  Links are enumerated once per vertex count and reduced to one
-  representative per isomorphism class (relabeling the non-pinned vertices
-  maps valid completions to valid completions and preserves delta2).
-* Since the codegree of (0, a) equals the link degree of a, a link whose
-  minimum degree is below the target can never help; the remaining triples
-  are decided by depth-first search with an admissible per-pair bound
-  (current codegree plus undecided triples) and an incremental covering
-  check that forbids any decision making vertex 0 covered.
-* The outer loop deepens on the target value v = n-2, n-3, ...: each level
-  either exhibits a witness with delta2 >= v or refutes it, so the first
-  witness pins the threshold exactly.
+  vertices.  A level with target v enumerates labelled links by depth-first
+  search over the link pairs, excluding a pair before including it, so
+  sparse links come first.  Since the codegree of (0, a) equals the link
+  degree of a, a partial link in which some vertex can no longer reach
+  degree v is cut.
+* Each complete link is then completed by the triples avoiding vertex 0.
+  In general this is a depth-first search with an admissible per-pair
+  bound (current codegree plus undecided triples) and an incremental
+  covering check that forbids any decision making vertex 0 covered.
+* The levels ascend from v = 0: the first witness at level v has some
+  delta2 = w >= v, the next level asks for w + 1, and the first refuted
+  level proves the last witness optimal.
 
 For the complete and near-complete patterns K_t / K_t^- the covering check
 is a subset counter (vertex 0 is covered iff some (t-1)-set T satisfies
-"link pairs in T + edges in T >= threshold"); other patterns fall back on
-the generic embedder and are correspondingly slower.
+"link pairs in T + edges in T >= threshold").  The link pairs in T only grow
+as the link grows, so the link search never includes a pair that brings
+some T to the threshold.  For t = 4 every candidate triple lies in only
+one (t-1)-set, itself, so the covering constraints are independent and
+adding every allowed triple (``greedy_value``) is an optimal completion.
+Other patterns fall back on the generic embedder and are correspondingly
+slower.
 
 A separate naive path (``prune=False``) enumerates every edge subset and is
 used to validate the pruned search on tiny instances.
@@ -32,12 +38,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from random import Random
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional, Sequence
 
 from .fileio import to_json_dict
 from .hypergraphs import TriGraph, min_codegree, pair_degree_table
@@ -98,58 +101,12 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Link enumeration with isomorphism rejection
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=4)
-def _link_classes(nv: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
-    """All 2-graphs on nv <= 7 vertices up to isomorphism, as edge bitmasks.
-
-    Returns (pair list, ((mask, min_degree, edge_count), ...)).  Masks are
-    scanned in increasing order; an unseen mask is the lexicographic minimum
-    of its orbit, and its whole orbit (images under all vertex permutations,
-    computed vectorized) is marked seen.
-    """
-    if nv > 7:
-        raise ValueError("link enumeration is limited to 7 vertices")
-    pairs = tuple(combinations(range(nv), 2))
-    P = len(pairs)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    perms = list(permutations(range(nv)))
-    sigma = np.empty((len(perms), P), dtype=np.int64)
-    for k, pm in enumerate(perms):
-        for j, (x, y) in enumerate(pairs):
-            u, v = pm[x], pm[y]
-            sigma[k, j] = pidx[(u, v) if u < v else (v, u)]
-    pow2 = np.int64(1) << sigma
-
-    seen = bytearray(1 << P)
-    reps = []
-    for mask in range(1 << P):
-        if seen[mask]:
-            continue
-        bits = [j for j in range(P) if (mask >> j) & 1]
-        if bits:
-            images = pow2[:, bits].sum(axis=1).tolist()
-        else:
-            images = [0]
-        for im in images:
-            seen[im] = 1
-        degs = [0] * nv
-        for j in bits:
-            x, y = pairs[j]
-            degs[x] += 1
-            degs[y] += 1
-        reps.append((mask, min(degs) if nv else 0, len(bits)))
-    return pairs, tuple(reps)
-
-
-# ---------------------------------------------------------------------------
-# Inner search over the triples avoiding vertex 0
+# One level: links of vertex 0, then the triples avoiding it
 # ---------------------------------------------------------------------------
 
 class _InnerSearch:
-    """Per-(n, pattern) tables for completing a fixed link of vertex 0.
+    """Per-(n, pattern) tables for enumerating links of vertex 0 and
+    completing each one.
 
     Link vertices carry local labels 0..nv-1 (host vertex = local + 1);
     ``triples`` are the candidate edges avoiding vertex 0.
@@ -175,20 +132,33 @@ class _InnerSearch:
         self.sets: list[tuple[int, ...]] = []
         self.set_pairs: list[list[int]] = []
         self.tri_sets: list[list[int]] = [[] for _ in self.triples]
+        self.pair_sets: list[list[int]] = [[] for _ in self.pairs]
+        # a triple lies in at most one (t-1)-set when t <= 4, which makes
+        # greedy_value an optimal completion
+        self.closed_form = profile is not None and profile[0] <= 4
         if profile is not None:
             t, theta = profile
             self.theta = theta
             if t - 1 <= self.nv:
                 self.sets = list(combinations(range(self.nv), t - 1))
-                sidx = {s: i for i, s in enumerate(self.sets)}
                 self.set_pairs = [
                     [self.pidx[p] for p in combinations(s, 2)] for s in self.sets
                 ]
+                for s_i, sp in enumerate(self.set_pairs):
+                    for p in sp:
+                        self.pair_sets[p].append(s_i)
                 for i, tri in enumerate(self.triples):
                     tri_set = set(tri)
                     for s_i, s in enumerate(self.sets):
                         if tri_set <= set(s):
                             self.tri_sets[i].append(s_i)
+        # remaining_at[j][u]: link pairs j, j+1, ... that contain vertex u
+        P = len(self.pairs)
+        self.remaining_at = [[0] * self.nv for _ in range(P + 1)]
+        for j in range(P - 1, -1, -1):
+            x, y = self.pairs[j]
+            for u in range(self.nv):
+                self.remaining_at[j][u] = self.remaining_at[j + 1][u] + (u in (x, y))
 
     # -- helpers -----------------------------------------------------------
 
@@ -227,7 +197,7 @@ class _InnerSearch:
         H = TriGraph(self.n, self.host_edges(mask, ()))
         return is_covered(H, 0, self.F)
 
-    # -- greedy completion (cheap lower bounds, clique patterns only) ------
+    # -- greedy completion (optimal when closed_form) ---------------------
 
     def greedy_value(self, mask: int) -> Optional[tuple[int, list[int]]]:
         """Add triples in lexicographic order whenever vertex 0 stays
@@ -345,6 +315,55 @@ class _InnerSearch:
             return None
         return self.host_edges(mask, chosen)
 
+    # -- one level of the bottom-up search ----------------------------------
+
+    def search_level(self, v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
+        """The first link, in exclude-before-include order, whose completion
+        reaches delta2 >= v, as (delta2, witness); None refutes level v."""
+        nv, pairs, P = self.nv, self.pairs, len(self.pairs)
+        remaining_at = self.remaining_at
+        deg = [0] * nv
+        link_tot = [0] * len(self.sets)  # link pairs inside each (t-1)-set
+
+        def rec(j: int, mask: int) -> Optional[tuple[int, TriGraph]]:
+            budget.spend()
+            if any(deg[u] + remaining_at[j][u] < v for u in range(nv)):
+                return None
+            if j == P:
+                return self._complete(mask, v, budget)
+            res = rec(j + 1, mask)
+            if res is not None:
+                return res
+            # link_tot only grows, so a set at the threshold stays covering
+            # (pair_sets is empty for patterns other than K_t / K_t^-)
+            if any(link_tot[s] + 1 >= self.theta for s in self.pair_sets[j]):
+                return None
+            x, y = pairs[j]
+            deg[x] += 1
+            deg[y] += 1
+            for s in self.pair_sets[j]:
+                link_tot[s] += 1
+            res = rec(j + 1, mask | (1 << j))
+            deg[x] -= 1
+            deg[y] -= 1
+            for s in self.pair_sets[j]:
+                link_tot[s] -= 1
+            return res
+
+        return rec(0, 0)
+
+    def _complete(self, mask: int, v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
+        if self.closed_form:
+            res = self.greedy_value(mask)
+            if res is None or res[0] < v:
+                return None
+            return res[0], TriGraph(self.n, self.host_edges(mask, res[1]))
+        edges = self.decision_search(mask, v, budget)
+        if edges is None:
+            return None
+        H = TriGraph(self.n, edges)
+        return min_codegree(H).min, H
+
 
 # ---------------------------------------------------------------------------
 # Top-level searches
@@ -368,110 +387,22 @@ def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[Tr
     return best, witness
 
 
-_SEED_FAMILIES = ("complete", "bipartite", "tripartite", "quadripartite", "cycle_complement")
+def _ascent(n: int, F: Pattern, budget: _Budget) -> Iterator[tuple[int, TriGraph]]:
+    """Bottom-up levels: yield each witness that beats the previous one.
 
-
-def _seed_link_mask(nv: int, pairs: Sequence[tuple[int, int]], family: str) -> int:
-    """Deterministic structured links used only to seed lower bounds."""
-    def has(x: int, y: int) -> bool:
-        if family == "complete":
-            return True
-        if family == "cycle_complement":
-            return (x - y) % nv not in (1, nv - 1)
-        r = {"bipartite": 2, "tripartite": 3, "quadripartite": 4}[family]
-        return x % r != y % r
-
-    mask = 0
-    for j, (x, y) in enumerate(pairs):
-        if has(x, y):
-            mask |= 1 << j
-    return mask
-
-
-def _deepening_search(
-    n: int, F: Pattern, budget: _Budget, partial: dict
-) -> tuple[int, Optional[TriGraph]]:
-    """Iterative deepening on the target value.  ``partial`` is updated with
-    the best verified lower bound found so far, so a budget-exhausted caller
-    can still report it."""
-    nv = n - 1
+    Level v asks for any completion with delta2 >= v; its witness has some
+    delta2 = w >= v, so the next level is w + 1.  The generator returns when
+    a level is refuted, which makes the last witness optimal; a caller that
+    runs out of budget keeps the last witness as a verified lower bound.
+    """
     inner = _InnerSearch(n, F)
-    if nv <= 7:
-        _, reps = _link_classes(nv)
-        rep_list = list(reps)
-    else:
-        rep_list = None
-
-    def consider_greedy(mask: int) -> None:
-        res = inner.greedy_value(mask)
-        if res is not None and res[0] > partial["value"]:
-            partial["value"] = res[0]
-            partial["edges"] = inner.host_edges(mask, res[1])
-
-    if inner.theta is not None:
-        if rep_list is not None:
-            for mask, mind, _ in sorted(rep_list, key=lambda i: -i[1]):
-                budget.spend()
-                if mind > partial["value"]:
-                    consider_greedy(mask)
-        else:
-            for fam in _SEED_FAMILIES:
-                budget.spend()
-                consider_greedy(_seed_link_mask(nv, inner.pairs, fam))
-
-    for v in range(n - 2, -1, -1):
-        if v <= partial["value"]:
-            # all levels above were refuted, so the stored witness is optimal
-            return partial["value"], TriGraph(n, partial["edges"])
-        if rep_list is not None:
-            candidates = sorted(
-                (info for info in rep_list if info[1] >= v),
-                key=lambda info: (info[2], info[0]),
-            )
-            for mask, _, _ in candidates:
-                budget.spend()
-                edges = inner.decision_search(mask, v, budget)
-                if edges is not None:
-                    return v, TriGraph(n, edges)
-        else:
-            found = _large_link_level(inner, v, budget)
-            if found is not None:
-                return v, TriGraph(n, found)
-    raise AssertionError("level 0 always admits the edgeless witness")
-
-
-def _large_link_level(
-    inner: _InnerSearch, v: int, budget: _Budget
-) -> Optional[list[tuple[int, int, int]]]:
-    """Deepening level for n beyond the enumeration range: DFS over link
-    pairs with a degree-potential prune, no isomorphism rejection."""
-    nv = inner.nv
-    pairs = inner.pairs
-    P = len(pairs)
-    remaining_at = [[0] * nv for _ in range(P + 1)]
-    for j in range(P - 1, -1, -1):
-        x, y = pairs[j]
-        for u in range(nv):
-            remaining_at[j][u] = remaining_at[j + 1][u] + (1 if u in (x, y) else 0)
-    deg = [0] * nv
-
-    def rec(j: int, mask: int) -> Optional[list[tuple[int, int, int]]]:
-        budget.spend()
-        if any(deg[u] + remaining_at[j][u] < v for u in range(nv)):
-            return None
-        if j == P:
-            return inner.decision_search(mask, v, budget)
-        x, y = pairs[j]
-        deg[x] += 1
-        deg[y] += 1
-        res = rec(j + 1, mask | (1 << j))
-        deg[x] -= 1
-        deg[y] -= 1
-        if res is not None:
-            return res
-        return rec(j + 1, mask)
-
-    return rec(0, 0)
+    v = 0
+    while True:
+        found = inner.search_level(v, budget)
+        if found is None:
+            return
+        yield found
+        v = found[0] + 1
 
 
 def exact_c2(
@@ -481,9 +412,7 @@ def exact_c2(
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     prune: bool = True,
-    hard_cap: int = DEFAULT_HARD_CAP,
     allow_large: bool = False,
-    threads: int = 1,
 ) -> SearchResult:
     """Maximum delta2 over n-vertex 3-graphs in which vertex 0 is uncovered.
 
@@ -491,36 +420,34 @@ def exact_c2(
     are re-verified independently (codegree profile and covering report)
     before being returned.  ``prune=False`` switches to the naive full
     enumeration (n <= 5 scale, used for cross-validation).  Beyond
-    ``hard_cap`` the search requires ``allow_large`` plus an explicit budget
-    and will typically return a non-exhaustive result.
-
-    The search is deterministic; ``threads`` is accepted for interface
-    compatibility but exploration runs in-process.
+    ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
+    budget; when the budget runs out the result is non-exhaustive and
+    reports the best verified lower bound.  The search is deterministic.
     """
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
     if n < pattern.t:
         raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if n > hard_cap:
+    if n > DEFAULT_HARD_CAP:
         if not allow_large:
-            raise ValueError(f"n = {n} exceeds the hard cap {hard_cap}; pass allow_large=True")
+            raise ValueError(
+                f"n = {n} exceeds the hard cap {DEFAULT_HARD_CAP}; pass allow_large=True"
+            )
         if node_budget is None and time_budget is None:
             raise ValueError("searches beyond the hard cap require a node or time budget")
 
     budget = _Budget(node_budget, time_budget)
     start = time.monotonic()
     exhaustive = True
-    partial: dict = {"value": -1, "edges": None}
+    value, witness = -1, None
     try:
         if prune:
-            value, witness = _deepening_search(n, pattern, budget, partial)
+            # the last witness survives a BudgetExhausted as a lower bound
+            for value, witness in _ascent(n, pattern, budget):
+                pass
         else:
             value, witness = _naive_search(n, pattern, budget)
     except BudgetExhausted:
-        value = partial["value"]
-        witness = TriGraph(n, partial["edges"]) if partial["edges"] is not None else None
         exhaustive = False
     elapsed = time.monotonic() - start
 

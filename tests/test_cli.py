@@ -106,6 +106,18 @@ class TestCovering:
         code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K4-")
         assert code == 3
 
+    def test_bad_vertex_prints_no_report(self, capsys, tmp_path):
+        path = tmp_path / "h.hg"
+        save(TriGraph(5, [(0, 1, 2)]), path)
+        code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", "9")
+        assert code == 2 and out == "" and "out of range" in err
+
+    def test_mistyped_json_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"uniformity": 3, "n": "5", "edges": []}')
+        code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-")
+        assert code == 3 and out == "" and "Traceback" not in err
+
     def test_generic_pattern_spelling(self, capsys, tmp_path):
         from itertools import combinations
 
@@ -162,6 +174,10 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--n", "7", "--pattern", "K5-", "--budget-nodes", "40")
         assert code == 1
         assert "exhaustive = false" in out
+
+    def test_removed_options_rejected(self, capsys):
+        assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--threads", "2")[0] == 2
+        assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--seed", "1")[0] == 2
 
     def test_cap_violation_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--n", "9", "--pattern", "K4-")

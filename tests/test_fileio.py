@@ -1,5 +1,6 @@
 """Edge-list and JSON round-trip tests."""
 
+import json
 from random import Random
 
 import pytest
@@ -123,6 +124,24 @@ def test_bad_json_document():
         from_json_dict({"uniformity": 5, "n": 3, "edges": []})
     with pytest.raises(FormatError):
         parse_any("{not json")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n": "5"},
+        {"n": 5.0},
+        {"n": True},
+        {"uniformity": 3.0},
+        {"classes": {"0": 7}},
+        {"classes": ["a"]},
+    ],
+    ids=["n-string", "n-float", "n-bool", "uniformity-float", "label-int", "classes-list"],
+)
+def test_json_field_types_rejected(fields):
+    doc = {"uniformity": 3, "n": 5, "edges": [], **fields}
+    with pytest.raises(FormatError):
+        parse_any(json.dumps(doc))
 
 
 def test_round_trip_with_random_labels():

@@ -1,7 +1,14 @@
 """Search oracle tests: exact thresholds, pruning soundness, sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
+
 import pytest
 
+import tricover
 from tricover import (
     Pattern,
     TriGraph,
@@ -13,14 +20,29 @@ from tricover import (
     is_covered,
     min_codegree,
 )
-from tricover.oracle import _link_classes
+from tricover.oracle import _Budget, _InnerSearch
 
 
 K4M = builtin_pattern("K4-")
 K5M = builtin_pattern("K5-")
 
+# c2(n, F) for n = 6, 7, 8
+EXACT_TABLE = {"K4-": (2, 2, 2), "K5-": (3, 4, 4), "K4": (2, 3, 4), "K5": (3, 4, 5)}
+
 
 class TestExactValues:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("name", sorted(EXACT_TABLE))
+    def test_table(self, n, name):
+        res = exact_c2(n, builtin_pattern(name))
+        assert res.exhaustive and res.value == EXACT_TABLE[name][n - 6]
+
+    @pytest.mark.parametrize("name, expected", [("K4-", 9 // 3), ("K5-", (2 * 9 - 2) // 3)])
+    def test_beyond_cap_is_exhaustive(self, name, expected):
+        # exact_c2 re-verifies the witness before returning it
+        res = exact_c2(9, builtin_pattern(name), allow_large=True, node_budget=200_000)
+        assert res.exhaustive and res.value == expected
+
     def test_7_k4m_is_2(self):
         res = exact_c2(7, K4M)
         assert res.value == 2 and res.exhaustive
@@ -114,37 +136,31 @@ class TestBudgets:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             exact_c2(4, K5M)
-        with pytest.raises(ValueError):
-            exact_c2(5, K4M, threads=0)
 
 
-class TestLinkClasses:
-    def test_class_counts_match_graph_census(self):
-        # numbers of graphs on 1..7 unlabeled vertices
-        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-        for nv, count in expected.items():
-            _, reps = _link_classes(nv)
-            assert len(reps) == count
+class TestClosedFormStep:
+    """For K4 and K4- the inner step is greedy_value; decision_search is the
+    reference it must agree with on every link and level."""
 
-    def test_masks_cover_all_graphs(self):
-        import itertools
-        _, reps = _link_classes(4)
-        # every 6-bit mask must be isomorphic to some representative
-        pairs = list(itertools.combinations(range(4), 2))
-        pidx = {p: i for i, p in enumerate(pairs)}
-        rep_masks = {mask for mask, _, _ in reps}
-        for mask in range(64):
-            found = False
-            for perm in itertools.permutations(range(4)):
-                image = 0
-                for j, (x, y) in enumerate(pairs):
-                    if mask >> j & 1:
-                        u, v = perm[x], perm[y]
-                        image |= 1 << pidx[(u, v) if u < v else (v, u)]
-                if image in rep_masks:
-                    found = True
-                    break
-            assert found
+    @staticmethod
+    def agree(inner, mask):
+        greedy = inner.greedy_value(mask)
+        for v in range(inner.n - 1):
+            found = inner.decision_search(mask, v, _Budget(None, None)) is not None
+            assert (greedy is not None and greedy[0] >= v) == found, (mask, v)
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_every_link_at_6(self, name):
+        inner = _InnerSearch(6, builtin_pattern(name))
+        for mask in range(1 << len(inner.pairs)):
+            self.agree(inner, mask)
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_sampled_links_at_7(self, name):
+        inner = _InnerSearch(7, builtin_pattern(name))
+        rng = Random(7)
+        for _ in range(1000):
+            self.agree(inner, rng.getrandbits(len(inner.pairs)))
 
 
 class TestCertifyUpperBehavior:
@@ -163,7 +179,6 @@ class TestCertifyUpperBehavior:
             assert covering_report(H, K4M).uncovered
 
     def test_sample_respects_threshold(self):
-        from random import Random
         from tricover.oracle import _sample_above_threshold
 
         rng = Random(1)
@@ -178,3 +193,13 @@ class TestCertifyUpperBehavior:
     def test_report_dict(self):
         doc = certify_upper_behavior(9, K4M, 3, 50, seed=2).to_dict()
         assert doc["samples"] == 50 and doc["counterexample_count"] == 0
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # the search needs no numpy, so neither does the package
+    env = dict(os.environ, PYTHONPATH=str(Path(tricover.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tricover; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
