@@ -39,6 +39,7 @@ from .hypergraphs import (
     PairDegreeProfile,
     TriGraph,
     codegree,
+    codegree_neighbourhoods,
     complete_trigraph,
     is_triangle_free,
     link_graph,
@@ -88,6 +89,7 @@ __all__ = [
     "check_construction",
     "clique_profile",
     "codegree",
+    "codegree_neighbourhoods",
     "coloring_is_valid",
     "complete_bipartite_matchings",
     "complete_trigraph",

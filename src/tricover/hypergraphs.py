@@ -205,6 +205,24 @@ def pair_degree_table(H: TriGraph) -> dict[tuple[int, int], int]:
     return table
 
 
+def codegree_neighbourhoods(H: TriGraph) -> dict[tuple[int, int], frozenset[int]]:
+    """For every pair (a, b) with a < b and codegree at least 1, the set of
+    vertices c such that {a, b, c} is an edge of H; one pass over the edges.
+    Pairs of codegree zero are absent."""
+    nbhd: dict = {}
+    for a, b, c in H.edges:
+        for pair, w in (((a, b), c), ((a, c), b), ((b, c), a)):
+            s = nbhd.get(pair)
+            if s is None:
+                nbhd[pair] = {w}
+            else:
+                s.add(w)
+    # frozen in place, so no second copy of the table is ever alive
+    for pair, s in nbhd.items():
+        nbhd[pair] = frozenset(s)
+    return nbhd
+
+
 def min_codegree(H: TriGraph) -> PairDegreeProfile:
     """Full pair-degree profile of H; ``min`` is the minimum codegree delta2."""
     if H.n < 2:

@@ -187,16 +187,6 @@ class _InnerSearch:
             edges.append((a + 1, b + 1, c + 1))
         return edges
 
-    def link_covers_pinned(self, mask: int) -> bool:
-        """Is vertex 0 covered already by the link triples alone?"""
-        link1 = self._link1(mask)
-        if self.theta is not None:
-            if not self.sets:
-                return False
-            return any(t >= self.theta for t in self._initial_tot(link1))
-        H = TriGraph(self.n, self.host_edges(mask, ()))
-        return is_covered(H, 0, self.F)
-
     # -- greedy completion (optimal when closed_form) ---------------------
 
     def greedy_value(self, mask: int) -> Optional[tuple[int, list[int]]]:
@@ -241,7 +231,8 @@ class _InnerSearch:
         else:
             tot = []
             current: list[int] = []
-            if self.link_covers_pinned(mask):
+            # the link triples alone already cover vertex 0
+            if is_covered(TriGraph(self.n, self.host_edges(mask, ())), 0, self.F):
                 return None
         decided = bytearray(len(self.triples))  # 0 undecided, 1 in, 2 out
 

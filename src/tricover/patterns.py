@@ -7,7 +7,11 @@ lies in at least one copy.
 
 Two independent detectors are provided:
 
-* a generic backtracking embedder (works for any pattern, returns witnesses),
+* an embedder for any pattern: one backtracking search that pins v at each
+  pattern vertex in turn, fills the other positions in index order with
+  candidates drawn from the codegree neighbourhoods of placed pairs, and so
+  finds the lexicographically smallest copy through v (``is_covered`` stops
+  at the first copy it meets),
 * a counting check for the complete and near-complete patterns K_t / K_t^-,
   based on the fact that a t-set of vertices hosts a copy of K_t (K_t^-)
   exactly when it spans at least C(t,3) (C(t,3) - 1) edges.
@@ -26,9 +30,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .hypergraphs import TriGraph, link_graph, is_triangle_free, spanned_link_edges
+from .hypergraphs import (
+    TriGraph,
+    _check_vertex,
+    codegree_neighbourhoods,
+    is_triangle_free,
+    link_graph,
+    spanned_link_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -90,13 +101,20 @@ def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Generic backtracking embedder
+# Lex-min embedder over codegree neighbourhoods
 # ---------------------------------------------------------------------------
 
+Neighbourhoods = Mapping[tuple[int, int], frozenset[int]]
+# per free position, in index order: (position, placed pairs closing an edge)
+_Steps = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+
 @lru_cache(maxsize=None)
-def _anchor_orbit_reps(F: Pattern) -> tuple[int, ...]:
-    """One pattern vertex per automorphism orbit (anchoring v at any orbit
-    member succeeds iff anchoring at the representative does)."""
+def _anchor_orbits(F: Pattern) -> tuple[int, ...]:
+    """Entry p is the least vertex of p's automorphism orbit: v is the image
+    of p in some copy of F iff it is the image of every orbit member in some
+    copy.  Above 8 vertices the permutation scan is skipped and every vertex
+    is its own orbit."""
     if F.t > 8:
         return tuple(range(F.t))
     autos = []
@@ -104,147 +122,110 @@ def _anchor_orbit_reps(F: Pattern) -> tuple[int, ...]:
     for perm in permutations(range(F.t)):
         if all(tuple(sorted((perm[a], perm[b], perm[c]))) in edge_set for a, b, c in F.edges):
             autos.append(perm)
-    return tuple(sorted({min(perm[p] for perm in autos) for p in range(F.t)}))
+    return tuple(min(perm[p] for perm in autos) for p in range(F.t))
 
 
-def _search_order(F: Pattern, anchor: int) -> list[int]:
-    """Anchor first, then greedily prefer vertices with many edges into the
-    already-placed prefix (fail-fast ordering for existence checks)."""
-    order = [anchor]
+@lru_cache(maxsize=None)
+def _anchor_steps(F: Pattern, anchor: int) -> _Steps:
+    steps = []
     placed = {anchor}
-    remaining = [p for p in range(F.t) if p != anchor]
-    deg = {p: sum(1 for e in F.edges if p in e) for p in range(F.t)}
-    while remaining:
-        def gain(q: int) -> tuple[int, int, int]:
-            full = sum(1 for e in F.edges if q in e and all(w in placed or w == q for w in e))
-            return (full, deg[q], -q)
-        best = max(remaining, key=gain)
-        order.append(best)
-        placed.add(best)
-        remaining.remove(best)
-    return order
+    for q in range(F.t):
+        if q != anchor:
+            placed.add(q)
+            edges = [e for e in sorted(F.edges) if q in e and placed.issuperset(e)]
+            steps.append((q, tuple(tuple(w for w in e if w != q) for e in edges)))
+    return tuple(steps)
 
 
-def _extend(
-    H: TriGraph,
-    F: Pattern,
-    order: list[int],
-    phi: dict[int, int],
-    used: set[int],
-    h_degrees: list[int],
-    f_degrees: list[int],
-) -> Optional[dict[int, int]]:
-    if len(phi) == len(order):
-        return dict(phi)
-    q = order[len(phi)]
-    # pattern edges decided once q is placed
-    ready = [e for e in F.edges if q in e and all(w in phi or w == q for w in e)]
-    for c in range(H.n):
-        if c in used:
-            continue
-        if h_degrees[c] < f_degrees[q]:
-            continue
-        ok = True
-        for e in ready:
-            img = tuple(sorted(phi[w] if w != q else c for w in e))
-            if img not in H.edge_set:
-                ok = False
-                break
-        if not ok:
+def _complete(
+    nbhd: Neighbourhoods, n: int, steps: _Steps, i: int, phi: list[int], bound: Optional[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """The lex-min completion of ``phi`` (-1 marks an open position) from
+    ``steps[i]`` on, or None.  A position's candidates lie in the codegree
+    neighbourhood of every placed pair closing an edge through it.
+    ``bound``, when given, is an embedding that phi matches on every placed
+    position: only smaller completions are wanted, so larger candidates are
+    cut, and the bound is dropped once a candidate falls below it."""
+    if i == len(steps):
+        return tuple(phi)
+    q, pairs = steps[i]
+    if pairs:
+        cands = None
+        for a, b in pairs:
+            x, y = phi[a], phi[b]
+            s = nbhd.get((x, y) if x < y else (y, x))
+            if not s:
+                return None
+            cands = s if cands is None else cands & s
+        order: Iterable[int] = sorted(cands)  # type: ignore[arg-type]
+    else:
+        order = range(n)
+    top = n if bound is None else bound[q]
+    for c in order:
+        if c > top:
+            break
+        if c in phi:
             continue
         phi[q] = c
-        used.add(c)
-        res = _extend(H, F, order, phi, used, h_degrees, f_degrees)
+        res = _complete(nbhd, n, steps, i + 1, phi, bound if c == top else None)
         if res is not None:
             return res
-        del phi[q]
-        used.remove(c)
+    phi[q] = -1
     return None
 
 
-def _vertex_edge_degrees(H: TriGraph) -> list[int]:
-    deg = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    return deg
+def _improving_embeddings(nbhd: Neighbourhoods, n: int, v: int, F: Pattern) -> Iterator[tuple[int, ...]]:
+    """Embeddings of F with v in the image, each lexicographically below the
+    one before; the last is the lex-min one.
 
-
-def _exists_embedding(H: TriGraph, v: int, F: Pattern) -> bool:
-    if F.t > H.n:
-        return False
-    h_deg = _vertex_edge_degrees(H)
-    f_deg = [sum(1 for e in F.edges if p in e) for p in range(F.t)]
-    for anchor in _anchor_orbit_reps(F):
-        order = _search_order(F, anchor)
-        if _extend(H, F, order, {anchor: v}, {v}, h_deg, f_deg) is not None:
-            return True
-    return False
-
-
-def _lexmin_embedding(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest embedding tuple (phi(0), ..., phi(t-1)) with
-    v in the image, or None.  Filling positions in index order with ascending
-    candidates yields the per-anchor lexicographic minimum; minimizing over
-    all anchor positions gives the global one, which makes reports
-    independent of evaluation order."""
-    if F.t > H.n:
-        return None
-    h_deg = _vertex_edge_degrees(H)
-    f_deg = [sum(1 for e in F.edges if p in e) for p in range(F.t)]
-    best: Optional[tuple[int, ...]] = None
+    Anchor p pins v at position p.  Anchors are tried in index order, each
+    bounded by the best embedding so far, which holds v at an earlier
+    position; so the search for anchor p returns a smaller embedding or
+    nothing.  An anchor that fails before any embedding is found fails
+    unbounded, which refutes its whole automorphism orbit.
+    """
+    if F.t > n:
+        return
+    orbit = _anchor_orbits(F)
+    refuted = set()
+    best = None
     for anchor in range(F.t):
-        res = _extend_lexmin(H, F, {anchor: v}, h_deg, f_deg)
+        if orbit[anchor] in refuted:
+            continue
+        phi = [-1] * F.t
+        phi[anchor] = v
+        res = _complete(nbhd, n, _anchor_steps(F, anchor), 0, phi, best)
         if res is not None:
-            tup = tuple(res[p] for p in range(F.t))
-            if best is None or tup < best:
-                best = tup
+            best = res
+            yield res
+        elif best is None:
+            refuted.add(orbit[anchor])
+
+
+def covered_at(
+    H: TriGraph, v: int, F: Pattern, *, nbhd: Optional[Neighbourhoods] = None
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically smallest embedding of F into H whose image
+    contains v (entry i is the image of pattern vertex i), or None.
+
+    ``F.t > H.n`` yields None, not an error.  ``nbhd`` is
+    ``codegree_neighbourhoods(H)``; pass it to share one table across many
+    calls on the same H, otherwise each call builds its own.
+    """
+    _check_vertex(v, H.n)
+    if nbhd is None:
+        nbhd = codegree_neighbourhoods(H)
+    best = None
+    for best in _improving_embeddings(nbhd, H.n, v, F):
+        pass
     return best
 
 
-def _extend_lexmin(
-    H: TriGraph,
-    F: Pattern,
-    phi: dict[int, int],
-    h_deg: list[int],
-    f_deg: list[int],
-) -> Optional[dict[int, int]]:
-    q = next((p for p in range(F.t) if p not in phi), None)
-    if q is None:
-        return dict(phi)
-    used = set(phi.values())
-    ready = [e for e in F.edges if q in e and all(w in phi or w == q for w in e)]
-    for c in range(H.n):
-        if c in used or h_deg[c] < f_deg[q]:
-            continue
-        if any(tuple(sorted(phi[w] if w != q else c for w in e)) not in H.edge_set for e in ready):
-            continue
-        phi[q] = c
-        res = _extend_lexmin(H, F, phi, h_deg, f_deg)
-        if res is not None:
-            return res
-        del phi[q]
-    return None
-
-
-def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
-    """An embedding of F into H whose image contains v, or None.
-
-    The returned tuple is the lexicographically smallest embedding (entry i is
-    the image of pattern vertex i).  ``F.t > H.n`` yields None, not an error.
-    """
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v!r} out of range [0, {H.n})")
-    if not _exists_embedding(H, v, F):
-        return None
-    return _lexmin_embedding(H, v, F)
-
-
 def is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
-    """Existence-only variant of :func:`covered_at` (no witness, faster)."""
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v!r} out of range [0, {H.n})")
-    return _exists_embedding(H, v, F)
+    """Whether some copy of F in H contains v: the search of
+    :func:`covered_at`, stopped at its first embedding."""
+    _check_vertex(v, H.n)
+    return next(_improving_embeddings(codegree_neighbourhoods(H), H.n, v, F), None) is not None
 
 
 def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
@@ -253,6 +234,7 @@ def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
     v is covered iff some (t-1)-set T avoiding v satisfies
     ``#link pairs of v inside T + #edges inside T >= threshold``.
     """
+    _check_vertex(v, H.n)
     profile = clique_profile(F)
     if profile is None:
         raise ValueError(f"pattern {F.name!r} is not a complete or near-complete 3-graph")
@@ -306,10 +288,11 @@ class CoverReport:
 
 def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
     """Covering status of every vertex of H for the pattern F."""
+    nbhd = codegree_neighbourhoods(H)
     uncovered = []
     witnesses: dict[int, tuple[int, ...]] = {}
     for v in range(H.n):
-        emb = covered_at(H, v, F)
+        emb = covered_at(H, v, F, nbhd=nbhd)
         if emb is None:
             uncovered.append(v)
         else:

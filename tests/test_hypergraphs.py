@@ -11,6 +11,7 @@ from tricover import (
     Graph,
     TriGraph,
     codegree,
+    codegree_neighbourhoods,
     complete_trigraph,
     construct_h,
     construct_h4,
@@ -166,6 +167,16 @@ class TestLinkGraph:
     def test_codegree_sum_is_3e(self, H):
         table = pair_degree_table(H)
         assert sum(table.values()) == 3 * H.edge_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(trigraphs(max_n=8))
+    def test_neighbourhoods_list_every_third_vertex(self, H):
+        nbhd = codegree_neighbourhoods(H)
+        expected = {
+            (a, b): frozenset(c for c in range(H.n) if c not in (a, b) and H.has_edge(a, b, c))
+            for a, b in combinations(range(H.n), 2)
+        }
+        assert nbhd == {p: s for p, s in expected.items() if s}
 
 
 class TestTriangleFree:

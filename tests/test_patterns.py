@@ -1,5 +1,6 @@
 """Pattern containment, covering reports, and the local obstruction."""
 
+import gc
 from itertools import combinations
 from random import Random
 
@@ -19,6 +20,7 @@ from tricover import (
     covering_report,
     is_covered,
 )
+from tricover import patterns
 
 from _brute import bf_covered, bf_lexmin_embedding, random_trigraph
 
@@ -101,6 +103,51 @@ class TestCoveredAt:
             H = random_trigraph(rng, 7, 0.7)
             for v in range(H.n):
                 assert covered_at(H, v, F5) == bf_lexmin_embedding(H, v, F5)
+
+    @pytest.mark.parametrize("F", [
+        Pattern(5, frozenset({(1, 2, 4), (0, 3, 4), (2, 3, 4)}), "asymmetric"),
+        Pattern(5, frozenset({(0, 1, 2), (1, 2, 3)}), "isolated vertex"),
+        Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2"),
+        Pattern(5, frozenset({(0, 1, 2), (2, 3, 4)}), "pair"),
+    ], ids=lambda F: F.name)
+    def test_witness_is_lexicographically_smallest_for_generic_patterns(self, F):
+        rng = Random(F.name)
+        for _ in range(8):
+            H = random_trigraph(rng, rng.randint(5, 7), rng.choice((0.15, 0.3, 0.5)))
+            report = covering_report(H, F)
+            for v in range(H.n):
+                emb = covered_at(H, v, F)
+                assert emb == bf_lexmin_embedding(H, v, F) == report.witnesses.get(v)
+                assert is_covered(H, v, F) == (emb is not None)
+
+    def test_refuted_orbit_is_skipped(self, monkeypatch):
+        # book2's orbits are {0, 1} and {2, 3}; vertex 2 lies in one edge only,
+        # so anchor 0 fails, anchor 1 is skipped and anchor 2 succeeds
+        F = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
+        H = TriGraph(4, [(0, 1, 2), (0, 1, 3)])
+        tried = []
+        steps = patterns._anchor_steps
+        monkeypatch.setattr(patterns, "_anchor_steps", lambda F, a: tried.append(a) or steps(F, a))
+        assert covered_at(H, 2, F) == bf_lexmin_embedding(H, 2, F) == (0, 1, 2, 3)
+        assert tried == [0, 2, 3]
+
+    @pytest.mark.parametrize("v", [True, 1.0, -1, 99])
+    def test_bad_vertex_in_every_detector(self, v):
+        H, F = complete_trigraph(6), builtin_pattern("K4-")
+        for detector in (covered_at, is_covered, covered_by_count):
+            with pytest.raises(ValueError):
+                detector(H, v, F)
+
+    def test_search_leaves_no_reference_cycles(self):
+        K5m = builtin_pattern("K5-")
+        gc.disable()
+        try:
+            gc.collect()
+            assert covering_report(construct_h4(20), K5m).uncovered == (0,)
+            assert covered_at(construct_h4(20), 0, K5m) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_monotone_under_edge_addition(self):
         rng = Random(41)
