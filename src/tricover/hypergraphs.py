@@ -101,12 +101,23 @@ class Graph:
 
 
 def _canonical_triple(e: Iterable[int], n: int) -> tuple[int, int, int]:
-    t = tuple(sorted(e))
-    if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"edge {tuple(e)!r} is not a 3-element vertex set")
+    # materialise once: an iterator edge is consumed by the first pass
+    try:
+        t = tuple(e)
+    except TypeError:
+        raise ValueError(f"edge {e!r} is not a 3-element vertex set") from None
+    if len(t) != 3:
+        raise ValueError(f"edge {t!r} is not a 3-element vertex set")
     for v in t:
-        _check_vertex(v, n)
-    return t  # type: ignore[return-value]
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"edge {t!r} is not a 3-element vertex set")
+    a, b, c = sorted(t)
+    if 0 <= a < b < c < n:
+        return a, b, c
+    if a == b or b == c:
+        raise ValueError(f"edge {t!r} is not a 3-element vertex set")
+    bad = next(v for v in (a, b, c) if not 0 <= v < n)
+    raise ValueError(f"vertex {bad!r} out of range [0, {n})")
 
 
 class TriGraph:

@@ -499,29 +499,43 @@ class CertifyReport:
 
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
     """A random 3-graph with delta2 > threshold: start from density 1/2 and
-    repair by adding random triples through minimum-codegree pairs."""
-    triples = list(combinations(range(n), 3))
-    present = {t for t in triples if rng.random() < 0.5}
-    counts = {p: 0 for p in combinations(range(n), 2)}
-    for a, b, c in present:
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
+    repair by adding random triples through minimum-codegree pairs.
+
+    Each pair, in lexicographic order, keeps its codegree neighbourhood (the
+    set of third vertices) and its codegree.  The repair step takes the
+    lexicographically first pair of minimum codegree and a uniform choice
+    among its absent third vertices, listed in increasing order.  The random
+    stream is one rng.random() per triple in combinations order, then one
+    rng.choice per repair step, so a seed draws the same graphs as the
+    dictionary-based reference ``bf_sample_above_threshold`` in the tests.
+    """
+    pairs = list(combinations(range(n), 2))
+    pair_index = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(pairs):
+        pair_index[a][b] = i
+    third: list[set[int]] = [set() for _ in pairs]
+    edges = []
+    for a, b, c in combinations(range(n), 3):
+        if rng.random() < 0.5:
+            edges.append((a, b, c))
+            third[pair_index[a][b]].add(c)
+            third[pair_index[a][c]].add(b)
+            third[pair_index[b][c]].add(a)
+    counts = [len(s) for s in third]
     while True:
-        lo_pair = min(counts, key=lambda p: (counts[p], p))
-        if counts[lo_pair] > threshold:
+        lo = min(counts)
+        if lo > threshold:
             break
-        a, b = lo_pair
-        absent = [
-            c for c in range(n)
-            if c not in lo_pair and tuple(sorted((a, b, c))) not in present
-        ]
-        c = rng.choice(absent)
-        tri = tuple(sorted((a, b, c)))
-        present.add(tri)
-        for p in combinations(tri, 2):
-            counts[p] += 1
-    return TriGraph(n, present)
+        i = counts.index(lo)
+        a, b = pairs[i]
+        nbhd = third[i]
+        c = rng.choice([c for c in range(n) if c != a and c != b and c not in nbhd])
+        a, b, c = sorted((a, b, c))
+        edges.append((a, b, c))
+        for j, w in ((pair_index[a][b], c), (pair_index[a][c], b), (pair_index[b][c], a)):
+            third[j].add(w)
+            counts[j] += 1
+    return TriGraph(n, edges)
 
 
 def certify_upper_behavior(
@@ -537,12 +551,24 @@ def certify_upper_behavior(
     Finding one would contradict "c2(n, pattern) <= threshold"; when the
     threshold is set below the true value, witnesses are expected and are
     reported as lower-bound certificates.  Candidate counterexamples are
-    re-verified with the generic embedder before being recorded.
+    re-verified with the generic embedder before being recorded.  ``n``,
+    ``threshold`` and ``samples`` must be ints (not bools) with
+    pattern.t <= n <= 12, threshold <= n - 3 and samples >= 0, and the
+    pattern needs an edge; anything else raises ValueError.
     """
+    for name, value in (("n", n), ("threshold", threshold), ("samples", samples)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if pattern.edge_count == 0:
+        raise ValueError("pattern must have at least one edge")
     if n > 12:
         raise ValueError("sampling spot-checks are limited to n <= 12")
+    if n < pattern.t:
+        raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
     if threshold > n - 3:
         raise ValueError(f"no 3-graph on {n} vertices has delta2 > {threshold}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     can_count = clique_profile(pattern) is not None
     rng = Random(seed)
     report = CertifyReport(n=n, pattern=pattern.name, threshold=threshold,

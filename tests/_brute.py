@@ -110,3 +110,31 @@ def random_regular_bipartite(rng: Random, s: int, d: int) -> tuple[Graph, list[i
         for j in range(s):
             edges.append((j, s + pi[(j + i) % s]))
     return Graph(2 * s, edges), list(range(s)), list(range(s, 2 * s))
+
+
+def bf_sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
+    """The spot-check sampler as it was first written (a min() over a pair
+    dict at every repair step); the library's sampler must draw the same
+    graph from the same random stream."""
+    triples = list(combinations(range(n), 3))
+    present = {t for t in triples if rng.random() < 0.5}
+    counts = {p: 0 for p in combinations(range(n), 2)}
+    for a, b, c in present:
+        counts[(a, b)] += 1
+        counts[(a, c)] += 1
+        counts[(b, c)] += 1
+    while True:
+        lo_pair = min(counts, key=lambda p: (counts[p], p))
+        if counts[lo_pair] > threshold:
+            break
+        a, b = lo_pair
+        absent = [
+            c for c in range(n)
+            if c not in lo_pair and tuple(sorted((a, b, c))) not in present
+        ]
+        c = rng.choice(absent)
+        tri = tuple(sorted((a, b, c)))
+        present.add(tri)
+        for p in combinations(tri, 2):
+            counts[p] += 1
+    return TriGraph(n, present)

@@ -66,6 +66,38 @@ class TestTriGraph:
         with pytest.raises(ValueError):
             TriGraph(4, [(0, 1, 4)])
 
+    @pytest.mark.parametrize(
+        "edge", [(0, "a", 1), (0, None, 1), 5, (True, 0, 1), ("a", "b", "c"), (0, 1), (0, 1, 2, 3)]
+    )
+    def test_malformed_edge_is_value_error(self, edge):
+        with pytest.raises(ValueError, match="not a 3-element vertex set"):
+            TriGraph(3, [edge])
+
+    def test_out_of_range_message(self):
+        with pytest.raises(ValueError, match=r"vertex 4 out of range \[0, 4\)"):
+            TriGraph(4, [(4, 0, 1)])
+        with pytest.raises(ValueError, match=r"vertex -1 out of range"):
+            TriGraph(4, [(0, -1, 2)])
+
+    def test_iterator_edge(self):
+        assert TriGraph(4, [iter((3, 0, 1))]).edges == ((0, 1, 3),)
+        with pytest.raises(ValueError, match=r"edge \(2, 0, 2\) is not"):
+            TriGraph(4, [iter((2, 0, 2))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.one_of(st.integers(-2, 6), st.booleans(), st.none(), st.text(max_size=2))] * 3))
+    def test_accepts_exactly_distinct_in_range_ints(self, edge):
+        n = 5
+        valid = (
+            all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n for v in edge)
+            and len(set(edge)) == 3
+        )
+        if valid:
+            assert TriGraph(n, [edge]).edges == (tuple(sorted(edge)),)
+        else:
+            with pytest.raises(ValueError):
+                TriGraph(n, [edge])
+
     def test_duplicate_edges_collapse(self):
         h = TriGraph(4, [(0, 1, 2), (2, 1, 0)])
         assert h.edge_count == 1

@@ -15,12 +15,15 @@ from tricover import (
     builtin_pattern,
     certify_upper_behavior,
     clique_profile,
+    complete_trigraph,
     covering_report,
     exact_c2,
     is_covered,
     min_codegree,
 )
-from tricover.oracle import _Budget, _InnerSearch
+from tricover.oracle import _Budget, _InnerSearch, _sample_above_threshold
+
+from _brute import bf_sample_above_threshold
 
 
 K4M = builtin_pattern("K4-")
@@ -179,16 +182,54 @@ class TestCertifyUpperBehavior:
             assert covering_report(H, K4M).uncovered
 
     def test_sample_respects_threshold(self):
-        from tricover.oracle import _sample_above_threshold
-
         rng = Random(1)
         for _ in range(30):
             H = _sample_above_threshold(7, 3, rng)
             assert min_codegree(H).min > 3
 
+    @pytest.mark.parametrize("n, threshold", [(6, 1), (7, 3), (8, 4), (9, 3), (10, 3), (12, 4)])
+    def test_draws_match_reference_sampler(self, n, threshold):
+        # one stream per side, so the random state after each draw must agree too
+        ours, ref = Random(n * 100 + threshold), Random(n * 100 + threshold)
+        for _ in range(50):
+            assert _sample_above_threshold(n, threshold, ours) == bf_sample_above_threshold(
+                n, threshold, ref
+            )
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_top_threshold_gives_complete_graph(self, n):
+        rng = Random(n)
+        for _ in range(5):
+            assert _sample_above_threshold(n, n - 3, rng) == complete_trigraph(n)
+
     def test_threshold_too_high(self):
         with pytest.raises(ValueError):
             certify_upper_behavior(7, K5M, 5, 10)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            certify_upper_behavior(9, K4M, 3, -5)
+
+    def test_non_int_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            certify_upper_behavior(9, K4M, 3, 2.5)
+
+    def test_bool_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            certify_upper_behavior(9, K4M, True, 10)
+
+    def test_too_few_vertices_for_pattern(self):
+        with pytest.raises(ValueError, match="host the pattern"):
+            certify_upper_behavior(4, K5M, 1, 10)
+
+    def test_edgeless_pattern_rejected(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            certify_upper_behavior(6, Pattern(4, frozenset(), "empty"), 1, 10)
+
+    def test_zero_samples_is_an_empty_report(self):
+        rep = certify_upper_behavior(9, K4M, 3, 0)
+        assert rep.samples == 0 and rep.counterexample_count == 0
 
     def test_report_dict(self):
         doc = certify_upper_behavior(9, K4M, 3, 50, seed=2).to_dict()
