@@ -31,7 +31,6 @@ from .hypergraphs import (
     link_graph,
     min_codegree,
     pair_degree_table,
-    spanned_link_edges,
 )
 from .koenig import complete_bipartite_matchings
 from .patterns import builtin_pattern, covered_at, covering_obstruction
@@ -157,9 +156,10 @@ def construct_h(family: str, m: int) -> TriGraph:
     """
     link = link_graph_for(family, m)
     edges: list[tuple[int, int, int]] = [(0, a + 1, b + 1) for a, b in link.edges()]
-    for tri in combinations(range(link.n), 3):
-        if spanned_link_edges(link, tri) <= 1:
-            edges.append((tri[0] + 1, tri[1] + 1, tri[2] + 1))
+    adj = link.adj
+    for a, b, c in combinations(range(link.n), 3):
+        if (b in adj[a]) + (c in adj[a]) + (c in adj[b]) <= 1:
+            edges.append((a + 1, b + 1, c + 1))
     class_of = {0: "x"}
     for v in range(link.n):
         class_of[v + 1] = link.class_of[v]

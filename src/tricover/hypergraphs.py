@@ -22,6 +22,13 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v!r} out of range [0, {n})")
 
 
+def _check_count(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"vertex count {n!r} is not an int")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+
+
 class Graph:
     """Simple undirected graph with adjacency-set representation.
 
@@ -38,11 +45,16 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         class_of: Optional[Mapping[int, str]] = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_count(n)
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
-            u, v = e
+            try:
+                t = tuple(e)
+            except TypeError:
+                raise ValueError(f"edge {e!r} is not a 2-element vertex set") from None
+            if len(t) != 2:
+                raise ValueError(f"edge {t!r} is not a 2-element vertex set")
+            u, v = t
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
@@ -101,6 +113,11 @@ class Graph:
 
 
 def _canonical_triple(e: Iterable[int], n: int) -> tuple[int, int, int]:
+    # already canonical: a sorted, in-range tuple of three exact ints
+    if type(e) is tuple and len(e) == 3:
+        a, b, c = e
+        if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
+            return e  # type: ignore[return-value]
     # materialise once: an iterator edge is consumed by the first pass
     try:
         t = tuple(e)
@@ -138,8 +155,7 @@ class TriGraph:
         distinguished: Optional[int] = None,
         class_of: Optional[Mapping[int, str]] = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_count(n)
         canon = {_canonical_triple(e, n) for e in edges}
         self.n = n
         self.edges = tuple(sorted(canon))
@@ -216,22 +232,25 @@ def pair_degree_table(H: TriGraph) -> dict[tuple[int, int], int]:
     return table
 
 
-def codegree_neighbourhoods(H: TriGraph) -> dict[tuple[int, int], frozenset[int]]:
-    """For every pair (a, b) with a < b and codegree at least 1, the set of
-    vertices c such that {a, b, c} is an edge of H; one pass over the edges.
-    Pairs of codegree zero are absent."""
-    nbhd: dict = {}
+def codegree_neighbourhoods(H: TriGraph) -> list[list[int]]:
+    """Codegree neighbourhoods as bitmasks, built in one pass over the edges.
+
+    ``bits[a][b] == bits[b][a]`` has bit c set iff {a, b, c} is an edge of H,
+    so it is 0 for a == b and for pairs of codegree zero, and its popcount is
+    the codegree of {a, b}.
+    """
+    n = H.n
+    bits = [[0] * n for _ in range(n)]
+    # both orders of a pair share one int object
     for a, b, c in H.edges:
-        for pair, w in (((a, b), c), ((a, c), b), ((b, c), a)):
-            s = nbhd.get(pair)
-            if s is None:
-                nbhd[pair] = {w}
-            else:
-                s.add(w)
-    # frozen in place, so no second copy of the table is ever alive
-    for pair, s in nbhd.items():
-        nbhd[pair] = frozenset(s)
-    return nbhd
+        ra, rb, rc = bits[a], bits[b], bits[c]
+        ra[b] |= 1 << c
+        rb[a] = ra[b]
+        ra[c] |= 1 << b
+        rc[a] = ra[c]
+        rb[c] |= 1 << a
+        rc[b] = rb[c]
+    return bits
 
 
 def min_codegree(H: TriGraph) -> PairDegreeProfile:

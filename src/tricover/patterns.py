@@ -11,7 +11,9 @@ Two independent detectors are provided:
   pattern vertex in turn, fills the other positions in index order with
   candidates drawn from the codegree neighbourhoods of placed pairs, and so
   finds the lexicographically smallest copy through v (``is_covered`` stops
-  at the first copy it meets),
+  at the first copy it meets).  Neighbourhoods are int bitmasks, so a
+  position's candidates are the AND of a few masks with the mask of unused
+  vertices, walked lowest bit first,
 * a counting check for the complete and near-complete patterns K_t / K_t^-,
   based on the fact that a t-set of vertices hosts a copy of K_t (K_t^-)
   exactly when it spans at least C(t,3) (C(t,3) - 1) edges.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .hypergraphs import (
     TriGraph,
@@ -38,7 +40,6 @@ from .hypergraphs import (
     codegree_neighbourhoods,
     is_triangle_free,
     link_graph,
-    spanned_link_edges,
 )
 
 
@@ -104,7 +105,7 @@ def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
 # Lex-min embedder over codegree neighbourhoods
 # ---------------------------------------------------------------------------
 
-Neighbourhoods = Mapping[tuple[int, int], frozenset[int]]
+Neighbourhoods = Sequence[Sequence[int]]
 # per free position, in index order: (position, placed pairs closing an edge)
 _Steps = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
@@ -138,10 +139,17 @@ def _anchor_steps(F: Pattern, anchor: int) -> _Steps:
 
 
 def _complete(
-    nbhd: Neighbourhoods, n: int, steps: _Steps, i: int, phi: list[int], bound: Optional[tuple[int, ...]]
+    bits: Neighbourhoods,
+    n: int,
+    steps: _Steps,
+    i: int,
+    phi: list[int],
+    free: int,
+    bound: Optional[tuple[int, ...]],
 ) -> Optional[tuple[int, ...]]:
     """The lex-min completion of ``phi`` (-1 marks an open position) from
-    ``steps[i]`` on, or None.  A position's candidates lie in the codegree
+    ``steps[i]`` on, or None.  ``free`` is the mask of vertices not in phi.
+    A position's candidates are the free vertices in the codegree
     neighbourhood of every placed pair closing an edge through it.
     ``bound``, when given, is an embedding that phi matches on every placed
     position: only smaller completions are wanted, so larger candidates are
@@ -149,32 +157,27 @@ def _complete(
     if i == len(steps):
         return tuple(phi)
     q, pairs = steps[i]
-    if pairs:
-        cands = None
-        for a, b in pairs:
-            x, y = phi[a], phi[b]
-            s = nbhd.get((x, y) if x < y else (y, x))
-            if not s:
-                return None
-            cands = s if cands is None else cands & s
-        order: Iterable[int] = sorted(cands)  # type: ignore[arg-type]
-    else:
-        order = range(n)
+    cands = free
+    for a, b in pairs:
+        cands &= bits[phi[a]][phi[b]]
+        if not cands:
+            return None
     top = n if bound is None else bound[q]
-    for c in order:
+    while cands:
+        low = cands & -cands
+        c = low.bit_length() - 1
         if c > top:
             break
-        if c in phi:
-            continue
         phi[q] = c
-        res = _complete(nbhd, n, steps, i + 1, phi, bound if c == top else None)
+        res = _complete(bits, n, steps, i + 1, phi, free ^ low, bound if c == top else None)
         if res is not None:
             return res
+        cands ^= low
     phi[q] = -1
     return None
 
 
-def _improving_embeddings(nbhd: Neighbourhoods, n: int, v: int, F: Pattern) -> Iterator[tuple[int, ...]]:
+def _improving_embeddings(bits: Neighbourhoods, n: int, v: int, F: Pattern) -> Iterator[tuple[int, ...]]:
     """Embeddings of F with v in the image, each lexicographically below the
     one before; the last is the lex-min one.
 
@@ -186,6 +189,7 @@ def _improving_embeddings(nbhd: Neighbourhoods, n: int, v: int, F: Pattern) -> I
     """
     if F.t > n:
         return
+    free = ((1 << n) - 1) ^ (1 << v)
     orbit = _anchor_orbits(F)
     refuted = set()
     best = None
@@ -194,7 +198,7 @@ def _improving_embeddings(nbhd: Neighbourhoods, n: int, v: int, F: Pattern) -> I
             continue
         phi = [-1] * F.t
         phi[anchor] = v
-        res = _complete(nbhd, n, _anchor_steps(F, anchor), 0, phi, best)
+        res = _complete(bits, n, _anchor_steps(F, anchor), 0, phi, free, best)
         if res is not None:
             best = res
             yield res
@@ -209,8 +213,10 @@ def covered_at(
     contains v (entry i is the image of pattern vertex i), or None.
 
     ``F.t > H.n`` yields None, not an error.  ``nbhd`` is
-    ``codegree_neighbourhoods(H)``; pass it to share one table across many
-    calls on the same H, otherwise each call builds its own.
+    ``codegree_neighbourhoods(H)``, the n-by-n table of bitmasks whose entry
+    [a][b] has bit c set iff {a, b, c} is an edge; pass it to share one
+    table across many calls on the same H, otherwise each call builds its
+    own.
     """
     _check_vertex(v, H.n)
     if nbhd is None:
@@ -327,10 +333,11 @@ def covering_obstruction(H: TriGraph, x: int) -> ObstructionCheck:
         host = tuple(sorted(link.to_host[i] for i in tf.witness))  # type: ignore[union-attr]
         return ObstructionCheck(False, host, None)  # type: ignore[arg-type]
     to_link = link.host_to_link()
+    adj = link.graph.adj
     for e in H.edges:
         if x in e:
             continue
-        s = tuple(to_link[v] for v in e)
-        if spanned_link_edges(link.graph, s) > 1:
+        a, b, c = (to_link[v] for v in e)
+        if (b in adj[a]) + (c in adj[a]) + (c in adj[b]) > 1:
             return ObstructionCheck(False, None, e)
     return ObstructionCheck(True, None, None)

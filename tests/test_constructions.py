@@ -188,6 +188,12 @@ class TestVerifyClaim:
         report = verify_claim("H4", n=n)
         assert report.passed and report.measured_delta2 == (2 * n - 2) // 3
 
+    @pytest.mark.parametrize("name,kw", [("H4", {"n": 70}), ("H3", {"m": 12})])
+    def test_passes_past_64_vertices(self, name, kw):
+        # neighbourhood masks wider than a machine word
+        report = verify_claim(name, **kw)
+        assert report.passed and report.n > 64
+
     def test_base_graphs_pass(self):
         for name in ("G1", "G2", "G3"):
             assert verify_claim(name).passed

@@ -25,6 +25,10 @@ from tricover import (
 from _brute import bf_codegree, bf_min_codegree, bf_triangle_free, random_trigraph
 
 
+class _SubInt(int):
+    """An int subclass: a valid vertex, though not an exact int."""
+
+
 def trigraphs(max_n=9):
     return st.integers(3, max_n).flatmap(
         lambda n: st.builds(
@@ -46,6 +50,19 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [5, (0, 1, 2), (0,), None])
+    def test_malformed_edge_is_value_error(self, edge):
+        with pytest.raises(ValueError, match="not a 2-element vertex set"):
+            Graph(3, [edge])
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", None])
+    def test_non_int_count_is_value_error(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n)
+
+    def test_iterator_edge(self):
+        assert Graph(3, [iter((2, 0))]).edges() == [(0, 2)]
 
     def test_edges_sorted(self):
         g = Graph(4, [(2, 3), (1, 0), (3, 1)])
@@ -79,13 +96,27 @@ class TestTriGraph:
         with pytest.raises(ValueError, match=r"vertex -1 out of range"):
             TriGraph(4, [(0, -1, 2)])
 
+    @pytest.mark.parametrize("n", [5.5, True, False, "5", None])
+    def test_non_int_count_is_value_error(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            TriGraph(n, [(0, 1, 4)] if n == 5.5 else [])
+
     def test_iterator_edge(self):
         assert TriGraph(4, [iter((3, 0, 1))]).edges == ((0, 1, 3),)
         with pytest.raises(ValueError, match=r"edge \(2, 0, 2\) is not"):
             TriGraph(4, [iter((2, 0, 2))])
 
     @settings(max_examples=300, deadline=None)
-    @given(st.tuples(*[st.one_of(st.integers(-2, 6), st.booleans(), st.none(), st.text(max_size=2))] * 3))
+    @given(
+        st.tuples(
+            *[
+                st.one_of(
+                    st.integers(-2, 6), st.integers(-2, 6).map(_SubInt), st.booleans(), st.none(), st.text(max_size=2)
+                )
+            ]
+            * 3
+        )
+    )
     def test_accepts_exactly_distinct_in_range_ints(self, edge):
         n = 5
         valid = (
@@ -203,12 +234,15 @@ class TestLinkGraph:
     @settings(max_examples=60, deadline=None)
     @given(trigraphs(max_n=8))
     def test_neighbourhoods_list_every_third_vertex(self, H):
-        nbhd = codegree_neighbourhoods(H)
-        expected = {
-            (a, b): frozenset(c for c in range(H.n) if c not in (a, b) and H.has_edge(a, b, c))
-            for a, b in combinations(range(H.n), 2)
-        }
-        assert nbhd == {p: s for p, s in expected.items() if s}
+        bits = codegree_neighbourhoods(H)
+        expected = [
+            [
+                sum(1 << c for c in range(H.n) if a != b and c not in (a, b) and H.has_edge(a, b, c))
+                for b in range(H.n)
+            ]
+            for a in range(H.n)
+        ]
+        assert bits == expected
 
 
 class TestTriangleFree:
