@@ -83,7 +83,6 @@ def parse_edge_list(text: str) -> GraphLike:
     distinguished = None
     class_of: dict[int, str] = {}
     edges: list[tuple[int, ...]] = []
-    edges_seen: set[tuple[int, ...]] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "X":
@@ -105,19 +104,26 @@ def parse_edge_list(text: str) -> GraphLike:
             e = tuple(_parse_int(p, "vertex index") for p in parts)
             if any(e[i] >= e[i + 1] for i in range(k - 1)):
                 raise FormatError(f"edge line {ln!r}: indices must be strictly increasing")
-            if e in edges_seen:
-                raise FormatError(f"duplicate edge {e}")
-            edges_seen.add(e)
             edges.append(e)
 
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
     try:
         if k == 3:
-            return TriGraph(n, edges, distinguished=distinguished, class_of=class_of or None)
-        return Graph(n, edges, class_of=class_of or None)  # type: ignore[arg-type]
+            G: GraphLike = TriGraph(n, edges, distinguished=distinguished, class_of=class_of or None)
+        else:
+            G = Graph(n, edges, class_of=class_of or None)  # type: ignore[arg-type]
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    # the graph keeps each edge once, so a repeated edge line shows as a
+    # shortfall; only then is the first repeat looked up for the message
+    if G.edge_count < len(edges):
+        seen: set[tuple[int, ...]] = set()
+        for e in edges:
+            if e in seen:
+                raise FormatError(f"duplicate edge {e}")
+            seen.add(e)
+    return G
 
 
 def to_json_dict(obj: GraphLike) -> dict:

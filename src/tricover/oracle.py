@@ -20,13 +20,15 @@ Search strategy (branch and bound):
   delta2 = w >= v, the next level asks for w + 1, and the first refuted
   level proves the last witness optimal.
 
-For the complete and near-complete patterns K_t / K_t^- the covering check
-is a subset counter (vertex 0 is covered iff some (t-1)-set T satisfies
-"link pairs in T + edges in T >= threshold").  The link pairs in T only grow
-as the link grows, so the link search never includes a pair that brings
-some T to the threshold.  For t = 4 every candidate triple lies in only
-one (t-1)-set, itself, so the covering constraints are independent and
-adding every allowed triple (``greedy_value``) is an optimal completion.
+For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
+iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
+and the completion search keeps that count per (t-1)-set.  The link alone
+reaches the threshold only when it equals C(t-1, 2): for K4- a link
+triangle, for the one-edge pattern (t = 3) any link pair.  The link search
+never includes such a pair.  For t = 4 every candidate triple lies in one
+(t-1)-set only, itself, so adding every triple that spans at most
+threshold - 2 link pairs is an optimal completion, and the codegree of each
+pair after it is a popcount on the link's adjacency masks (``leaf_value``).
 Other patterns fall back on the generic embedder and are correspondingly
 slower.
 
@@ -109,7 +111,8 @@ class _InnerSearch:
     completing each one.
 
     Link vertices carry local labels 0..nv-1 (host vertex = local + 1);
-    ``triples`` are the candidate edges avoiding vertex 0.
+    ``triples`` are the candidate edges avoiding vertex 0.  A link is held
+    as adjacency masks: bit y of ``N[x]`` is set iff xy is a link pair.
     """
 
     def __init__(self, n: int, F: Pattern):
@@ -117,11 +120,10 @@ class _InnerSearch:
         self.nv = n - 1
         self.F = F
         self.pairs = list(combinations(range(self.nv), 2))
-        self.pidx = {p: i for i, p in enumerate(self.pairs)}
+        pidx = {p: i for i, p in enumerate(self.pairs)}
         self.triples = list(combinations(range(self.nv), 3))
         self.tri_pairs = [
-            (self.pidx[(a, b)], self.pidx[(a, c)], self.pidx[(b, c)])
-            for a, b, c in self.triples
+            (pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in self.triples
         ]
         self.pair_tris: list[list[int]] = [[] for _ in self.pairs]
         for i, ps in enumerate(self.tri_pairs):
@@ -129,29 +131,15 @@ class _InnerSearch:
                 self.pair_tris[p].append(i)
         profile = clique_profile(F)
         self.theta: Optional[int] = None
-        self.sets: list[tuple[int, ...]] = []
         self.set_pairs: list[list[int]] = []
         self.tri_sets: list[list[int]] = [[] for _ in self.triples]
-        self.pair_sets: list[list[int]] = [[] for _ in self.pairs]
-        # a triple lies in at most one (t-1)-set when t <= 4, which makes
-        # greedy_value an optimal completion
-        self.closed_form = profile is not None and profile[0] <= 4
         if profile is not None:
-            t, theta = profile
-            self.theta = theta
-            if t - 1 <= self.nv:
-                self.sets = list(combinations(range(self.nv), t - 1))
-                self.set_pairs = [
-                    [self.pidx[p] for p in combinations(s, 2)] for s in self.sets
-                ]
-                for s_i, sp in enumerate(self.set_pairs):
-                    for p in sp:
-                        self.pair_sets[p].append(s_i)
-                for i, tri in enumerate(self.triples):
-                    tri_set = set(tri)
-                    for s_i, s in enumerate(self.sets):
-                        if tri_set <= set(s):
-                            self.tri_sets[i].append(s_i)
+            self.theta = profile[1]
+            tidx = {tri: i for i, tri in enumerate(self.triples)}
+            for s_i, s in enumerate(combinations(range(self.nv), F.t - 1)):
+                self.set_pairs.append([pidx[p] for p in combinations(s, 2)])
+                for tri in combinations(s, 3):
+                    self.tri_sets[tidx[tri]].append(s_i)
         # remaining_at[j][u]: link pairs j, j+1, ... that contain vertex u
         P = len(self.pairs)
         self.remaining_at = [[0] * self.nv for _ in range(P + 1)]
@@ -162,65 +150,67 @@ class _InnerSearch:
 
     # -- helpers -----------------------------------------------------------
 
-    def link_degrees(self, mask: int) -> list[int]:
-        degs = [0] * self.nv
-        for j, (x, y) in enumerate(self.pairs):
-            if (mask >> j) & 1:
-                degs[x] += 1
-                degs[y] += 1
-        return degs
-
-    def _link1(self, mask: int) -> list[int]:
-        return [(mask >> j) & 1 for j in range(len(self.pairs))]
+    def _link1(self, N: Sequence[int]) -> list[int]:
+        return [(N[x] >> y) & 1 for x, y in self.pairs]
 
     def _initial_tot(self, link1: list[int]) -> list[int]:
         return [sum(link1[p] for p in sp) for sp in self.set_pairs]
 
-    def host_edges(self, mask: int, chosen: Sequence[int]) -> list[tuple[int, int, int]]:
-        edges = [
-            (0, x + 1, y + 1)
-            for j, (x, y) in enumerate(self.pairs)
-            if (mask >> j) & 1
-        ]
+    def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> list[tuple[int, int, int]]:
+        edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
         for i in chosen:
             a, b, c = self.triples[i]
             edges.append((a + 1, b + 1, c + 1))
         return edges
 
-    # -- greedy completion (optimal when closed_form) ---------------------
+    # -- closed-form completion for K4 and K4- ------------------------------
 
-    def greedy_value(self, mask: int) -> Optional[tuple[int, list[int]]]:
-        """Add triples in lexicographic order whenever vertex 0 stays
-        uncovered; returns (delta2, chosen) for the resulting maximal graph."""
-        if self.theta is None:
-            return None
-        link1 = self._link1(mask)
-        tot = self._initial_tot(link1)
-        if any(t >= self.theta for t in tot):
-            return None
-        counts = link1[:]
-        chosen = []
-        for i in range(len(self.triples)):
-            if all(tot[s] + 1 < self.theta for s in self.tri_sets[i]):
-                for s in self.tri_sets[i]:
-                    tot[s] += 1
-                for p in self.tri_pairs[i]:
-                    counts[p] += 1
-                chosen.append(i)
-        degs = self.link_degrees(mask)
-        value = min(min(degs), min(counts)) if self.pairs else min(degs)
-        return value, chosen
+    def leaf_value(self, N: Sequence[int], v: int) -> int:
+        """t = 4: delta2 after adding every triple that keeps vertex 0
+        uncovered, or some codegree below v once one is found.
+
+        The codegree of (0, a) is the link degree of a.  For a link pair ab
+        it is 1 + |rest - (N[a] | N[b])| (K4-) or nv - 1 - |N[a] & N[b]|
+        (K4), and otherwise nv - 2 - |N[a] & N[b]| (K4-) or nv - 2 (K4),
+        where rest is the link vertices other than a and b."""
+        nv = self.nv
+        minus = self.theta == 3
+        value = min(m.bit_count() for m in N)
+        if value < v:
+            return value
+        for a, b in self.pairs:
+            Na, Nb = N[a], N[b]
+            if (Na >> b) & 1:
+                # ab is a link pair, so a and b are in N[a] | N[b]
+                c = nv + 1 - (Na | Nb).bit_count() if minus else nv - 1 - (Na & Nb).bit_count()
+            else:
+                c = nv - 2 - (Na & Nb).bit_count() if minus else nv - 2
+            if c < value:
+                if c < v:
+                    return c
+                value = c
+        return value
+
+    def leaf_witness(self, N: Sequence[int]) -> list[tuple[int, int, int]]:
+        """t = 4: the link plus every triple spanning at most theta - 2 link
+        pairs, the completion that ``leaf_value`` measures."""
+        assert self.theta is not None
+        cap = self.theta - 2
+        chosen = [
+            i for i, (a, b, c) in enumerate(self.triples)
+            if ((N[a] >> b) & 1) + ((N[a] >> c) & 1) + ((N[b] >> c) & 1) <= cap
+        ]
+        return self.host_edges(N, chosen)
 
     # -- decision search: is there a completion with delta2 >= v? ----------
 
     def decision_search(
-        self, mask: int, v: int, budget: _Budget
+        self, N: Sequence[int], v: int, budget: _Budget
     ) -> Optional[list[tuple[int, int, int]]]:
         nv, P = self.nv, len(self.pairs)
-        degs = self.link_degrees(mask)
-        if min(degs) < v:
+        if min(m.bit_count() for m in N) < v:
             return None
-        link1 = self._link1(mask)
+        link1 = self._link1(N)
         in_cnt = [0] * P
         und = [nv - 2] * P
         clique = self.theta is not None
@@ -232,7 +222,7 @@ class _InnerSearch:
             tot = []
             current: list[int] = []
             # the link triples alone already cover vertex 0
-            if is_covered(TriGraph(self.n, self.host_edges(mask, ())), 0, self.F):
+            if is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
                 return None
         decided = bytearray(len(self.triples))  # 0 undecided, 1 in, 2 out
 
@@ -263,7 +253,7 @@ class _InnerSearch:
                         break
             else:
                 current.append(tri)
-                H = TriGraph(self.n, self.host_edges(mask, current))
+                H = TriGraph(self.n, self.host_edges(N, current))
                 allowed = not is_covered(H, 0, self.F)
                 current.pop()
             if allowed:
@@ -304,7 +294,7 @@ class _InnerSearch:
         chosen = rec()
         if chosen is None:
             return None
-        return self.host_edges(mask, chosen)
+        return self.host_edges(N, chosen)
 
     # -- one level of the bottom-up search ----------------------------------
 
@@ -314,42 +304,45 @@ class _InnerSearch:
         nv, pairs, P = self.nv, self.pairs, len(self.pairs)
         remaining_at = self.remaining_at
         deg = [0] * nv
-        link_tot = [0] * len(self.sets)  # link pairs inside each (t-1)-set
+        N = [0] * nv
+        # the link only grows, so a pair that makes it cover vertex 0 on its
+        # own is never included: any pair for the one-edge pattern (theta 1),
+        # a pair closing a link triangle for K4- (theta 3)
+        no_pair = self.theta == 1
+        no_triangle = self.theta == 3
 
-        def rec(j: int, mask: int) -> Optional[tuple[int, TriGraph]]:
+        def rec(j: int) -> Optional[tuple[int, TriGraph]]:
             budget.spend()
             if any(deg[u] + remaining_at[j][u] < v for u in range(nv)):
                 return None
             if j == P:
-                return self._complete(mask, v, budget)
-            res = rec(j + 1, mask)
+                return self._complete(N, v, budget)
+            res = rec(j + 1)
             if res is not None:
                 return res
-            # link_tot only grows, so a set at the threshold stays covering
-            # (pair_sets is empty for patterns other than K_t / K_t^-)
-            if any(link_tot[s] + 1 >= self.theta for s in self.pair_sets[j]):
-                return None
             x, y = pairs[j]
+            if no_pair or (no_triangle and N[x] & N[y]):
+                return None
             deg[x] += 1
             deg[y] += 1
-            for s in self.pair_sets[j]:
-                link_tot[s] += 1
-            res = rec(j + 1, mask | (1 << j))
+            N[x] |= 1 << y
+            N[y] |= 1 << x
+            res = rec(j + 1)
             deg[x] -= 1
             deg[y] -= 1
-            for s in self.pair_sets[j]:
-                link_tot[s] -= 1
+            N[x] ^= 1 << y
+            N[y] ^= 1 << x
             return res
 
-        return rec(0, 0)
+        return rec(0)
 
-    def _complete(self, mask: int, v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
-        if self.closed_form:
-            res = self.greedy_value(mask)
-            if res is None or res[0] < v:
+    def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
+        if self.theta in (3, 4):  # K4- and K4
+            value = self.leaf_value(N, v)
+            if value < v:
                 return None
-            return res[0], TriGraph(self.n, self.host_edges(mask, res[1]))
-        edges = self.decision_search(mask, v, budget)
+            return value, TriGraph(self.n, self.leaf_witness(N))
+        edges = self.decision_search(N, v, budget)
         if edges is None:
             return None
         H = TriGraph(self.n, edges)
@@ -438,7 +431,10 @@ def exact_c2(
                 pass
         else:
             value, witness = _naive_search(n, pattern, budget)
-    except BudgetExhausted:
+    except (BudgetExhausted, RecursionError):
+        # the link and completion searches recurse once per decided pair or
+        # triple, so a host too deep for the interpreter's stack ends the
+        # search as a spent budget does
         exhaustive = False
     elapsed = time.monotonic() - start
 

@@ -65,6 +65,29 @@ def bf_triangle_free(G: Graph) -> bool:
     )
 
 
+def bf_greedy_value(
+    n: int, F: Pattern, link: list[tuple[int, int]]
+) -> Optional[tuple[int, list[tuple[int, int, int]]]]:
+    """The K4 / K4- leaf completion as first written: fix the link of vertex
+    0 (pairs of host vertices 1..n-1), then add the triples avoiding 0 in
+    lexicographic order while every t-set through 0 stays below F's edge
+    count.  Returns (delta2, edges) of the result, or None when the link
+    alone covers 0.  Only for K_t / K_t^- patterns."""
+    theta = F.edge_count
+    sets = list(combinations(range(1, n), F.t - 1))
+    tot = {T: sum(1 for a, b in link if a in T and b in T) for T in sets}
+    if any(c >= theta for c in tot.values()):
+        return None
+    edges = [(0, a, b) for a, b in link]
+    for tri in combinations(range(1, n), 3):
+        around = [T for T in sets if set(tri) <= set(T)]
+        if all(tot[T] + 1 < theta for T in around):
+            for T in around:
+                tot[T] += 1
+            edges.append(tri)
+    return bf_min_codegree(TriGraph(n, edges)), edges
+
+
 def bf_blowup_edge_count(base: Graph, multiplicity: dict[int, int]) -> int:
     """Count blowup edges by enumerating every copy pair directly."""
     copies = []

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from tricover import TriGraph, coloring_is_valid, construct_h, load, parse_edge_list, save
 from tricover.cli import main
 from tricover.koenig import EdgeColoring
@@ -175,6 +177,12 @@ class TestOracle:
         assert code == 1
         assert "exhaustive = false" in out
 
+    def test_too_deep_search_exit_1(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "20", "--pattern", "K5",
+                             "--allow-large", "--budget-seconds", "2")
+        assert code == 1 and err == ""
+        assert "exhaustive = false" in out
+
     def test_removed_options_rejected(self, capsys):
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--threads", "2")[0] == 2
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--seed", "1")[0] == 2
@@ -208,6 +216,16 @@ class TestErrorStreams:
     def test_missing_file_exit_3(self, capsys):
         code, out, err = run(capsys, "covering", "--in", "/nonexistent.hg", "--pattern", "K4-")
         assert code == 3 and out == "" and err
+
+    @pytest.mark.parametrize("text", [
+        "HG 2 4 3\n0 1\n1 2\n0 1\n",
+        "HG 3 5 3\n0 1 2\n1 2 3\n1 2 3\n",
+    ])
+    def test_repeated_edge_line_exit_3(self, capsys, tmp_path, text):
+        path = tmp_path / "dup.hg"
+        path.write_text(text)
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
+        assert code == 3 and out == "" and "duplicate edge" in err
 
     def test_no_subcommand_exit_2(self, capsys):
         assert run(capsys)[0] == 2

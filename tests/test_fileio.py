@@ -92,6 +92,20 @@ def test_parse_errors(bad):
         parse_edge_list(bad)
 
 
+REPEATED_EDGE = {
+    2: ("HG 2 4 3\n0 1\n1 2\n0 1\n", "duplicate edge (0, 1)"),
+    3: ("HG 3 5 3\n0 1 2\n1 2 3\n1 2 3\n", "duplicate edge (1, 2, 3)"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(REPEATED_EDGE))
+def test_repeated_edge_line_rejected(k):
+    text, message = REPEATED_EDGE[k]
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
 def test_whitespace_label_rejected_on_write():
     H = TriGraph(3, [(0, 1, 2)], class_of={0: "two words"})
     with pytest.raises(FormatError):

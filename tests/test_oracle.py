@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -23,7 +24,7 @@ from tricover import (
 )
 from tricover.oracle import _Budget, _InnerSearch, _sample_above_threshold
 
-from _brute import bf_sample_above_threshold
+from _brute import bf_greedy_value, bf_sample_above_threshold
 
 
 K4M = builtin_pattern("K4-")
@@ -93,8 +94,6 @@ class TestPruningSoundness:
     def test_pinned_vertex_reduction_is_lossless(self):
         # maximizing over "vertex 0 uncovered" equals maximizing over "some
         # vertex uncovered", by relabeling; verify computationally
-        from itertools import combinations
-
         for n, name in ((4, "K4-"), (5, "K4-"), (5, "K5-")):
             pattern = builtin_pattern(name)
             triples = list(combinations(range(n), 3))
@@ -136,34 +135,106 @@ class TestBudgets:
         assert not res.exhaustive
         assert res.value <= 3  # cannot exceed the true threshold
 
+    def test_too_deep_search_ends_non_exhaustive(self):
+        # the searches recurse once per link pair and triple: 171 + 969 here
+        res = exact_c2(20, builtin_pattern("K5"), allow_large=True, node_budget=5000)
+        assert not res.exhaustive
+        if res.witness is None:
+            assert res.value == -1
+        else:
+            assert min_codegree(res.witness).min == res.value
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             exact_c2(4, K5M)
 
 
 class TestClosedFormStep:
-    """For K4 and K4- the inner step is greedy_value; decision_search is the
-    reference it must agree with on every link and level."""
+    """For K4 and K4- the leaf is completed in closed form (``leaf_value``,
+    ``leaf_witness``).  Two references check it: ``bf_greedy_value``, the
+    greedy completion that adds every allowed triple, and
+    ``decision_search``.  The references agree on every link and level; the
+    closed form matches both on the links the link DFS can yield, which are
+    all links for K4 and the triangle-free ones for K4-."""
 
     @staticmethod
-    def agree(inner, mask):
-        greedy = inner.greedy_value(mask)
+    def link_of(inner, bits):
+        """Local adjacency masks and host link pairs of a pair-index mask."""
+        N = [0] * inner.nv
+        link = []
+        for j, (x, y) in enumerate(inner.pairs):
+            if (bits >> j) & 1:
+                N[x] |= 1 << y
+                N[y] |= 1 << x
+                link.append((x + 1, y + 1))
+        return N, link
+
+    @classmethod
+    def references_agree(cls, inner, F, bits):
+        N, link = cls.link_of(inner, bits)
+        greedy = bf_greedy_value(inner.n, F, link)
         for v in range(inner.n - 1):
-            found = inner.decision_search(mask, v, _Budget(None, None)) is not None
-            assert (greedy is not None and greedy[0] >= v) == found, (mask, v)
+            found = inner.decision_search(N, v, _Budget(None, None)) is not None
+            assert (greedy is not None and greedy[0] >= v) == found, (bits, v)
+        return N, greedy
+
+    @classmethod
+    def closed_form_agrees(cls, inner, F, bits):
+        N, greedy = cls.references_agree(inner, F, bits)
+        assert greedy is not None, bits
+        value, edges = greedy
+        for v in range(inner.n - 1):
+            got = inner.leaf_value(N, v)
+            assert got == value if value >= v else got < v, (bits, v)
+        assert TriGraph(inner.n, inner.leaf_witness(N)) == TriGraph(inner.n, edges)
+
+    @classmethod
+    def yieldable(cls, inner, F, bits):
+        if F.name == "K4":
+            return True
+        N, _ = cls.link_of(inner, bits)
+        return not any(N[x] & N[y] for x, y in inner.pairs if (N[x] >> y) & 1)
 
     @pytest.mark.parametrize("name", ["K4", "K4-"])
     def test_every_link_at_6(self, name):
-        inner = _InnerSearch(6, builtin_pattern(name))
-        for mask in range(1 << len(inner.pairs)):
-            self.agree(inner, mask)
+        F = builtin_pattern(name)
+        inner = _InnerSearch(6, F)
+        for bits in range(1 << len(inner.pairs)):
+            if self.yieldable(inner, F, bits):
+                self.closed_form_agrees(inner, F, bits)
+            else:
+                self.references_agree(inner, F, bits)
 
     @pytest.mark.parametrize("name", ["K4", "K4-"])
     def test_sampled_links_at_7(self, name):
-        inner = _InnerSearch(7, builtin_pattern(name))
+        F = builtin_pattern(name)
+        inner = _InnerSearch(7, F)
         rng = Random(7)
         for _ in range(1000):
-            self.agree(inner, rng.getrandbits(len(inner.pairs)))
+            self.references_agree(inner, F, rng.getrandbits(len(inner.pairs)))
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_closed_form_on_sampled_links_at_7(self, name):
+        F = builtin_pattern(name)
+        inner = _InnerSearch(7, F)
+        rng = Random(70)
+        checked = 0
+        while checked < 1000:
+            bits = rng.getrandbits(len(inner.pairs))
+            if self.yieldable(inner, F, bits):
+                self.closed_form_agrees(inner, F, bits)
+                checked += 1
+
+
+class TestOneEdgePattern:
+    """A single edge on 3 vertices: vertex 0 is uncovered iff its link is
+    empty, so the value is 0 and the witness is every triple avoiding 0."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_value_and_witness(self, n):
+        res = exact_c2(n, Pattern(3, frozenset({(0, 1, 2)}), "edge"))
+        assert res.exhaustive and res.value == 0
+        assert res.witness == TriGraph(n, combinations(range(1, n), 3), distinguished=0)
 
 
 class TestCertifyUpperBehavior:
