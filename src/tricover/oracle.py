@@ -11,11 +11,21 @@ Search strategy (branch and bound):
   search over the link pairs, excluding a pair before including it, so
   sparse links come first.  Since the codegree of (0, a) equals the link
   degree of a, a partial link in which some vertex can no longer reach
-  degree v is cut.
+  degree v is cut.  Only lex-leaders are enumerated (McKay, "Isomorph-free
+  exhaustive generation", J. Algorithms 1998): read as its 0/1 vector in
+  pair order, a link L must satisfy L <= s(L) for every transposition
+  s = (u u+1) of link vertices.  Only excluding a pair can break one of
+  these constraints, and it decides at most two of them, each in O(1) mask
+  operations.  The first link with a completion is the lex-min of its
+  isomorphism class, so it survives: values and witnesses are those of
+  the full enumeration.
 * Each complete link is then completed by the triples avoiding vertex 0.
   In general this is a depth-first search with an admissible per-pair
   bound (current codegree plus undecided triples) and an incremental
-  covering check that forbids any decision making vertex 0 covered.
+  covering check that forbids any decision making vertex 0 covered.  The
+  bound is incremental too: it falls only for the three pairs of an
+  excluded triple, and the pairs with undecided triples sit in buckets by
+  bound, so the branching pair and triple are lowest-bit operations.
 * The levels ascend from v = 0: the first witness at level v has some
   delta2 = w >= v, the next level asks for w + 1, and the first refuted
   level proves the last witness optimal.
@@ -46,7 +56,14 @@ from typing import Iterator, Optional, Sequence
 
 from .fileio import to_json_dict
 from .hypergraphs import TriGraph, min_codegree, pair_degree_table
-from .patterns import Pattern, clique_profile, covered_by_count, covering_report, is_covered
+from .patterns import (
+    Pattern,
+    clique_profile,
+    covered_at,
+    covered_by_count,
+    covering_report,
+    is_covered,
+)
 
 DEFAULT_HARD_CAP = 8
 DEFAULT_SEED = 20160901
@@ -125,10 +142,11 @@ class _InnerSearch:
         self.tri_pairs = [
             (pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in self.triples
         ]
-        self.pair_tris: list[list[int]] = [[] for _ in self.pairs]
+        # pair_tri_mask[p]: bit i set iff triple i contains pair p
+        self.pair_tri_mask = [0] * len(self.pairs)
         for i, ps in enumerate(self.tri_pairs):
             for p in ps:
-                self.pair_tris[p].append(i)
+                self.pair_tri_mask[p] |= 1 << i
         profile = clique_profile(F)
         self.theta: Optional[int] = None
         self.set_pairs: list[list[int]] = []
@@ -140,20 +158,11 @@ class _InnerSearch:
                 self.set_pairs.append([pidx[p] for p in combinations(s, 2)])
                 for tri in combinations(s, 3):
                     self.tri_sets[tidx[tri]].append(s_i)
-        # remaining_at[j][u]: link pairs j, j+1, ... that contain vertex u
-        P = len(self.pairs)
-        self.remaining_at = [[0] * self.nv for _ in range(P + 1)]
-        for j in range(P - 1, -1, -1):
-            x, y = self.pairs[j]
-            for u in range(self.nv):
-                self.remaining_at[j][u] = self.remaining_at[j + 1][u] + (u in (x, y))
 
     # -- helpers -----------------------------------------------------------
 
-    def _link1(self, N: Sequence[int]) -> list[int]:
-        return [(N[x] >> y) & 1 for x, y in self.pairs]
-
-    def _initial_tot(self, link1: list[int]) -> list[int]:
+    def _initial_tot(self, N: Sequence[int]) -> list[int]:
+        link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
         return [sum(link1[p] for p in sp) for sp in self.set_pairs]
 
     def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -172,7 +181,8 @@ class _InnerSearch:
         The codegree of (0, a) is the link degree of a.  For a link pair ab
         it is 1 + |rest - (N[a] | N[b])| (K4-) or nv - 1 - |N[a] & N[b]|
         (K4), and otherwise nv - 2 - |N[a] & N[b]| (K4-) or nv - 2 (K4),
-        where rest is the link vertices other than a and b."""
+        where rest is the link vertices other than a and b.  The K4 value
+        nv - 2 is never below the link degree of a, so it is skipped."""
         nv = self.nv
         minus = self.theta == 3
         value = min(m.bit_count() for m in N)
@@ -183,8 +193,10 @@ class _InnerSearch:
             if (Na >> b) & 1:
                 # ab is a link pair, so a and b are in N[a] | N[b]
                 c = nv + 1 - (Na | Nb).bit_count() if minus else nv - 1 - (Na & Nb).bit_count()
+            elif minus:
+                c = nv - 2 - (Na & Nb).bit_count()
             else:
-                c = nv - 2 - (Na & Nb).bit_count() if minus else nv - 2
+                continue
             if c < value:
                 if c < v:
                     return c
@@ -207,91 +219,108 @@ class _InnerSearch:
     def decision_search(
         self, N: Sequence[int], v: int, budget: _Budget
     ) -> Optional[list[tuple[int, int, int]]]:
-        nv, P = self.nv, len(self.pairs)
+        """A completion of the link N with delta2 >= v, or None.
+
+        Each pair's bound ``val`` is its codegree if every undecided triple
+        through it were added; it falls by one exactly when one of its
+        triples is excluded, so only those three pairs need the ``< v`` test.
+        ``und[p]`` masks the undecided triples through pair p, and
+        ``bucket[b]`` the pairs of value b that still have one; the search
+        branches on the first undecided triple of the lowest pair of least
+        value.
+        """
+        nv = self.nv
         if min(m.bit_count() for m in N) < v:
             return None
-        link1 = self._link1(N)
-        in_cnt = [0] * P
-        und = [nv - 2] * P
         clique = self.theta is not None
         if clique:
-            tot = self._initial_tot(link1)
-            if any(t >= self.theta for t in tot):
+            tot = self._initial_tot(N)
+            cap = self.theta - 1  # the most a (t-1)-set may span uncovered
+            if max(tot) > cap:
                 return None
-        else:
-            tot = []
-            current: list[int] = []
+        elif is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
             # the link triples alone already cover vertex 0
-            if is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
-                return None
-        decided = bytearray(len(self.triples))  # 0 undecided, 1 in, 2 out
+            return None
+        val = [((N[x] >> y) & 1) + nv - 2 for x, y in self.pairs]
+        und = list(self.pair_tri_mask)
+        bucket = [0] * nv
+        for p, b in enumerate(val):
+            if und[p]:
+                bucket[b] |= 1 << p
+        tri_pairs, tri_sets = self.tri_pairs, self.tri_sets
+        current: list[int] = []
 
-        def rec() -> Optional[list[int]]:
+        def rec(cut: bool) -> Optional[list[int]]:
             budget.spend()
-            minval = nv  # upper bound on any pair value
-            pick = -1
-            pickval = nv + 1
-            for p in range(P):
-                val = link1[p] + in_cnt[p] + und[p]
-                if val < minval:
-                    minval = val
-                if und[p] and val < pickval:
-                    pickval = val
-                    pick = p
-            if minval < v:
+            if cut:
                 return None
-            if pick < 0:
-                return [i for i in range(len(decided)) if decided[i] == 1]
-            tri = next(i for i in self.pair_tris[pick] if decided[i] == 0)
+            # every pair value is at least v here, so the search is done when
+            # no bucket from v up holds a pair
+            for b in range(v, nv):
+                if bucket[b]:
+                    break
+            else:
+                return sorted(current)
+            low = bucket[b] & -bucket[b]
+            m = und[low.bit_length() - 1]
+            bit = m & -m
+            tri = bit.bit_length() - 1
+            ps = tri_pairs[tri]
 
             # try including the triple when it keeps vertex 0 uncovered
-            allowed = True
+            current.append(tri)
             if clique:
-                for s in self.tri_sets[tri]:
-                    if tot[s] + 1 >= self.theta:
+                allowed = True
+                for s in tri_sets[tri]:
+                    if tot[s] >= cap:
                         allowed = False
                         break
             else:
-                current.append(tri)
                 H = TriGraph(self.n, self.host_edges(N, current))
                 allowed = not is_covered(H, 0, self.F)
-                current.pop()
             if allowed:
-                decided[tri] = 1
-                for p in self.tri_pairs[tri]:
-                    in_cnt[p] += 1
-                    und[p] -= 1
+                # including leaves every value as it is
+                for p in ps:
+                    und[p] ^= bit
+                    if not und[p]:
+                        bucket[val[p]] ^= 1 << p
                 if clique:
-                    for s in self.tri_sets[tri]:
+                    for s in tri_sets[tri]:
                         tot[s] += 1
-                else:
-                    current.append(tri)
-                res = rec()
+                res = rec(False)
                 if res is not None:
                     return res
-                decided[tri] = 0
-                for p in self.tri_pairs[tri]:
-                    in_cnt[p] -= 1
-                    und[p] += 1
+                for p in ps:
+                    if not und[p]:
+                        bucket[val[p]] ^= 1 << p
+                    und[p] ^= bit
                 if clique:
-                    for s in self.tri_sets[tri]:
+                    for s in tri_sets[tri]:
                         tot[s] -= 1
-                else:
-                    current.pop()
+            current.pop()
 
-            # exclude it
-            decided[tri] = 2
-            for p in self.tri_pairs[tri]:
-                und[p] -= 1
-            res = rec()
+            # exclude it; a pair falling below v cuts the child, whose
+            # buckets are then never read
+            cut = False
+            for p in ps:
+                bucket[val[p]] &= ~(1 << p)
+                und[p] ^= bit
+                val[p] -= 1
+                if val[p] < v:
+                    cut = True
+                elif und[p]:
+                    bucket[val[p]] |= 1 << p
+            res = rec(cut)
             if res is not None:
                 return res
-            decided[tri] = 0
-            for p in self.tri_pairs[tri]:
-                und[p] += 1
+            for p in ps:
+                bucket[val[p]] &= ~(1 << p)
+                und[p] ^= bit
+                val[p] += 1
+                bucket[val[p]] |= 1 << p
             return None
 
-        chosen = rec()
+        chosen = rec(min(val) < v)
         if chosen is None:
             return None
         return self.host_edges(N, chosen)
@@ -300,10 +329,17 @@ class _InnerSearch:
 
     def search_level(self, v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
         """The first link, in exclude-before-include order, whose completion
-        reaches delta2 >= v, as (delta2, witness); None refutes level v."""
+        reaches delta2 >= v, as (delta2, witness); None refutes level v.
+
+        Only lex-leaders are enumerated: links L with L <= s(L) for every
+        transposition s = (u u+1) of link vertices, L read as its 0/1 vector
+        in pair order.  Links with a completion at level v are closed under
+        relabelling, so the first of them is the lex-min of its class and
+        survives, and the witness is the one the full enumeration finds."""
         nv, pairs, P = self.nv, self.pairs, len(self.pairs)
-        remaining_at = self.remaining_at
-        deg = [0] * nv
+        # reach[u]: the link degree u can still reach, which only an
+        # excluded pair lowers
+        reach = [nv - 1] * nv
         N = [0] * nv
         # the link only grows, so a pair that makes it cover vertex 0 on its
         # own is never included: any pair for the one-edge pattern (theta 1),
@@ -311,30 +347,48 @@ class _InnerSearch:
         no_pair = self.theta == 1
         no_triangle = self.theta == 3
 
-        def rec(j: int) -> Optional[tuple[int, TriGraph]]:
+        def breaks_leader(x: int, y: int) -> bool:
+            # excluding xy decides the last entry of a comparison with s(L)
+            # only for u = y - 1 (entry x) and u = x - 1 (entry y); L > s(L)
+            # when N[u] has the bit, N[u+1] lacks it and all lower entries
+            # are equal (bits u and u+1 are the fixed pair, not entries)
+            if x < y - 1:
+                a, b = N[y - 1], N[y]
+                if (a >> x) & 1 and not (a ^ b) & ((1 << x) - 1):
+                    return True
+            if x:
+                a, b = N[x - 1], N[x]
+                below = ((1 << y) - 1) & ~(3 << (x - 1))
+                if (a >> y) & 1 and not (a ^ b) & below:
+                    return True
+            return False
+
+        def rec(j: int, cut: bool) -> Optional[tuple[int, TriGraph]]:
+            # a child cut by the degree bound still counts as a node
             budget.spend()
-            if any(deg[u] + remaining_at[j][u] < v for u in range(nv)):
+            if cut:
                 return None
             if j == P:
                 return self._complete(N, v, budget)
-            res = rec(j + 1)
-            if res is not None:
-                return res
             x, y = pairs[j]
+            if not breaks_leader(x, y):
+                reach[x] -= 1
+                reach[y] -= 1
+                res = rec(j + 1, reach[x] < v or reach[y] < v)
+                reach[x] += 1
+                reach[y] += 1
+                if res is not None:
+                    return res
             if no_pair or (no_triangle and N[x] & N[y]):
                 return None
-            deg[x] += 1
-            deg[y] += 1
             N[x] |= 1 << y
             N[y] |= 1 << x
-            res = rec(j + 1)
-            deg[x] -= 1
-            deg[y] -= 1
+            res = rec(j + 1, False)
             N[x] ^= 1 << y
             N[y] ^= 1 << x
             return res
 
-        return rec(0)
+        return rec(0, nv - 1 < v)
 
     def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
         if self.theta in (3, 4):  # K4- and K4
@@ -401,8 +455,8 @@ def exact_c2(
     """Maximum delta2 over n-vertex 3-graphs in which vertex 0 is uncovered.
 
     Exhaustive (``exhaustive=True``) results equal c2(n, pattern).  Witnesses
-    are re-verified independently (codegree profile and covering report)
-    before being returned.  ``prune=False`` switches to the naive full
+    are re-verified independently (codegree profile, and the embedder finding
+    no copy of the pattern through vertex 0) before being returned.  ``prune=False`` switches to the naive full
     enumeration (n <= 5 scale, used for cross-validation).  Beyond
     ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
     budget; when the budget runs out the result is non-exhaustive and
@@ -440,9 +494,7 @@ def exact_c2(
 
     if witness is not None:
         # independent re-verification of the returned certificate
-        profile = min_codegree(witness)
-        report = covering_report(witness, pattern)
-        if profile.min != value or 0 not in report.uncovered:
+        if min_codegree(witness).min != value or covered_at(witness, 0, pattern) is not None:
             raise AssertionError("search produced an inconsistent witness")
         witness = TriGraph(witness.n, witness.edges, distinguished=0)
     return SearchResult(

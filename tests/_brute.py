@@ -8,10 +8,11 @@ computed by a second route.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 from random import Random
 from typing import Optional
 
-from tricover import Graph, Pattern, TriGraph
+from tricover import Graph, Pattern, TriGraph, is_covered
 
 
 def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -86,6 +87,151 @@ def bf_greedy_value(
                 tot[T] += 1
             edges.append(tri)
     return bf_min_codegree(TriGraph(n, edges)), edges
+
+
+def bf_link_vector(nv: int, link) -> tuple[int, ...]:
+    """A link on vertices 0..nv-1 as its 0/1 vector in pair order."""
+    return tuple(int(p in link) for p in combinations(range(nv), 2))
+
+
+def bf_relabel(nv: int, vec: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The vector of the link with each pair ab renamed to perm[a] perm[b]."""
+    pairs = list(combinations(range(nv), 2))
+    moved = {tuple(sorted((perm[a], perm[b]))) for (a, b), bit in zip(pairs, vec) if bit}
+    return bf_link_vector(nv, moved)
+
+
+def bf_lexmin_links(nv: int) -> set[tuple[int, ...]]:
+    """The lexicographically least vector of every isomorphism class of
+    links on nv vertices, by trying every permutation on every link."""
+    perms = list(permutations(range(nv)))
+    least = set()
+    for bits in range(1 << comb(nv, 2)):
+        vec = tuple((bits >> j) & 1 for j in range(comb(nv, 2)))
+        least.add(min(bf_relabel(nv, vec, perm) for perm in perms))
+    return least
+
+
+def bf_is_adjacent_leader(nv: int, vec: tuple[int, ...]) -> bool:
+    """Whether vec <= s(vec) for every transposition s = (u u+1)."""
+    for u in range(nv - 1):
+        perm = list(range(nv))
+        perm[u], perm[u + 1] = u + 1, u
+        if vec > bf_relabel(nv, vec, perm):
+            return False
+    return True
+
+
+def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
+    """The completion search as it was written before its incremental bound:
+    every node rescans all pairs for the least ``link1 + in + undecided``
+    value and branches on the first undecided triple of the lowest pair of
+    least value.  ``N`` holds the link of vertex 0 as adjacency masks over
+    local vertices 0..n-2 (host vertex = local + 1); ``budget.spend()`` is
+    called once per node.  Returns the completion's edges, or None.  For a
+    pattern that is not K_t or K_t^- the covering test is the library's
+    ``is_covered``, as it was in that search."""
+    nv = n - 1
+    pairs = list(combinations(range(nv), 2))
+    P = len(pairs)
+    pidx = {p: i for i, p in enumerate(pairs)}
+    triples = list(combinations(range(nv), 3))
+    tri_pairs = [(pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in triples]
+    pair_tris: list[list[int]] = [[] for _ in pairs]
+    for i, ps in enumerate(tri_pairs):
+        for p in ps:
+            pair_tris[p].append(i)
+    full = comb(F.t, 3)
+    theta = F.edge_count if F.edge_count >= full - 1 else None
+    set_pairs = []
+    tri_sets: list[list[int]] = [[] for _ in triples]
+    if theta is not None:
+        tidx = {tri: i for i, tri in enumerate(triples)}
+        for s_i, s in enumerate(combinations(range(nv), F.t - 1)):
+            set_pairs.append([pidx[p] for p in combinations(s, 2)])
+            for tri in combinations(s, 3):
+                tri_sets[tidx[tri]].append(s_i)
+
+    def host_edges(chosen):
+        edges = [(0, x + 1, y + 1) for x, y in pairs if (N[x] >> y) & 1]
+        edges.extend((a + 1, b + 1, c + 1) for a, b, c in (triples[i] for i in chosen))
+        return edges
+
+    if min(m.bit_count() for m in N) < v:
+        return None
+    link1 = [(N[x] >> y) & 1 for x, y in pairs]
+    in_cnt = [0] * P
+    und = [nv - 2] * P
+    clique = theta is not None
+    if clique:
+        tot = [sum(link1[p] for p in sp) for sp in set_pairs]
+        if any(t >= theta for t in tot):
+            return None
+    else:
+        tot = []
+        current: list[int] = []
+        if is_covered(TriGraph(n, host_edges(())), 0, F):
+            return None
+    decided = bytearray(len(triples))  # 0 undecided, 1 in, 2 out
+
+    def rec():
+        budget.spend()
+        minval = nv
+        pick = -1
+        pickval = nv + 1
+        for p in range(P):
+            val = link1[p] + in_cnt[p] + und[p]
+            if val < minval:
+                minval = val
+            if und[p] and val < pickval:
+                pickval = val
+                pick = p
+        if minval < v:
+            return None
+        if pick < 0:
+            return [i for i in range(len(decided)) if decided[i] == 1]
+        tri = next(i for i in pair_tris[pick] if decided[i] == 0)
+        if clique:
+            allowed = all(tot[s] + 1 < theta for s in tri_sets[tri])
+        else:
+            current.append(tri)
+            allowed = not is_covered(TriGraph(n, host_edges(current)), 0, F)
+            current.pop()
+        if allowed:
+            decided[tri] = 1
+            for p in tri_pairs[tri]:
+                in_cnt[p] += 1
+                und[p] -= 1
+            if clique:
+                for s in tri_sets[tri]:
+                    tot[s] += 1
+            else:
+                current.append(tri)
+            res = rec()
+            if res is not None:
+                return res
+            decided[tri] = 0
+            for p in tri_pairs[tri]:
+                in_cnt[p] -= 1
+                und[p] += 1
+            if clique:
+                for s in tri_sets[tri]:
+                    tot[s] -= 1
+            else:
+                current.pop()
+        decided[tri] = 2
+        for p in tri_pairs[tri]:
+            und[p] -= 1
+        res = rec()
+        if res is not None:
+            return res
+        decided[tri] = 0
+        for p in tri_pairs[tri]:
+            und[p] += 1
+        return None
+
+    chosen = rec()
+    return None if chosen is None else host_edges(chosen)
 
 
 def bf_blowup_edge_count(base: Graph, multiplicity: dict[int, int]) -> int:

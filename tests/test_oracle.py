@@ -24,11 +24,19 @@ from tricover import (
 )
 from tricover.oracle import _Budget, _InnerSearch, _sample_above_threshold
 
-from _brute import bf_greedy_value, bf_sample_above_threshold
+from _brute import (
+    bf_decision_search,
+    bf_greedy_value,
+    bf_is_adjacent_leader,
+    bf_lexmin_links,
+    bf_link_vector,
+    bf_sample_above_threshold,
+)
 
 
 K4M = builtin_pattern("K4-")
 K5M = builtin_pattern("K5-")
+BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
 
 # c2(n, F) for n = 6, 7, 8
 EXACT_TABLE = {"K4-": (2, 2, 2), "K5-": (3, 4, 4), "K4": (2, 3, 4), "K5": (3, 4, 5)}
@@ -45,6 +53,14 @@ class TestExactValues:
     def test_beyond_cap_is_exhaustive(self, name, expected):
         # exact_c2 re-verifies the witness before returning it
         res = exact_c2(9, builtin_pattern(name), allow_large=True, node_budget=200_000)
+        assert res.exhaustive and res.value == expected
+
+    @pytest.mark.parametrize(
+        "n, name, expected",
+        [(9, "K4", 4), (10, "K4-", 3), (10, "K5-", 6), (10, "K4", 5), (10, "K5", 6), (11, "K4-", 3)],
+    )
+    def test_large_cells_are_exhaustive(self, n, name, expected):
+        res = exact_c2(n, builtin_pattern(name), allow_large=True, node_budget=200_000)
         assert res.exhaustive and res.value == expected
 
     def test_7_k4m_is_2(self):
@@ -84,11 +100,10 @@ class TestPruningSoundness:
     def test_generic_pattern_path(self):
         # not complete or near-complete, so the search must fall back on the
         # embedder for its covering checks
-        two_edges = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
-        assert clique_profile(two_edges) is None
+        assert clique_profile(BOOK2) is None
         for n in (4, 5):
-            pruned = exact_c2(n, two_edges)
-            naive = exact_c2(n, two_edges, prune=False)
+            pruned = exact_c2(n, BOOK2)
+            naive = exact_c2(n, BOOK2, prune=False)
             assert pruned.exhaustive and pruned.value == naive.value
 
     def test_pinned_vertex_reduction_is_lossless(self):
@@ -131,7 +146,8 @@ class TestBudgets:
             exact_c2(9, K4M, allow_large=True)  # budget required
 
     def test_beyond_cap_with_budget(self):
-        res = exact_c2(9, K4M, allow_large=True, node_budget=5000)
+        # the whole search takes a few hundred nodes
+        res = exact_c2(9, K4M, allow_large=True, node_budget=100)
         assert not res.exhaustive
         assert res.value <= 3  # cannot exceed the true threshold
 
@@ -224,6 +240,77 @@ class TestClosedFormStep:
             if self.yieldable(inner, F, bits):
                 self.closed_form_agrees(inner, F, bits)
                 checked += 1
+
+
+class TestLexLeaders:
+    """The link DFS keeps only links L with L <= s(L) for every adjacent
+    transposition s of link vertices.  At level 0 with K5 nothing else
+    prunes, so the leaves it reaches are exactly those links, and they
+    include the lex-min labelling of every isomorphism class."""
+
+    @staticmethod
+    def leaves(n):
+        inner = _InnerSearch(n, builtin_pattern("K5"))
+        found = []
+
+        def record(N, v, budget):
+            found.append(bf_link_vector(inner.nv, {p for p in inner.pairs if (N[p[0]] >> p[1]) & 1}))
+            return None
+
+        inner._complete = record
+        assert inner.search_level(0, _Budget(None, None)) is None
+        assert len(found) == len(set(found))
+        return set(found)
+
+    def test_class_minima_survive_at_6(self):
+        assert bf_lexmin_links(5) <= self.leaves(6)
+
+    @pytest.mark.parametrize("n, count", [(6, 46), (7, 325)])
+    def test_leaves_are_the_adjacent_leaders(self, n, count):
+        nv = n - 1
+        P = nv * (nv - 1) // 2
+        leaders = {
+            vec for vec in (tuple((bits >> j) & 1 for j in range(P)) for bits in range(1 << P))
+            if bf_is_adjacent_leader(nv, vec)
+        }
+        assert self.leaves(n) == leaders and len(leaders) == count
+
+
+class TestIncrementalBound:
+    """``decision_search`` against the rescanning search it replaced
+    (``bf_decision_search``): the same completion and the same node count on
+    every link at n = 6 and on seeded links at n = 7, at every level."""
+
+    @staticmethod
+    def agree(inner, F, bits):
+        N = TestClosedFormStep.link_of(inner, bits)[0]
+        for v in range(inner.n - 1):
+            ours, ref = _Budget(None, None), _Budget(None, None)
+            got = inner.decision_search(N, v, ours)
+            assert got == bf_decision_search(inner.n, F, N, v, ref), (bits, v)
+            assert ours.nodes == ref.nodes, (bits, v)
+
+    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2], ids=lambda F: F.name)
+    def test_every_link_at_6(self, F):
+        inner = _InnerSearch(6, F)
+        for bits in range(1 << len(inner.pairs)):
+            self.agree(inner, F, bits)
+
+    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2], ids=lambda F: F.name)
+    def test_seeded_links_at_7(self, F):
+        inner = _InnerSearch(7, F)
+        rng = Random(77)
+        for _ in range(500):
+            self.agree(inner, F, rng.getrandbits(len(inner.pairs)))
+
+    def test_matching_links_at_7_book2(self):
+        # two link pairs through one vertex already cover vertex 0 with a
+        # book, so of the links above only matchings reach the completion
+        inner = _InnerSearch(7, BOOK2)
+        for bits in range(1 << len(inner.pairs)):
+            N = TestClosedFormStep.link_of(inner, bits)[0]
+            if max(m.bit_count() for m in N) <= 1:
+                self.agree(inner, BOOK2, bits)
 
 
 class TestOneEdgePattern:
