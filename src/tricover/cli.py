@@ -28,7 +28,7 @@ from .constructions import FAMILIES, check_construction, construct, verify_claim
 from .fileio import FormatError, dumps_json, load, parse_any, save, write_edge_list
 from .hypergraphs import Graph, TriGraph
 from .koenig import bipartite_edge_coloring
-from .oracle import exact_c2
+from .oracle import DEFAULT_HARD_CAP, exact_c2
 from .patterns import builtin_pattern, covering_report
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--allow-large", action="store_true",
-                   help="override the n <= 8 hard cap (requires a budget)")
+                   help=f"override the n <= {DEFAULT_HARD_CAP} hard cap (requires a budget)")
     add_format(p)
 
     p = sub.add_parser("export", help="convert between the edge-list and JSON formats")

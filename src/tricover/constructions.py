@@ -228,15 +228,17 @@ def construct_h4(n: int) -> TriGraph:
             return 0
         return 1 if v <= a + m else 2
 
-    edges: list[tuple[int, int, int]] = []
-    for u, w in combinations(range(1, n), 2):
-        if part(u) != part(w):
-            edges.append((0, u, w))
-    for tri in combinations(range(1, n), 3):
-        if len({part(v) for v in tri}) < 3:
-            edges.append(tri)
-    for u, w, z in t_graph.edges:
-        edges.append((u + 1, w + 1, z + 1))
+    # the parts are index ranges, so a sorted pair is cross-part exactly when
+    # a part boundary falls between its ends, and a sorted triple is
+    # transversal exactly when u <= a < w <= a + m < z; listing the edges
+    # in lexicographic order spares TriGraph a sort
+    b = a + m
+    transversal = {(u + 1, w + 1, z + 1) for u, w, z in t_graph.edges}
+    edges = [(0, u, w) for u, w in combinations(range(1, n), 2) if u <= a < w or u <= b < w]
+    edges += [
+        tri for tri in combinations(range(1, n), 3)
+        if not tri[0] <= a < tri[1] <= b < tri[2] or tri in transversal
+    ]
     class_of = {0: "x"}
     class_of.update({v: f"V{part(v) + 1}" for v in range(1, n)})
     return TriGraph(n, edges, distinguished=0, class_of=class_of)
@@ -512,7 +514,9 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
         return t_codegree.get(key, 0)
 
     table = pair_degree_table(H)
-    profile = min_codegree(H)
+    if not table:
+        raise ValueError("minimum codegree needs at least 2 vertices")
+    delta2 = min(table.values())
     same_ok = x_ok = cross_ok = True
     for (u, w), d in table.items():
         if u == x or w == x:
@@ -528,7 +532,7 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     k5m = builtin_pattern("K5-")
     checks = {
         "vertex_count": H.n == n,
-        "delta2": profile.min == expected_delta,
+        "delta2": delta2 == expected_delta,
         "x_uncovered": covered_at(H, x, k5m) is None,
         "codegree_same_part": same_ok,
         "codegree_x_pairs": x_ok,
@@ -540,7 +544,7 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
         n=H.n,
         edge_count=H.edge_count,
         expected_delta2=expected_delta,
-        measured_delta2=profile.min,
+        measured_delta2=delta2,
         pattern="K5-",
         link_degree_profile=None,
         checks=checks,

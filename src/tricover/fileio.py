@@ -11,6 +11,10 @@ The text format, shared by every tool in the package::
 Lines use LF endings.  The writer is canonical (CLASS lines sorted by vertex,
 edges in lexicographic order, no comments), so write -> parse -> write is
 bit-exact.
+
+Both readers reject a vertex count above ``MAX_VERTICES`` before anything is
+allocated: a graph of n vertices holds n adjacency sets, so a 20-byte header
+could otherwise ask for gigabytes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Union
 from .hypergraphs import Graph, TriGraph
 
 GraphLike = Union[Graph, TriGraph]
+
+MAX_VERTICES = 65_536
 
 
 class FormatError(ValueError):
@@ -39,7 +45,7 @@ def _check_label(label: str) -> str:
 def write_edge_list(obj: GraphLike) -> str:
     """Canonical edge-list text for a Graph (k=2) or TriGraph (k=3)."""
     if isinstance(obj, TriGraph):
-        k, edges = 3, list(obj.edges)
+        k, edges = 3, obj.edges
         distinguished = obj.distinguished
     elif isinstance(obj, Graph):
         k, edges = 2, obj.edges()
@@ -52,8 +58,7 @@ def write_edge_list(obj: GraphLike) -> str:
     if obj.class_of:
         for v in sorted(obj.class_of):
             lines.append(f"CLASS {v} {_check_label(obj.class_of[v])}")
-    for e in edges:
-        lines.append(" ".join(str(v) for v in e))
+    lines += map(("%d %d %d" if k == 3 else "%d %d").__mod__, edges)
     return "\n".join(lines) + "\n"
 
 
@@ -62,6 +67,11 @@ def _parse_int(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise FormatError(f"bad {what}: {token!r}") from None
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
 
 
 def parse_edge_list(text: str) -> GraphLike:
@@ -79,6 +89,7 @@ def parse_edge_list(text: str) -> GraphLike:
         raise FormatError(f"unsupported uniformity {k}")
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
+    _check_size(n)
 
     distinguished = None
     class_of: dict[int, str] = {}
@@ -101,8 +112,14 @@ def parse_edge_list(text: str) -> GraphLike:
         else:
             if len(parts) != k:
                 raise FormatError(f"edge line {ln!r}: expected {k} indices")
-            e = tuple(_parse_int(p, "vertex index") for p in parts)
-            if any(e[i] >= e[i + 1] for i in range(k - 1)):
+            try:
+                e = tuple(map(int, parts))
+            except ValueError:
+                # the first bad token names itself in the message
+                for p in parts:
+                    _parse_int(p, "vertex index")
+                raise
+            if not (e[0] < e[1] if k == 2 else e[0] < e[1] < e[2]):
                 raise FormatError(f"edge line {ln!r}: indices must be strictly increasing")
             edges.append(e)
 
@@ -166,6 +183,7 @@ def from_json_dict(doc: dict) -> GraphLike:
             distinguished = _json_int(distinguished, "distinguished vertex")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from None
+    _check_size(n)
     try:
         if k == 3:
             return TriGraph(n, edges, distinguished=distinguished, class_of=classes or None)

@@ -13,7 +13,8 @@ are exactly the pairs completing an edge of H together with x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from operator import lt
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
@@ -48,6 +49,13 @@ class Graph:
         _check_count(n)
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
+            # the common case inline: a sorted, in-range tuple of two exact ints
+            if type(e) is tuple and len(e) == 2:
+                u, v = e
+                if type(u) is int and type(v) is int and 0 <= u < v < n:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                    continue
             try:
                 t = tuple(e)
             except TypeError:
@@ -113,11 +121,6 @@ class Graph:
 
 
 def _canonical_triple(e: Iterable[int], n: int) -> tuple[int, int, int]:
-    # already canonical: a sorted, in-range tuple of three exact ints
-    if type(e) is tuple and len(e) == 3:
-        a, b, c = e
-        if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
-            return e  # type: ignore[return-value]
     # materialise once: an iterator edge is consumed by the first pass
     try:
         t = tuple(e)
@@ -156,10 +159,26 @@ class TriGraph:
         class_of: Optional[Mapping[int, str]] = None,
     ):
         _check_count(n)
-        canon = {_canonical_triple(e, n) for e in edges}
+        canon = []
+        add = canon.append
+        for e in edges:
+            # the common case inline: a sorted, in-range tuple of three exact ints
+            if type(e) is tuple and len(e) == 3:
+                a, b, c = e
+                if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
+                    add(e)
+                    continue
+            add(_canonical_triple(e, n))
+        # a frozenset copied from a set is sized once for its final count; one
+        # grown edge by edge from a list can take twice the memory
+        unique = set(canon)
+        # strictly increasing input (every canonical file, most constructions)
+        # is already sorted and duplicate-free
+        if not all(map(lt, canon, islice(canon, 1, None))):
+            canon = sorted(unique)
         self.n = n
-        self.edges = tuple(sorted(canon))
-        self._edge_set = frozenset(canon)
+        self.edges = tuple(canon)
+        self._edge_set = frozenset(unique)
         if distinguished is not None:
             _check_vertex(distinguished, n)
         self.distinguished = distinguished

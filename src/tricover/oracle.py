@@ -65,7 +65,7 @@ from .patterns import (
     is_covered,
 )
 
-DEFAULT_HARD_CAP = 8
+DEFAULT_HARD_CAP = 10
 DEFAULT_SEED = 20160901
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from tricover import TriGraph, coloring_is_valid, construct_h, load, parse_edge_list, save
 from tricover.cli import main
+from tricover.fileio import MAX_VERTICES
 from tricover.koenig import EdgeColoring
 
 DATA = Path(__file__).parent / "data"
@@ -188,7 +189,7 @@ class TestOracle:
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--seed", "1")[0] == 2
 
     def test_cap_violation_usage_error(self, capsys):
-        code, _, err = run(capsys, "oracle", "--n", "9", "--pattern", "K4-")
+        code, _, err = run(capsys, "oracle", "--n", "11", "--pattern", "K4-")
         assert code == 2 and "hard cap" in err
 
 
@@ -226,6 +227,12 @@ class TestErrorStreams:
         path.write_text(text)
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
         assert code == 3 and out == "" and "duplicate edge" in err
+
+    def test_vertex_count_above_limit_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.hg"
+        path.write_text(f"HG 2 {MAX_VERTICES + 1} 0\n")
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
+        assert code == 3 and out == "" and "exceeds the limit" in err
 
     def test_no_subcommand_exit_2(self, capsys):
         assert run(capsys)[0] == 2

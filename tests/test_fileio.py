@@ -5,6 +5,9 @@ from random import Random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tricover import (
     FormatError,
     Graph,
@@ -20,6 +23,7 @@ from tricover import (
     to_json_dict,
     write_edge_list,
 )
+from tricover.fileio import MAX_VERTICES
 
 from _brute import random_trigraph
 
@@ -191,3 +195,68 @@ def test_round_trip_with_random_labels():
         assert from_json_dict(to_json_dict(H)) == H
 
     check()
+
+
+def test_vertex_count_above_limit_rejected():
+    # no edges: the count alone is refused, before anything is allocated
+    n = MAX_VERTICES + 1
+    for k in (2, 3):
+        with pytest.raises(FormatError, match="exceeds the limit"):
+            parse_edge_list(f"HG {k} {n} 0\n")
+        with pytest.raises(FormatError, match="exceeds the limit"):
+            from_json_dict({"uniformity": k, "n": n, "edges": []})
+
+
+def _round_trips_or_rejects(text):
+    try:
+        G = parse_any(text)
+    except FormatError:
+        return
+    assert parse_edge_list(write_edge_list(G)) == G
+
+
+@st.composite
+def written_graphs(draw):
+    """``write_edge_list`` output of a small Graph or TriGraph with labels."""
+    k, n = draw(st.sampled_from((2, 3))), draw(st.integers(3, 7))
+    edges = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(lambda s: tuple(sorted(s))),
+        max_size=12,
+    ))
+    labels = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(("a", "V1", "x")), max_size=3))
+    if k == 2:
+        return write_edge_list(Graph(n, edges, class_of=labels or None))
+    x = draw(st.none() | st.integers(0, n - 1))
+    return write_edge_list(TriGraph(n, edges, distinguished=x, class_of=labels or None))
+
+
+def _mutate(draw, items):
+    """Drop, duplicate or swap one entry of a list, in place."""
+    if not items:
+        return
+    i, j = draw(st.integers(0, len(items) - 1)), draw(st.integers(0, len(items) - 1))
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap")))
+    if kind == "drop":
+        del items[i]
+    elif kind == "duplicate":
+        items.insert(j, items[i])
+    else:
+        items[i], items[j] = items[j], items[i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_graphs(), st.data())
+def test_mutated_edge_list_round_trips_or_is_rejected(text, data):
+    lines = [ln.split(" ") for ln in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            _mutate(data.draw, lines)
+        elif lines:
+            _mutate(data.draw, lines[data.draw(st.integers(0, len(lines) - 1))])
+    _round_trips_or_rejects("".join(" ".join(ln) + "\n" for ln in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet=" \n#-0123456789HGXCLAS{}"))
+def test_any_text_round_trips_or_is_rejected(text):
+    _round_trips_or_rejects(text)

@@ -134,6 +134,55 @@ class TestTriGraph:
         assert h.edge_count == 1
 
 
+class TestEdgeForms:
+    """A sorted, duplicate-free list of canonical tuples is kept as given;
+    lists, unsorted vertex orders, repeats and any edge order go through
+    the canonicalising fallback.  Both must build the same graph."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_trigraph_forms_agree(self, data):
+        n = data.draw(st.integers(3, 9))
+        canonical = sorted(data.draw(st.sets(st.sets(
+            st.integers(0, n - 1), min_size=3, max_size=3).map(lambda s: tuple(sorted(s))), max_size=40)))
+        ref = TriGraph(n, canonical)
+        assert ref.edges == tuple(canonical)
+        edges = []
+        for e in canonical:
+            form = data.draw(st.sampled_from(("tuple", "list", "permuted", "repeated")))
+            if form == "list":
+                edges.append(list(e))
+            elif form == "permuted":
+                edges.append(tuple(data.draw(st.permutations(e))))
+            else:
+                edges += [e] * (2 if form == "repeated" else 1)
+        H = TriGraph(n, data.draw(st.permutations(edges)))
+        assert H == ref and hash(H) == hash(ref)
+        assert H.edges == ref.edges and H.edge_set == ref.edge_set
+        assert H.edge_count == ref.edge_count
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_graph_forms_agree(self, data):
+        n = data.draw(st.integers(2, 9))
+        canonical = sorted(data.draw(st.sets(st.sets(
+            st.integers(0, n - 1), min_size=2, max_size=2).map(lambda s: tuple(sorted(s))), max_size=30)))
+        ref = Graph(n, canonical)
+        assert ref.edges() == canonical
+        edges = []
+        for e in canonical:
+            form = data.draw(st.sampled_from(("tuple", "list", "reversed", "repeated")))
+            if form == "list":
+                edges.append(list(e))
+            elif form == "reversed":
+                edges.append(e[::-1])
+            else:
+                edges += [e] * (2 if form == "repeated" else 1)
+        G = Graph(n, data.draw(st.permutations(edges)))
+        assert G == ref and hash(G) == hash(ref)
+        assert G.edges() == ref.edges() and G.edge_count == ref.edge_count
+
+
 class TestCodegree:
     def test_complete_on_5(self):
         H = complete_trigraph(5)

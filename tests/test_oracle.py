@@ -141,13 +141,13 @@ class TestBudgets:
 
     def test_hard_cap(self):
         with pytest.raises(ValueError):
-            exact_c2(9, K4M)
+            exact_c2(11, K4M)
         with pytest.raises(ValueError):
-            exact_c2(9, K4M, allow_large=True)  # budget required
+            exact_c2(11, K4M, allow_large=True)  # budget required
 
     def test_beyond_cap_with_budget(self):
-        # the whole search takes a few hundred nodes
-        res = exact_c2(9, K4M, allow_large=True, node_budget=100)
+        # the whole search takes 5 825 nodes
+        res = exact_c2(11, K4M, allow_large=True, node_budget=100)
         assert not res.exhaustive
         assert res.value <= 3  # cannot exceed the true threshold
 
