@@ -19,6 +19,7 @@ certificate depends on, producing a structured ClaimReport.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Union
@@ -79,13 +80,16 @@ _BASE_SPECS: dict[str, dict] = {
     },
 }
 
-# Which base each link family blows up, and which matchings get inserted:
+# Which base each link family blows up, its vertex offset (the family with
+# parameter m has 6m + offset vertices), and which matchings get inserted:
 # a perfect matching between the blowup classes of v1 and v4, and/or a fixed
 # matching on outer vertices (given as label pairs).
 _H_SPECS: dict[str, dict] = {
-    "H1": {"base": "G1", "v_matching": True, "outer_matching": []},
-    "H2": {"base": "G2", "v_matching": True, "outer_matching": [(1, 5), (2, 6), (3, 7), (4, 8)]},
-    "H3": {"base": "G3", "v_matching": False, "outer_matching": [(1, 5), (2, 6), (4, 8)]},
+    "H1": {"base": "G1", "offset": 0, "v_matching": True, "outer_matching": []},
+    "H2": {"base": "G2", "offset": 3, "v_matching": True,
+           "outer_matching": [(1, 5), (2, 6), (3, 7), (4, 8)]},
+    "H3": {"base": "G3", "offset": 4, "v_matching": False,
+           "outer_matching": [(1, 5), (2, 6), (4, 8)]},
 }
 
 _EXPECTED_BASE_COUNTS = {"G1": (11, 21), "G2": (14, 30), "G3": (15, 35)}
@@ -183,14 +187,14 @@ def construct_t(sizes: tuple[int, int, int]) -> TriGraph:
     for i in range(m):
         for u, w in coloring.classes[i]:
             edges.append((u, w, a + m + i))
-    class_of = {}
-    for v in range(a):
-        class_of[v] = "V1"
-    for v in range(a, a + m):
-        class_of[v] = "V2"
-    for v in range(a + m, a + m + ell):
-        class_of[v] = "V3"
+    class_of = {v: f"V{_part(v, a, m) + 1}" for v in range(a + m + ell)}
     return TriGraph(a + m + ell, edges, class_of=class_of)
+
+
+def _part(i: int, a: int, m: int) -> int:
+    """The part (0, 1 or 2) of index i when V1, V2, V3 lie in index order from
+    0 with |V1| = a and |V2| = m."""
+    return 0 if i < a else (1 if i < a + m else 2)
 
 
 def h4_part_sizes(n: int) -> tuple[int, int, int]:
@@ -199,18 +203,7 @@ def h4_part_sizes(n: int) -> tuple[int, int, int]:
     if n < 5:
         raise ValueError("the three-part construction needs n >= 5")
     s = n - 1
-    if s % 3 == 0:
-        m = s // 3
-        parts = (m, m, m)
-    elif s % 3 == 1:
-        m = (s - 1) // 3
-        parts = (m, m, m + 1)
-    else:
-        m = (s + 1) // 3
-        parts = (m - 1, m, m)
-    a, mm, ell = parts
-    assert a + mm + ell == s and mm - 1 <= a <= mm <= ell <= mm + 1 and ell - a <= 1
-    return parts
+    return (s // 3, (s + 1) // 3, (s + 2) // 3)
 
 
 def construct_h4(n: int) -> TriGraph:
@@ -222,12 +215,6 @@ def construct_h4(n: int) -> TriGraph:
     """
     a, m, ell = h4_part_sizes(n)
     t_graph = construct_t((a, m, ell))
-
-    def part(v: int) -> int:
-        if v <= a:
-            return 0
-        return 1 if v <= a + m else 2
-
     # the parts are index ranges, so a sorted pair is cross-part exactly when
     # a part boundary falls between its ends, and a sorted triple is
     # transversal exactly when u <= a < w <= a + m < z; listing the edges
@@ -240,7 +227,7 @@ def construct_h4(n: int) -> TriGraph:
         if not tri[0] <= a < tri[1] <= b < tri[2] or tri in transversal
     ]
     class_of = {0: "x"}
-    class_of.update({v: f"V{part(v) + 1}" for v in range(1, n)})
+    class_of.update({v: f"V{_part(v - 1, a, m) + 1}" for v in range(1, n)})
     return TriGraph(n, edges, distinguished=0, class_of=class_of)
 
 
@@ -252,9 +239,9 @@ def construct(
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> Union[Graph, TriGraph]:
     """Dispatch on family name; the parameter kinds are family-specific."""
-    if family in ("G1", "G2", "G3"):
+    if family in _BASE_SPECS:
         return base_graph(family)
-    if family in ("H1", "H2", "H3"):
+    if family in _H_SPECS:
         if m is None:
             raise ValueError(f"{family} needs the parameter m")
         return construct_h(family, m)
@@ -286,12 +273,12 @@ class ClaimReport:
     parameter: dict
     n: int
     edge_count: int
-    expected_delta2: Optional[int]
-    measured_delta2: Optional[int]
-    pattern: Optional[str]
-    link_degree_profile: Optional[dict[int, int]]
     checks: dict[str, bool]
     labels: dict[str, list[int]]
+    expected_delta2: Optional[int] = None
+    measured_delta2: Optional[int] = None
+    pattern: Optional[str] = None
+    link_degree_profile: Optional[dict[int, int]] = None
     notes: tuple[str, ...] = ()
     passed: bool = field(init=False)
 
@@ -328,8 +315,26 @@ def _label_table(obj: Union[Graph, TriGraph]) -> dict[str, list[int]]:
     return table
 
 
+def _report(
+    obj: Union[Graph, TriGraph], family: str, parameter: dict, checks: dict[str, bool], **measured
+) -> ClaimReport:
+    """A report on ``obj``: its size and labels, the checks, and the measured
+    fields passed by keyword."""
+    return ClaimReport(family=family, parameter=parameter, n=obj.n, edge_count=obj.edge_count,
+                       checks=checks, labels=_label_table(obj), **measured)
+
+
+def _unmarked_report(
+    H: TriGraph, family: str, parameter: dict, expected_delta2: int, pattern: str
+) -> ClaimReport:
+    """The failed report for a certificate whose distinguished vertex is not marked."""
+    return _report(H, family, parameter, {"has_distinguished_vertex": False},
+                   expected_delta2=expected_delta2, pattern=pattern,
+                   notes=("no distinguished vertex marked; cannot verify the certificate",))
+
+
 def _infer_m(family: str, n: int) -> int:
-    offset = {"H1": 0, "H2": 3, "H3": 4}[family]
+    offset = _H_SPECS[family]["offset"]
     if n < 6 + offset or (n - offset) % 6 != 0:
         raise ValueError(f"no parameter m gives an {family} on {n} vertices")
     return (n - offset) // 6
@@ -343,26 +348,7 @@ def check_base_graph(G: Graph, name: str) -> ClaimReport:
         "edge_count": G.edge_count == exp_edges,
         "triangle_free": tf.triangle_free,
     }
-    return ClaimReport(
-        family=name,
-        parameter={},
-        n=G.n,
-        edge_count=G.edge_count,
-        expected_delta2=None,
-        measured_delta2=None,
-        pattern=None,
-        link_degree_profile=None,
-        checks=checks,
-        labels=_label_table(G),
-    )
-
-
-def _degree_profile(G: Graph) -> dict[int, int]:
-    profile: dict[int, int] = {}
-    for v in range(G.n):
-        d = G.degree(v)
-        profile[d] = profile.get(d, 0) + 1
-    return profile
+    return _report(G, name, {}, checks)
 
 
 def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> ClaimReport:
@@ -371,31 +357,18 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
     Checks the vertex count, delta2, link triangle-freeness, the link degree
     profile, the local obstruction at x, and that x lies in no K4^- copy.
     """
-    if family not in ("H1", "H2", "H3"):
+    if family not in _H_SPECS:
         raise ValueError(f"{family!r} is not one of the blowup-link families")
     if m is None:
         m = _infer_m(family, H.n)
-    expected_n = {"H1": 6 * m, "H2": 6 * m + 3, "H3": 6 * m + 4}[family]
-    expected_delta = {"H1": 2 * m, "H2": 2 * m + 1, "H3": 2 * m + 1}[family]
-    notes: list[str] = []
+    expected_n = 6 * m + _H_SPECS[family]["offset"]
+    expected_delta = expected_n // 3
     if H.distinguished is None:
-        return ClaimReport(
-            family=family,
-            parameter={"m": m},
-            n=H.n,
-            edge_count=H.edge_count,
-            expected_delta2=expected_delta,
-            measured_delta2=None,
-            pattern="K4-",
-            link_degree_profile=None,
-            checks={"has_distinguished_vertex": False},
-            labels=_label_table(H),
-            notes=("no distinguished vertex marked; cannot verify the certificate",),
-        )
+        return _unmarked_report(H, family, {"m": m}, expected_delta, "K4-")
     x = H.distinguished
     link = link_graph(H, x)
     profile = min_codegree(H)
-    measured_profile = _degree_profile(link.graph)
+    measured_profile = Counter(map(len, link.graph.adj))
     if family == "H3":
         expected_profile = {2 * m + 2: 1, 2 * m + 1: expected_n - 2}
     else:
@@ -417,30 +390,16 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
             checks["heavy_vertex_degree"] = (
                 link_idx is not None and link.graph.degree(link_idx) == 2 * m + 2
             )
-    return ClaimReport(
-        family=family,
-        parameter={"m": m},
-        n=H.n,
-        edge_count=H.edge_count,
-        expected_delta2=expected_delta,
-        measured_delta2=profile.min,
-        pattern="K4-",
-        link_degree_profile=measured_profile,
-        checks=checks,
-        labels=_label_table(H),
-        notes=tuple(notes),
-    )
+    return _report(H, family, {"m": m}, checks, expected_delta2=expected_delta,
+                   measured_delta2=profile.min, pattern="K4-",
+                   link_degree_profile=measured_profile)
 
 
 def check_t_construction(H: TriGraph, sizes: tuple[int, int, int]) -> ClaimReport:
     a, m, ell = sizes
     n = a + m + ell
-
-    def part(v: int) -> int:
-        return 0 if v < a else (1 if v < a + m else 2)
-
     table = pair_degree_table(H) if H.n >= 2 else {}
-    transversal = all(len({part(v) for v in e}) == 3 for e in H.edges)
+    transversal = all(len({_part(v, a, m) for v in e}) == 3 for e in H.edges)
     cross_pairs_ok = all(
         table.get((u, w), 0) == 1 for u in range(a) for w in range(a, a + m)
     )
@@ -451,18 +410,7 @@ def check_t_construction(H: TriGraph, sizes: tuple[int, int, int]) -> ClaimRepor
         "max_codegree_le_1": (max(table.values()) <= 1) if table else True,
         "v1_v2_codegree_1": cross_pairs_ok,
     }
-    return ClaimReport(
-        family="T",
-        parameter={"sizes": list(sizes)},
-        n=H.n,
-        edge_count=H.edge_count,
-        expected_delta2=None,
-        measured_delta2=None,
-        pattern=None,
-        link_degree_profile=None,
-        checks=checks,
-        labels=_label_table(H),
-    )
+    return _report(H, "T", {"sizes": list(sizes)}, checks)
 
 
 def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
@@ -476,43 +424,15 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
         n = H.n
     a, m, ell = h4_part_sizes(n)
     expected_delta = (2 * n - 2) // 3
-    notes = [
-        f"delta2 target is floor((2n-2)/3) = {expected_delta}; "
-        "the looser reading floor((3n-2)/3) is rejected as inconsistent "
-        "with the per-pair codegree forms",
-    ]
     if H.distinguished is None:
-        return ClaimReport(
-            family="H4",
-            parameter={"n": n},
-            n=H.n,
-            edge_count=H.edge_count,
-            expected_delta2=expected_delta,
-            measured_delta2=None,
-            pattern="K5-",
-            link_degree_profile=None,
-            checks={"has_distinguished_vertex": False},
-            labels=_label_table(H),
-            notes=("no distinguished vertex marked; cannot verify the certificate",),
-        )
+        return _unmarked_report(H, "H4", {"n": n}, expected_delta, "K5-")
     x = H.distinguished
     sizes = (a, m, ell)
-
-    def part(v: int) -> int:
-        # canonical layout: x then V1, V2, V3 in index order
-        body = v if v < x else v - 1
-        if body < a:
-            return 0
-        return 1 if body < a + m else 2
-
-    t_graph = construct_t(sizes)
-    t_codegree = pair_degree_table(t_graph)
-
-    def d_t(u: int, w: int) -> int:
-        bu, bw = (u if u < x else u - 1), (w if w < x else w - 1)
-        key = (bu, bw) if bu < bw else (bw, bu)
-        return t_codegree.get(key, 0)
-
+    # canonical layout: x then V1, V2, V3 in index order, so vertex v is
+    # vertex body[v] of T; body preserves order away from x
+    body = [v if v < x else v - 1 for v in range(H.n)]
+    part = [_part(b, a, m) for b in body]
+    t_codegree = pair_degree_table(construct_t(sizes))
     table = pair_degree_table(H)
     if not table:
         raise ValueError("minimum codegree needs at least 2 vertices")
@@ -521,13 +441,14 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     for (u, w), d in table.items():
         if u == x or w == x:
             other = w if u == x else u
-            if d != n - 1 - sizes[part(other)]:
+            if d != n - 1 - sizes[part[other]]:
                 x_ok = False
-        elif part(u) == part(w):
+        elif part[u] == part[w]:
             if d != n - 3:
                 same_ok = False
         else:
-            if d != sizes[part(u)] + sizes[part(w)] - 1 + d_t(u, w):
+            d_t = t_codegree.get((body[u], body[w]), 0)
+            if d != sizes[part[u]] + sizes[part[w]] - 1 + d_t:
                 cross_ok = False
     k5m = builtin_pattern("K5-")
     checks = {
@@ -538,19 +459,13 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
         "codegree_x_pairs": x_ok,
         "codegree_cross_part": cross_ok,
     }
-    return ClaimReport(
-        family="H4",
-        parameter={"n": n, "sizes": list(sizes)},
-        n=H.n,
-        edge_count=H.edge_count,
-        expected_delta2=expected_delta,
-        measured_delta2=delta2,
-        pattern="K5-",
-        link_degree_profile=None,
-        checks=checks,
-        labels=_label_table(H),
-        notes=tuple(notes),
+    notes = (
+        f"delta2 target is floor((2n-2)/3) = {expected_delta}; "
+        "the looser reading floor((3n-2)/3) is rejected as inconsistent "
+        "with the per-pair codegree forms",
     )
+    return _report(H, "H4", {"n": n, "sizes": list(sizes)}, checks, expected_delta2=expected_delta,
+                   measured_delta2=delta2, pattern="K5-", notes=notes)
 
 
 def check_construction(
@@ -562,13 +477,13 @@ def check_construction(
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> ClaimReport:
     """Verify a given object against the named family's claims."""
-    if family in ("G1", "G2", "G3"):
+    if family in _BASE_SPECS:
         if not isinstance(H, Graph):
             raise ValueError(f"{family} is a 2-graph family")
         return check_base_graph(H, family)
     if not isinstance(H, TriGraph):
         raise ValueError(f"{family} is a 3-graph family")
-    if family in ("H1", "H2", "H3"):
+    if family in _H_SPECS:
         return check_h_construction(H, family, m=m)
     if family == "T":
         if sizes is None:
@@ -601,11 +516,11 @@ def lower_bound_certificate(n: int, pattern: Union[str, object]) -> tuple[TriGra
     """
     name = pattern if isinstance(pattern, str) else getattr(pattern, "name", None)
     if name == "K4-":
-        if n < 6 or n % 6 not in (0, 3, 4):
+        family = next((f for f, spec in _H_SPECS.items() if spec["offset"] == n % 6), None)
+        if n < 6 or family is None:
             raise UnsupportedResidueError(
                 f"no K4- certificate for n = {n}: need n >= 6 with n mod 6 in {{0, 3, 4}}"
             )
-        family = {0: "H1", 3: "H2", 4: "H3"}[n % 6]
         m = _infer_m(family, n)
         H = construct_h(family, m)
         return H, check_h_construction(H, family, m=m)

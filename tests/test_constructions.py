@@ -157,6 +157,12 @@ class TestThreePartConstruction:
         with pytest.raises(ValueError):
             h4_part_sizes(4)
 
+    def test_part_sizes_are_near_balanced(self):
+        for n in range(5, 301):
+            a, m, ell = h4_part_sizes(n)
+            assert a + m + ell == n - 1
+            assert m - 1 <= a <= m <= ell <= m + 1 and ell - a <= 1
+
     def test_n7(self):
         H = construct_h4(7)
         assert min_codegree(H).min == 4 == (2 * 7 - 2) // 3
@@ -224,11 +230,17 @@ class TestVerifyClaim:
         H = construct_h("H2", 2)
         assert check_construction(H, "H2").parameter == {"m": 2}
 
-    def test_missing_distinguished_vertex(self):
-        H = construct_h("H1", 1)
+    @pytest.mark.parametrize("family, kw", [("H1", {"m": 1}), ("H4", {"n": 9})], ids=["H1", "H4"])
+    def test_missing_distinguished_vertex(self, family, kw):
+        H = construct(family, **kw)
         stripped = TriGraph(H.n, H.edges, class_of=H.class_of)
-        report = check_construction(stripped, "H1", m=1)
+        report = check_construction(stripped, family, **kw)
         assert not report.passed and "has_distinguished_vertex" in report.checks
+
+    @pytest.mark.parametrize("family, n", [("H1", 7), ("H2", 4)])
+    def test_no_m_fits_the_vertex_count(self, family, n):
+        with pytest.raises(ValueError, match="no parameter m"):
+            check_construction(TriGraph(n, []), family)
 
 
 class TestLowerBoundCertificate:

@@ -49,17 +49,16 @@ class TestExactValues:
         res = exact_c2(n, builtin_pattern(name))
         assert res.exhaustive and res.value == EXACT_TABLE[name][n - 6]
 
-    @pytest.mark.parametrize("name, expected", [("K4-", 9 // 3), ("K5-", (2 * 9 - 2) // 3)])
-    def test_beyond_cap_is_exhaustive(self, name, expected):
-        # exact_c2 re-verifies the witness before returning it
-        res = exact_c2(9, builtin_pattern(name), allow_large=True, node_budget=200_000)
-        assert res.exhaustive and res.value == expected
-
     @pytest.mark.parametrize(
         "n, name, expected",
-        [(9, "K4", 4), (10, "K4-", 3), (10, "K5-", 6), (10, "K4", 5), (10, "K5", 6), (11, "K4-", 3)],
+        [
+            (9, "K4-", 3), (9, "K5-", 5), (9, "K4", 4),
+            (10, "K4-", 3), (10, "K5-", 6), (10, "K4", 5), (10, "K5", 6),
+            (11, "K4-", 3),
+        ],
     )
     def test_large_cells_are_exhaustive(self, n, name, expected):
+        # exact_c2 re-verifies the witness before returning it
         res = exact_c2(n, builtin_pattern(name), allow_large=True, node_budget=200_000)
         assert res.exhaustive and res.value == expected
 
