@@ -13,7 +13,11 @@ Two independent detectors are provided:
   finds the lexicographically smallest copy through v (``is_covered`` stops
   at the first copy it meets).  Neighbourhoods are int bitmasks, so a
   position's candidates are the AND of a few masks with the mask of unused
-  vertices, walked lowest bit first,
+  vertices, walked lowest bit first.  ``covering_report`` runs this search
+  for every vertex in turn and shares its refutations: a vertex found
+  uncovered lies in no copy at all, so it leaves the unused-vertex mask of
+  every later search.  That is exact (no copy is lost), and it pays only
+  when uncovered vertices come early, as x does at 0 in the constructions,
 * a counting check for the complete and near-complete patterns K_t / K_t^-,
   based on the fact that a t-set of vertices hosts a copy of K_t (K_t^-)
   exactly when it spans at least C(t,3) (C(t,3) - 1) edges.
@@ -177,7 +181,9 @@ def _complete(
     return None
 
 
-def _improving_embeddings(bits: Neighbourhoods, n: int, v: int, F: Pattern) -> Iterator[tuple[int, ...]]:
+def _improving_embeddings(
+    bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0
+) -> Iterator[tuple[int, ...]]:
     """Embeddings of F with v in the image, each lexicographically below the
     one before; the last is the lex-min one.
 
@@ -186,10 +192,13 @@ def _improving_embeddings(bits: Neighbourhoods, n: int, v: int, F: Pattern) -> I
     position; so the search for anchor p returns a smaller embedding or
     nothing.  An anchor that fails before any embedding is found fails
     unbounded, which refutes its whole automorphism orbit.
+
+    ``dead`` is a mask of vertices already shown to lie in no copy of F, v
+    not among them; they lie in no embedding, so they are never candidates.
     """
     if F.t > n:
         return
-    free = ((1 << n) - 1) ^ (1 << v)
+    free = ((1 << n) - 1) ^ dead ^ (1 << v)
     orbit = _anchor_orbits(F)
     refuted = set()
     best = None
@@ -293,14 +302,29 @@ class CoverReport:
 
 
 def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
-    """Covering status of every vertex of H for the pattern F."""
+    """Covering status of every vertex of H for the pattern F.
+
+    One pass over the vertices in increasing order, each running the search
+    of :func:`covered_at` on one shared neighbourhood table.  A vertex found
+    uncovered lies in no copy of F, so it is removed from the candidates of
+    every later search; the witnesses and the uncovered list are exactly
+    those of a :func:`covered_at` call per vertex.  The saving needs an
+    uncovered vertex to come before the vertices it would otherwise be tried
+    for.  The constructions put x at 0, where on H4(28) and K5- it cuts a
+    covered vertex's search from about 990 calls of the completion step to
+    about 24; with x last it saves nothing and costs nothing.
+    """
     nbhd = codegree_neighbourhoods(H)
     uncovered = []
     witnesses: dict[int, tuple[int, ...]] = {}
+    dead = 0
     for v in range(H.n):
-        emb = covered_at(H, v, F, nbhd=nbhd)
+        emb = None
+        for emb in _improving_embeddings(nbhd, H.n, v, F, dead):
+            pass
         if emb is None:
             uncovered.append(v)
+            dead |= 1 << v
         else:
             witnesses[v] = emb
     return CoverReport(pattern=F.name, n=H.n, uncovered=tuple(uncovered), witnesses=witnesses)

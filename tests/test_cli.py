@@ -4,10 +4,22 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tricover import TriGraph, coloring_is_valid, construct_h, load, parse_edge_list, save
+from tricover import (
+    TriGraph,
+    coloring_is_valid,
+    construct,
+    construct_h,
+    construct_h4,
+    load,
+    parse_edge_list,
+    save,
+)
 from tricover.cli import main
-from tricover.fileio import MAX_VERTICES
+from tricover.constructions import FAMILIES
+from tricover.fileio import MAX_VERTICES, dumps_json
 from tricover.koenig import EdgeColoring
 
 DATA = Path(__file__).parent / "data"
@@ -239,3 +251,82 @@ class TestErrorStreams:
 
     def test_help_exit_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# Every numeric token is at most 8, so no example can start a large oracle
+# search or build a large construction; "@..." tokens name the paths below.
+_VALUES = ("-1", "0", "1", "3", "8", "x", "1.5", "", "nan", "K4-", "Kt:9", "H4", "2,3,3")
+_PATHS = ("@valid", "@malformed", "@json", "@missing", "@dir")
+_OPTIONS = {
+    "construct": ("--family", "--m", "--n", "--sizes", "--out"),
+    "verify": ("--family", "--m", "--n", "--sizes", "--in", "--format"),
+    "covering": ("--in", "--pattern", "--vertex", "--all", "--format"),
+    "koenig": ("--in", "--sides", "--format"),
+    "oracle": ("--n", "--pattern", "--budget-nodes", "--budget-seconds", "--allow-large", "--format"),
+    "export": ("--in", "--format", "--out"),
+}
+_FLAGS = ("--all", "--allow-large", "--help")
+_REQUIRED = ("--family", "--in", "--out", "--pattern", "--sides")
+_ANY = st.sampled_from(
+    tuple(_OPTIONS) + tuple(dict.fromkeys(o for opts in _OPTIONS.values() for o in opts))
+    + _FLAGS + _VALUES + _PATHS
+)
+# mostly a value of the option's own kind, so that examples get past argparse
+# into every subcommand
+_KIND = {
+    "--family": st.sampled_from(FAMILIES),
+    "--format": st.sampled_from(("text", "json", "hg")),
+    "--pattern": st.sampled_from(("K4-", "K5-", "K4", "Kt:5", "Kt-:6", "Kt:9")),
+    "--in": st.sampled_from(_PATHS), "--out": st.sampled_from(_PATHS), "--sides": st.sampled_from(_PATHS),
+    "--m": st.sampled_from(("-1", "0", "1", "3", "8")),
+    "--n": st.sampled_from(("-1", "0", "1", "3", "8")),
+    "--sizes": st.sampled_from(("2,3,3", "1,1,1", "3")),
+    "--vertex": st.sampled_from(("x", "-1", "0", "3", "8")),
+    "--budget-nodes": st.sampled_from(("-1", "0", "1", "8")),
+    "--budget-seconds": st.sampled_from(("0", "1", "1.5", "nan")),
+}
+# Hypothesis favours boundary values, so a 1-in-k integer draw fires far
+# more often than 1/k; an index into a list of outcomes is drawn evenly
+_USUALLY = st.sampled_from((True,) * 7 + (False,))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(tuple(_OPTIONS)) if draw(_USUALLY) else _ANY)
+    argv = [command]
+    for opt in draw(st.permutations(_OPTIONS.get(command, ()))):
+        required = opt in _REQUIRED or (command, opt) in (("oracle", "--n"), ("export", "--format"))
+        if not draw(_USUALLY if required else st.booleans()):
+            continue
+        argv.append(opt)
+        if opt not in _FLAGS:
+            argv.append(draw(_KIND[opt] if draw(_USUALLY) else _ANY))
+    if not draw(_USUALLY):
+        argv += draw(st.lists(_ANY, min_size=1, max_size=2))
+    return argv
+
+
+def test_any_argv_exits_with_a_documented_code(capsys, tmp_path, monkeypatch):
+    # any token can land after --out, so relative outputs go to tmp_path
+    monkeypatch.chdir(tmp_path)
+    paths = {
+        "@valid": tmp_path / "valid.hg",
+        "@malformed": tmp_path / "malformed.hg",
+        "@json": tmp_path / "graph.json",  # a 2-graph
+        "@missing": tmp_path / "missing.hg",
+        "@dir": tmp_path,
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(_argv())
+    def check(argv):
+        # construct and export may have overwritten the inputs: restore them
+        save(construct_h4(8), paths["@valid"])
+        paths["@malformed"].write_text("HG 3 4 2\n0 1 2\n0 1\n")
+        paths["@json"].write_text(dumps_json(construct("G1")))
+        paths["@missing"].unlink(missing_ok=True)
+        code = main([str(paths.get(tok, tok)) for tok in argv])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+
+    check()

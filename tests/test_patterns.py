@@ -199,6 +199,82 @@ class TestCoveringReport:
         assert set(doc["witnesses"]) == {"0", "1", "2", "3"}
 
 
+def _shifted(H, shift):
+    """H with every vertex u relabelled (u + shift) mod n."""
+    return TriGraph(H.n, [tuple((u + shift) % H.n for u in e) for e in H.edges])
+
+
+def _assert_report_is_per_vertex(H, F):
+    """covering_report(H, F), checked against one unshared covered_at search
+    per vertex, against the definition of a witness and, for K_t/K_t^-,
+    against the counting detector."""
+    report = covering_report(H, F)
+    alone = {v: covered_at(H, v, F) for v in range(H.n)}
+    assert report.witnesses == {v: w for v, w in alone.items() if w is not None}
+    assert report.uncovered == tuple(v for v, w in alone.items() if w is None)
+    for v, w in report.witnesses.items():
+        assert v in w and _embedding_is_valid(H, F, w)
+    if clique_profile(F) is not None:
+        assert set(report.uncovered) == {v for v in range(H.n) if not covered_by_count(H, v, F)}
+    return report
+
+
+class TestSharedRefutations:
+    """covering_report drops each vertex it finds uncovered from the candidates
+    of every later search; the report must equal the unshared one."""
+
+    @pytest.mark.parametrize("F", ["K4-", "K5-"])
+    @pytest.mark.parametrize("family", ["H1", "H2", "H3"])
+    def test_link_constructions_with_x_moved(self, family, F):
+        F = builtin_pattern(F)
+        for m in (1, 2):
+            H = construct_h(family, m)
+            for x in (0, H.n // 2, H.n - 1):
+                report = _assert_report_is_per_vertex(_shifted(H, x), F)
+                if F.name == "K4-":
+                    assert x in report.uncovered
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_three_part_construction_with_x_moved(self, n):
+        K5m = builtin_pattern("K5-")
+        for x in (0, n // 2, n - 1):
+            assert _assert_report_is_per_vertex(_shifted(construct_h4(n), x), K5m).uncovered == (x,)
+
+    @pytest.mark.parametrize("F, p", [
+        (builtin_pattern("K4-"), 0.1),
+        (builtin_pattern("K5-"), 0.45),
+        (Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2"), 0.05),
+    ], ids=lambda x: getattr(x, "name", x))
+    def test_random_graphs_with_several_uncovered_vertices(self, F, p):
+        # densities chosen so that most graphs mix covered and uncovered
+        # vertices; at 0.3, K4- and book2 cover every vertex and K5- none
+        rng = Random(F.name)
+        shared = 0
+        for _ in range(10):
+            H = random_trigraph(rng, rng.randint(10, 12), p)
+            report = _assert_report_is_per_vertex(H, F)
+            if report.uncovered and report.witnesses and report.uncovered[0] < max(report.witnesses):
+                shared += 1
+        assert shared >= 5
+
+    def test_refutation_prunes_later_searches(self, monkeypatch):
+        H, K5m = construct_h4(16), builtin_pattern("K5-")
+        calls = 0
+        complete = patterns._complete
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return complete(*args)
+
+        monkeypatch.setattr(patterns, "_complete", counted)
+        for v in range(H.n):
+            covered_at(H, v, K5m)
+        alone, calls = calls, 0
+        covering_report(H, K5m)
+        assert 0 < 2 * calls < alone
+
+
 class TestObstruction:
     def test_holds_on_link_constructions(self):
         for fam in ("H1", "H2", "H3"):
