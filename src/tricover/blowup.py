@@ -17,7 +17,7 @@ from .hypergraphs import Graph
 
 @dataclass(frozen=True)
 class BlowupSpec:
-    """A base graph together with a positive multiplicity for every vertex."""
+    """A base graph with a non-negative multiplicity (0: an empty class) per vertex."""
 
     base: Graph
     multiplicity: Mapping[int, int]
@@ -27,8 +27,8 @@ class BlowupSpec:
             k = self.multiplicity.get(v)
             if k is None:
                 raise ValueError(f"no multiplicity given for base vertex {v}")
-            if not isinstance(k, int) or k < 1:
-                raise ValueError(f"multiplicity of base vertex {v} must be a positive integer")
+            if not isinstance(k, int) or k < 0:
+                raise ValueError(f"multiplicity of base vertex {v} must be a non-negative integer")
 
 
 @dataclass

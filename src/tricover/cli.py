@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 from .constructions import FAMILIES, check_construction, construct, verify_claim
-from .fileio import FormatError, dumps_json, load, parse_any, save, write_edge_list
+from .fileio import FormatError, dumps_json, load, save, write_edge_list
 from .hypergraphs import Graph, TriGraph
 from .koenig import bipartite_edge_coloring
 from .oracle import DEFAULT_HARD_CAP, exact_c2
@@ -204,8 +204,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        obj = parse_any(fh.read())
+    obj = load(args.infile)
     text = dumps_json(obj) if args.format == "json" else write_edge_list(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Union
 
-from .blowup import BlowupResult, BlowupSpec, add_edge_list, add_matching_between, blowup
+from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
 from .hypergraphs import (
     Graph,
     TriGraph,
@@ -127,21 +127,9 @@ def link_graph_for(family: str, m: int) -> Graph:
         raise ValueError("m must be a positive integer")
     base = base_graph(spec["base"])
     r = _BASE_SPECS[spec["base"]]["outer"]
-    if m == 1:
-        outer_only = Graph(
-            r,
-            [e for e in base.edges() if e[0] < r and e[1] < r],
-            class_of={v: base.class_of[v] for v in range(r)},
-        )
-        res = blowup(BlowupSpec(outer_only, {v: 1 for v in range(r)}))
-        members = dict(res.class_members)
-        for j in range(6):
-            members[r + j] = []
-        res = BlowupResult(res.graph, members)
-    else:
-        mult = {v: 1 for v in range(r)}
-        mult.update({r + j: m - 1 for j in range(6)})
-        res = blowup(BlowupSpec(base, mult))
+    mult = {v: 1 for v in range(r)}
+    mult.update({r + j: m - 1 for j in range(6)})
+    res = blowup(BlowupSpec(base, mult))
     g = res.graph
     if spec["v_matching"]:
         g = add_matching_between(res, r, r + 3)  # classes of v1 and v4

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .hypergraphs import Graph, TriGraph
 
@@ -42,16 +42,30 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _kind(obj: GraphLike) -> tuple[int, Sequence[tuple[int, ...]], Optional[int]]:
+    """(uniformity, edges, distinguished vertex) of a Graph or TriGraph."""
+    if isinstance(obj, TriGraph):
+        return 3, obj.edges, obj.distinguished
+    if isinstance(obj, Graph):
+        return 2, obj.edges(), None
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _build(k: int, n: int, edges: list, distinguished: Optional[int], class_of: dict) -> GraphLike:
+    """The Graph (k=2) or TriGraph (k=3) a reader parsed; ValueError becomes FormatError."""
+    try:
+        if k == 3:
+            return TriGraph(n, edges, distinguished=distinguished, class_of=class_of or None)
+        if k == 2:
+            return Graph(n, edges, class_of=class_of or None)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    raise FormatError(f"unsupported uniformity {k!r}")
+
+
 def write_edge_list(obj: GraphLike) -> str:
     """Canonical edge-list text for a Graph (k=2) or TriGraph (k=3)."""
-    if isinstance(obj, TriGraph):
-        k, edges = 3, obj.edges
-        distinguished = obj.distinguished
-    elif isinstance(obj, Graph):
-        k, edges = 2, obj.edges()
-        distinguished = None
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    k, edges, distinguished = _kind(obj)
     lines = [f"HG {k} {obj.n} {len(edges)}"]
     if distinguished is not None:
         lines.append(f"X {distinguished}")
@@ -125,13 +139,7 @@ def parse_edge_list(text: str) -> GraphLike:
 
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    try:
-        if k == 3:
-            G: GraphLike = TriGraph(n, edges, distinguished=distinguished, class_of=class_of or None)
-        else:
-            G = Graph(n, edges, class_of=class_of or None)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    G = _build(k, n, edges, distinguished, class_of)
     # the graph keeps each edge once, so a repeated edge line shows as a
     # shortfall; only then is the first repeat looked up for the message
     if G.edge_count < len(edges):
@@ -145,14 +153,8 @@ def parse_edge_list(text: str) -> GraphLike:
 
 def to_json_dict(obj: GraphLike) -> dict:
     """JSON-ready dictionary with a stable schema (keys sorted on dump)."""
-    if isinstance(obj, TriGraph):
-        k, edges = 3, [list(e) for e in obj.edges]
-        distinguished = obj.distinguished
-    elif isinstance(obj, Graph):
-        k, edges = 2, [list(e) for e in obj.edges()]
-        distinguished = None
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    k, edges, distinguished = _kind(obj)
+    edges = [list(e) for e in edges]
     classes = {str(v): lab for v, lab in sorted((obj.class_of or {}).items())}
     return {
         "uniformity": k,
@@ -184,14 +186,7 @@ def from_json_dict(doc: dict) -> GraphLike:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from None
     _check_size(n)
-    try:
-        if k == 3:
-            return TriGraph(n, edges, distinguished=distinguished, class_of=classes or None)
-        if k == 2:
-            return Graph(n, edges, class_of=classes or None)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    raise FormatError(f"unsupported uniformity {k!r}")
+    return _build(k, n, edges, distinguished, classes)
 
 
 def dumps_json(obj: GraphLike) -> str:

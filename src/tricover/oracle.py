@@ -48,11 +48,12 @@ used to validate the pruned search on tiny instances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fileio import to_json_dict
 from .hypergraphs import TriGraph, min_codegree, pair_degree_table
@@ -77,6 +78,13 @@ class _Budget:
     __slots__ = ("node_limit", "deadline", "nodes")
 
     def __init__(self, node_limit: Optional[int], time_limit: Optional[float]):
+        # spend() never sees a NaN deadline pass, so NaN would mean no limit
+        if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+            raise ValueError(f"node_budget must be a non-negative int, got {node_limit!r}")
+        if time_limit is not None and not (
+            type(time_limit) in (int, float) and 0 <= time_limit < math.inf
+        ):
+            raise ValueError(f"time_budget must be finite and non-negative, got {time_limit!r}")
         self.node_limit = node_limit
         self.deadline = time.monotonic() + time_limit if time_limit is not None else None
         self.nodes = 0
@@ -425,22 +433,13 @@ def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[Tr
     return best, witness
 
 
-def _ascent(n: int, F: Pattern, budget: _Budget) -> Iterator[tuple[int, TriGraph]]:
-    """Bottom-up levels: yield each witness that beats the previous one.
-
-    Level v asks for any completion with delta2 >= v; its witness has some
-    delta2 = w >= v, so the next level is w + 1.  The generator returns when
-    a level is refuted, which makes the last witness optimal; a caller that
-    runs out of budget keeps the last witness as a verified lower bound.
-    """
-    inner = _InnerSearch(n, F)
-    v = 0
-    while True:
-        found = inner.search_level(v, budget)
-        if found is None:
-            return
-        yield found
-        v = found[0] + 1
+def _check_instance(n: int, pattern: Pattern) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if pattern.edge_count == 0:
+        raise ValueError("pattern must have at least one edge")
+    if n < pattern.t:
+        raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
 
 
 def exact_c2(
@@ -461,11 +460,11 @@ def exact_c2(
     ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
     budget; when the budget runs out the result is non-exhaustive and
     reports the best verified lower bound.  The search is deterministic.
+    ``n`` must be an int, and a budget finite and non-negative (a node
+    budget an int); anything else raises ValueError.
     """
-    if pattern.edge_count == 0:
-        raise ValueError("pattern must have at least one edge")
-    if n < pattern.t:
-        raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
+    _check_instance(n, pattern)
+    budget = _Budget(node_budget, time_budget)
     if n > DEFAULT_HARD_CAP:
         if not allow_large:
             raise ValueError(
@@ -474,15 +473,17 @@ def exact_c2(
         if node_budget is None and time_budget is None:
             raise ValueError("searches beyond the hard cap require a node or time budget")
 
-    budget = _Budget(node_budget, time_budget)
     start = time.monotonic()
     exhaustive = True
     value, witness = -1, None
     try:
         if prune:
-            # the last witness survives a BudgetExhausted as a lower bound
-            for value, witness in _ascent(n, pattern, budget):
-                pass
+            # a witness at level v has delta2 = w >= v, so the next level is
+            # w + 1; the first refuted level proves the last witness optimal,
+            # and a BudgetExhausted keeps it as a verified lower bound
+            inner = _InnerSearch(n, pattern)
+            while (found := inner.search_level(value + 1, budget)) is not None:
+                value, witness = found
         else:
             value, witness = _naive_search(n, pattern, budget)
     except (BudgetExhausted, RecursionError):
@@ -604,32 +605,24 @@ def certify_upper_behavior(
     pattern.t <= n <= 12, threshold <= n - 3 and samples >= 0, and the
     pattern needs an edge; anything else raises ValueError.
     """
-    for name, value in (("n", n), ("threshold", threshold), ("samples", samples)):
+    _check_instance(n, pattern)
+    for name, value in (("threshold", threshold), ("samples", samples)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if pattern.edge_count == 0:
-        raise ValueError("pattern must have at least one edge")
     if n > 12:
         raise ValueError("sampling spot-checks are limited to n <= 12")
-    if n < pattern.t:
-        raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
     if threshold > n - 3:
         raise ValueError(f"no 3-graph on {n} vertices has delta2 > {threshold}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    can_count = clique_profile(pattern) is not None
+    covered = covered_by_count if clique_profile(pattern) is not None else is_covered
     rng = Random(seed)
     report = CertifyReport(n=n, pattern=pattern.name, threshold=threshold,
                            samples=samples, seed=seed)
     for _ in range(samples):
         H = _sample_above_threshold(n, threshold, rng)
-        if can_count:
-            uncovered = [v for v in range(H.n) if not covered_by_count(H, v, pattern)]
-        else:
-            uncovered = [v for v in range(H.n) if not is_covered(H, v, pattern)]
-        if uncovered:
-            confirm = covering_report(H, pattern)
-            if confirm.uncovered:
+        if not all(covered(H, v, pattern) for v in range(H.n)):
+            if covering_report(H, pattern).uncovered:
                 report.counterexamples.append(H)
             else:
                 raise AssertionError("covering detectors disagree on a sample")

@@ -215,23 +215,15 @@ def _improving_embeddings(
             refuted.add(orbit[anchor])
 
 
-def covered_at(
-    H: TriGraph, v: int, F: Pattern, *, nbhd: Optional[Neighbourhoods] = None
-) -> Optional[tuple[int, ...]]:
+def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest embedding of F into H whose image
     contains v (entry i is the image of pattern vertex i), or None.
 
-    ``F.t > H.n`` yields None, not an error.  ``nbhd`` is
-    ``codegree_neighbourhoods(H)``, the n-by-n table of bitmasks whose entry
-    [a][b] has bit c set iff {a, b, c} is an edge; pass it to share one
-    table across many calls on the same H, otherwise each call builds its
-    own.
+    ``F.t > H.n`` yields None, not an error.
     """
     _check_vertex(v, H.n)
-    if nbhd is None:
-        nbhd = codegree_neighbourhoods(H)
     best = None
-    for best in _improving_embeddings(nbhd, H.n, v, F):
+    for best in _improving_embeddings(codegree_neighbourhoods(H), H.n, v, F):
         pass
     return best
 

@@ -71,11 +71,16 @@ def test_blowup_preserves_triangle_freeness():
         assert is_triangle_free(res.graph).triangle_free
 
 
-def test_zero_multiplicity_rejected():
-    with pytest.raises(ValueError):
-        BlowupSpec(Graph(2, [(0, 1)]), {0: 0, 1: 1})
-    with pytest.raises(ValueError):
-        BlowupSpec(Graph(2, [(0, 1)]), {0: 2})
+def test_zero_multiplicity_gives_empty_class():
+    res = blowup(BlowupSpec(Graph(3, [(0, 1), (1, 2)]), {0: 0, 1: 2, 2: 0}))
+    assert res.class_members == {0: [], 1: [0, 1], 2: []}
+    assert res.graph.n == 2 and res.graph.edges() == []
+
+
+def test_bad_multiplicity_rejected():
+    for mult in ({0: -1, 1: 1}, {0: 1.5, 1: 1}, {0: "2", 1: 1}, {0: 2}):
+        with pytest.raises(ValueError):
+            BlowupSpec(Graph(2, [(0, 1)]), mult)
 
 
 class TestAddMatchingBetween:

@@ -204,6 +204,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--n", "11", "--pattern", "K4-")
         assert code == 2 and "hard cap" in err
 
+    def test_non_finite_budget_usage_error(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "11", "--pattern", "K4-",
+                             "--allow-large", "--budget-seconds", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error: time_budget") and "Traceback" not in err
+
 
 class TestExport:
     def test_hg_to_json_and_back(self, capsys, tmp_path):

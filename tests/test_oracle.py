@@ -163,6 +163,32 @@ class TestBudgets:
         with pytest.raises(ValueError):
             exact_c2(4, K5M)
 
+    @pytest.mark.parametrize("n", [7.5, "7", True], ids=repr)
+    def test_malformed_n_rejected(self, n):
+        with pytest.raises(ValueError):
+            exact_c2(n, K4M)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"time_budget": float("nan")}, {"time_budget": float("inf")},
+            {"time_budget": float("-inf")}, {"time_budget": -1.0}, {"time_budget": True},
+            {"node_budget": -1}, {"node_budget": 2.5}, {"node_budget": "100"},
+            {"node_budget": True},
+        ],
+        ids=repr,
+    )
+    def test_malformed_budget_rejected(self, budget):
+        # a NaN deadline never passes, so accepting it would allow an unbounded search
+        with pytest.raises(ValueError, match="budget"):
+            exact_c2(11, K4M, allow_large=True, **budget)
+
+    def test_zero_budgets_are_legal(self):
+        res = exact_c2(11, K4M, allow_large=True, node_budget=0)
+        assert not res.exhaustive and res.nodes_explored == 1 and res.witness is None
+        # the clock is read every 1 024 nodes, and this search takes 5 825
+        assert not exact_c2(11, K4M, allow_large=True, time_budget=0).exhaustive
+
 
 class TestClosedFormStep:
     """For K4 and K4- the leaf is completed in closed form (``leaf_value``,
@@ -329,6 +355,12 @@ class TestCertifyUpperBehavior:
         assert rep.counterexample_count == 0
         rep = certify_upper_behavior(7, K5M, 4, 300, seed=5)
         assert rep.counterexample_count == 0
+
+    def test_non_clique_pattern_above_threshold(self):
+        # c2(7, book2) = 1; book2 has no counting detector, so every sample
+        # goes through the embedder
+        rep = certify_upper_behavior(7, BOOK2, 1, 200, seed=3)
+        assert rep.samples == 200 and rep.counterexample_count == 0
 
     def test_below_threshold_witnesses_are_verified(self):
         # below the true threshold, covering-free samples may legitimately
