@@ -123,7 +123,7 @@ def link_graph_for(family: str, m: int) -> Graph:
     spec = _H_SPECS.get(family)
     if spec is None:
         raise ValueError(f"unknown construction family {family!r}")
-    if m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be a positive integer")
     base = base_graph(spec["base"])
     r = _BASE_SPECS[spec["base"]]["outer"]

@@ -185,6 +185,9 @@ def from_json_dict(doc: dict) -> GraphLike:
             distinguished = _json_int(distinguished, "distinguished vertex")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from None
+    if distinguished is not None and k == 2:
+        # as a 2-graph's X line is rejected by parse_edge_list
+        raise FormatError("a distinguished vertex is for 3-graphs only")
     _check_size(n)
     return _build(k, n, edges, distinguished, classes)
 

@@ -101,9 +101,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(s) for s in self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(s) for s in self.adj), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -28,7 +28,8 @@ Search strategy (branch and bound):
   bound, so the branching pair and triple are lowest-bit operations.
 * The levels ascend from v = 0: the first witness at level v has some
   delta2 = w >= v, the next level asks for w + 1, and the first refuted
-  level proves the last witness optimal.
+  level proves the last witness optimal.  A level hands back (w, edge
+  list); only the last witness becomes a ``TriGraph``.
 
 For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
 iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
@@ -68,6 +69,10 @@ from .patterns import (
 
 DEFAULT_HARD_CAP = 10
 DEFAULT_SEED = 20160901
+
+# what a level hands back: (delta2, host edges) of a completion
+_Edges = list[tuple[int, int, int]]
+_Found = tuple[int, _Edges]
 
 
 class BudgetExhausted(Exception):
@@ -167,13 +172,7 @@ class _InnerSearch:
                 for tri in combinations(s, 3):
                     self.tri_sets[tidx[tri]].append(s_i)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _initial_tot(self, N: Sequence[int]) -> list[int]:
-        link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
-        return [sum(link1[p] for p in sp) for sp in self.set_pairs]
-
-    def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> list[tuple[int, int, int]]:
+    def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> _Edges:
         edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
         for i in chosen:
             a, b, c = self.triples[i]
@@ -211,7 +210,7 @@ class _InnerSearch:
                 value = c
         return value
 
-    def leaf_witness(self, N: Sequence[int]) -> list[tuple[int, int, int]]:
+    def leaf_witness(self, N: Sequence[int]) -> _Edges:
         """t = 4: the link plus every triple spanning at most theta - 2 link
         pairs, the completion that ``leaf_value`` measures."""
         assert self.theta is not None
@@ -224,10 +223,9 @@ class _InnerSearch:
 
     # -- decision search: is there a completion with delta2 >= v? ----------
 
-    def decision_search(
-        self, N: Sequence[int], v: int, budget: _Budget
-    ) -> Optional[list[tuple[int, int, int]]]:
-        """A completion of the link N with delta2 >= v, or None.
+    def decision_search(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[_Found]:
+        """A completion of the link N with delta2 >= v, as (delta2, edges),
+        or None.
 
         Each pair's bound ``val`` is its codegree if every undecided triple
         through it were added; it falls by one exactly when one of its
@@ -235,21 +233,25 @@ class _InnerSearch:
         ``und[p]`` masks the undecided triples through pair p, and
         ``bucket[b]`` the pairs of value b that still have one; the search
         branches on the first undecided triple of the lowest pair of least
-        value.
+        value.  At an accepted leaf every triple is decided, so ``val`` holds
+        the exact codegrees of the pairs avoiding vertex 0.
         """
         nv = self.nv
-        if min(m.bit_count() for m in N) < v:
+        degree = min(m.bit_count() for m in N)
+        if degree < v:
             return None
         clique = self.theta is not None
-        if clique:
-            tot = self._initial_tot(N)
-            cap = self.theta - 1  # the most a (t-1)-set may span uncovered
-            if max(tot) > cap:
-                return None
-        elif is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
+        link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
+        # tot[s]: link pairs plus included triples inside (t-1)-set s, which
+        # may reach cap with vertex 0 uncovered; other patterns have no sets
+        tot = [sum(link1[p] for p in sp) for sp in self.set_pairs]
+        cap = self.theta - 1 if clique else 0
+        if any(c > cap for c in tot):
+            return None
+        if not clique and is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
             # the link triples alone already cover vertex 0
             return None
-        val = [((N[x] >> y) & 1) + nv - 2 for x, y in self.pairs]
+        val = [b + nv - 2 for b in link1]
         und = list(self.pair_tri_mask)
         bucket = [0] * nv
         for p, b in enumerate(val):
@@ -258,7 +260,7 @@ class _InnerSearch:
         tri_pairs, tri_sets = self.tri_pairs, self.tri_sets
         current: list[int] = []
 
-        def rec(cut: bool) -> Optional[list[int]]:
+        def rec(cut: bool) -> Optional[tuple[int, list[int]]]:
             budget.spend()
             if cut:
                 return None
@@ -268,7 +270,7 @@ class _InnerSearch:
                 if bucket[b]:
                     break
             else:
-                return sorted(current)
+                return min(degree, min(val)), sorted(current)
             low = bucket[b] & -bucket[b]
             m = und[low.bit_length() - 1]
             bit = m & -m
@@ -277,24 +279,22 @@ class _InnerSearch:
 
             # try including the triple when it keeps vertex 0 uncovered
             current.append(tri)
-            if clique:
-                allowed = True
-                for s in tri_sets[tri]:
-                    if tot[s] >= cap:
-                        allowed = False
-                        break
+            for s in tri_sets[tri]:
+                if tot[s] >= cap:
+                    allowed = False
+                    break
             else:
-                H = TriGraph(self.n, self.host_edges(N, current))
-                allowed = not is_covered(H, 0, self.F)
+                allowed = clique or not is_covered(
+                    TriGraph(self.n, self.host_edges(N, current)), 0, self.F
+                )
             if allowed:
                 # including leaves every value as it is
                 for p in ps:
                     und[p] ^= bit
                     if not und[p]:
                         bucket[val[p]] ^= 1 << p
-                if clique:
-                    for s in tri_sets[tri]:
-                        tot[s] += 1
+                for s in tri_sets[tri]:
+                    tot[s] += 1
                 res = rec(False)
                 if res is not None:
                     return res
@@ -302,9 +302,8 @@ class _InnerSearch:
                     if not und[p]:
                         bucket[val[p]] ^= 1 << p
                     und[p] ^= bit
-                if clique:
-                    for s in tri_sets[tri]:
-                        tot[s] -= 1
+                for s in tri_sets[tri]:
+                    tot[s] -= 1
             current.pop()
 
             # exclude it; a pair falling below v cuts the child, whose
@@ -328,16 +327,16 @@ class _InnerSearch:
                 bucket[val[p]] |= 1 << p
             return None
 
-        chosen = rec(min(val) < v)
-        if chosen is None:
+        found = rec(min(val) < v)
+        if found is None:
             return None
-        return self.host_edges(N, chosen)
+        return found[0], self.host_edges(N, found[1])
 
     # -- one level of the bottom-up search ----------------------------------
 
-    def search_level(self, v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
+    def search_level(self, v: int, budget: _Budget) -> Optional[_Found]:
         """The first link, in exclude-before-include order, whose completion
-        reaches delta2 >= v, as (delta2, witness); None refutes level v.
+        reaches delta2 >= v, as (delta2, edges); None refutes level v.
 
         Only lex-leaders are enumerated: links L with L <= s(L) for every
         transposition s = (u u+1) of link vertices, L read as its 0/1 vector
@@ -371,7 +370,7 @@ class _InnerSearch:
                     return True
             return False
 
-        def rec(j: int, cut: bool) -> Optional[tuple[int, TriGraph]]:
+        def rec(j: int, cut: bool) -> Optional[_Found]:
             # a child cut by the degree bound still counts as a node
             budget.spend()
             if cut:
@@ -398,25 +397,20 @@ class _InnerSearch:
 
         return rec(0, nv - 1 < v)
 
-    def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[tuple[int, TriGraph]]:
+    def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[_Found]:
         if self.theta in (3, 4):  # K4- and K4
             value = self.leaf_value(N, v)
-            if value < v:
-                return None
-            return value, TriGraph(self.n, self.leaf_witness(N))
-        edges = self.decision_search(N, v, budget)
-        if edges is None:
-            return None
-        H = TriGraph(self.n, edges)
-        return min_codegree(H).min, H
+            return (value, self.leaf_witness(N)) if value >= v else None
+        return self.decision_search(N, v, budget)
 
 
 # ---------------------------------------------------------------------------
 # Top-level searches
 # ---------------------------------------------------------------------------
 
-def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[TriGraph]]:
-    """Enumerate every 3-graph with vertex 0 pinned uncovered; no pruning."""
+def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[_Edges]]:
+    """Enumerate every 3-graph with vertex 0 pinned uncovered; no pruning.
+    Returns the best delta2 and the edges of the first graph reaching it."""
     triples = list(combinations(range(n), 3))
     if len(triples) > 20:
         raise ValueError("naive enumeration is limited to n <= 6")
@@ -429,7 +423,7 @@ def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[Tr
             continue
         d = min(pair_degree_table(H).values())
         if d > best:
-            best, witness = d, H
+            best, witness = d, edges
     return best, witness
 
 
@@ -475,7 +469,7 @@ def exact_c2(
 
     start = time.monotonic()
     exhaustive = True
-    value, witness = -1, None
+    value, edges = -1, None
     try:
         if prune:
             # a witness at level v has delta2 = w >= v, so the next level is
@@ -483,9 +477,9 @@ def exact_c2(
             # and a BudgetExhausted keeps it as a verified lower bound
             inner = _InnerSearch(n, pattern)
             while (found := inner.search_level(value + 1, budget)) is not None:
-                value, witness = found
+                value, edges = found
         else:
-            value, witness = _naive_search(n, pattern, budget)
+            value, edges = _naive_search(n, pattern, budget)
     except (BudgetExhausted, RecursionError):
         # the link and completion searches recurse once per decided pair or
         # triple, so a host too deep for the interpreter's stack ends the
@@ -493,11 +487,12 @@ def exact_c2(
         exhaustive = False
     elapsed = time.monotonic() - start
 
-    if witness is not None:
+    witness = None
+    if edges is not None:
         # independent re-verification of the returned certificate
+        witness = TriGraph(n, edges, distinguished=0)
         if min_codegree(witness).min != value or covered_at(witness, 0, pattern) is not None:
             raise AssertionError("search produced an inconsistent witness")
-        witness = TriGraph(witness.n, witness.edges, distinguished=0)
     return SearchResult(
         n=n,
         pattern=pattern.name,

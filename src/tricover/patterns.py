@@ -40,6 +40,8 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .hypergraphs import (
     TriGraph,
+    _canonical_triple,
+    _check_count,
     _check_vertex,
     codegree_neighbourhoods,
     is_triangle_free,
@@ -56,8 +58,13 @@ class Pattern:
     name: str
 
     def __post_init__(self):
+        # the TriGraph rule: each edge a sorted triple of distinct ints in
+        # range; a frozenset keeps the pattern hashable and free of repeats
+        _check_count(self.t)
+        if not isinstance(self.edges, frozenset):
+            raise ValueError(f"pattern edges must be a frozenset, got {type(self.edges).__name__}")
         for e in self.edges:
-            if len(e) != 3 or sorted(e) != list(e) or not all(0 <= v < self.t for v in e):
+            if not isinstance(e, tuple) or _canonical_triple(e, self.t) != e:
                 raise ValueError(f"bad pattern edge {e!r}")
 
     @property

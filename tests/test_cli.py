@@ -246,6 +246,12 @@ class TestErrorStreams:
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
         assert code == 3 and out == "" and "duplicate edge" in err
 
+    def test_distinguished_2_graph_json_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"uniformity": 2, "n": 3, "edges": [[0, 1]], "distinguished": 1}))
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and "3-graphs only" in err
+
     def test_vertex_count_above_limit_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.hg"
         path.write_text(f"HG 2 {MAX_VERTICES + 1} 0\n")

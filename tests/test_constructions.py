@@ -124,6 +124,11 @@ class TestLinkFamilies:
         with pytest.raises(ValueError):
             construct_h("H1", 0)
 
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, "2", True, None])
+    def test_link_rejects_non_positive_int_m(self, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            link_graph_for("H1", m)
+
 
 class TestMatchingPartite:
     def test_2_2_2_cross_codegrees(self):

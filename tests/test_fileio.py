@@ -144,6 +144,15 @@ def test_bad_json_document():
         parse_any("{not json")
 
 
+def test_json_distinguished_on_2_graph_rejected():
+    # parse_edge_list rejects an X line on a 2-graph; the JSON reader agrees
+    doc = {"uniformity": 2, "n": 3, "edges": [[0, 1]], "distinguished": 1}
+    with pytest.raises(FormatError, match="3-graphs only"):
+        from_json_dict(doc)
+    with pytest.raises(FormatError, match="bad X line"):
+        parse_edge_list("HG 2 3 1\nX 1\n0 1\n")
+
+
 @pytest.mark.parametrize(
     "fields",
     [

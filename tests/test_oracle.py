@@ -312,7 +312,13 @@ class TestIncrementalBound:
         for v in range(inner.n - 1):
             ours, ref = _Budget(None, None), _Budget(None, None)
             got = inner.decision_search(N, v, ours)
-            assert got == bf_decision_search(inner.n, F, N, v, ref), (bits, v)
+            edges = bf_decision_search(inner.n, F, N, v, ref)
+            assert (got is None) == (edges is None), (bits, v)
+            if got is not None:
+                value, got_edges = got
+                assert got_edges == edges, (bits, v)
+                # the delta2 read off the leaf's bounds is the witness's own
+                assert value == min_codegree(TriGraph(inner.n, edges)).min >= v, (bits, v)
             assert ours.nodes == ref.nodes, (bits, v)
 
     @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2], ids=lambda F: F.name)
@@ -336,6 +342,25 @@ class TestIncrementalBound:
             N = TestClosedFormStep.link_of(inner, bits)[0]
             if max(m.bit_count() for m in N) <= 1:
                 self.agree(inner, BOOK2, bits)
+
+
+class TestOneWitness:
+    """Levels hand back edge lists: a pruned search builds its witness once,
+    at the end, and re-verifies that one graph."""
+
+    @pytest.mark.parametrize("name", ["K5", "K4-"])
+    def test_one_trigraph_per_search(self, name, monkeypatch):
+        built = []
+        init = TriGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TriGraph, "__init__", counting)
+        res = exact_c2(8, builtin_pattern(name))
+        assert res.exhaustive and res.witness is not None
+        assert built == [8]
 
 
 class TestOneEdgePattern:

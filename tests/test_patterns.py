@@ -43,6 +43,31 @@ class TestBuiltinPatterns:
             with pytest.raises(ValueError):
                 builtin_pattern(bad)
 
+    @pytest.mark.parametrize("t, edges", [
+        (3, [(0, 0, 1)]),
+        (3, [(0, 1, 2.5)]),
+        (3, [(0, 1, True)]),
+        (3, [(1, 0, 2)]),
+        (3, [(0, 1, 3)]),
+        (3, [(0, 1)]),
+        (3, [frozenset({0, 1, 2})]),
+        (2.5, []),
+        ("4", []),
+        (True, []),
+        (-1, []),
+    ], ids=["repeated-vertex", "float-vertex", "bool-vertex", "unsorted", "out-of-range",
+            "two-vertices", "set-edge", "float-t", "str-t", "bool-t", "negative-t"])
+    def test_malformed_pattern_rejected(self, t, edges):
+        # TriGraph's rule: sorted tuples of distinct in-range ints, t an int
+        with pytest.raises(ValueError):
+            Pattern(t, frozenset(edges), "p")
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, 1, 2), (0, 1, 2)], None])
+    def test_pattern_edges_must_be_a_frozenset(self, edges):
+        # a list would make the pattern unhashable and could count an edge twice
+        with pytest.raises(ValueError, match="frozenset"):
+            Pattern(3, edges, "p")
+
     def test_clique_profile(self):
         assert clique_profile(builtin_pattern("K5-")) == (5, 9)
         assert clique_profile(builtin_pattern("K4")) == (4, 4)
