@@ -40,8 +40,9 @@ never includes such a pair.  For t = 4 every candidate triple lies in one
 (t-1)-set only, itself, so adding every triple that spans at most
 threshold - 2 link pairs is an optimal completion, and the codegree of each
 pair after it is a popcount on the link's adjacency masks (``leaf_value``).
-Other patterns fall back on the generic embedder and are correspondingly
-slower.
+Other patterns fall back on the generic embedder, pinned at vertex 0 and run
+on one codegree table that follows every included and undone triple, and
+are correspondingly slower.
 
 A separate naive path (``prune=False``) enumerates every edge subset and is
 used to validate the pruned search on tiny instances.
@@ -60,6 +61,7 @@ from .fileio import to_json_dict
 from .hypergraphs import TriGraph, min_codegree, pair_degree_table
 from .patterns import (
     Pattern,
+    _improving_embeddings,
     clique_profile,
     covered_at,
     covered_by_count,
@@ -164,6 +166,9 @@ class _InnerSearch:
         self.theta: Optional[int] = None
         self.set_pairs: list[list[int]] = []
         self.tri_sets: list[list[int]] = [[] for _ in self.triples]
+        # tri_flips[i]: the (row, column, bit) updates adding or removing
+        # triple i in a host codegree table; clique patterns keep no table
+        self.tri_flips: list[tuple[tuple[int, int, int], ...]] = [() for _ in self.triples]
         if profile is not None:
             self.theta = profile[1]
             tidx = {tri: i for i, tri in enumerate(self.triples)}
@@ -171,6 +176,13 @@ class _InnerSearch:
                 self.set_pairs.append([pidx[p] for p in combinations(s, 2)])
                 for tri in combinations(s, 3):
                     self.tri_sets[tidx[tri]].append(s_i)
+        else:
+            self.tri_flips = [
+                ((a + 1, b + 1, 2 << c), (b + 1, a + 1, 2 << c),
+                 (a + 1, c + 1, 2 << b), (c + 1, a + 1, 2 << b),
+                 (b + 1, c + 1, 2 << a), (c + 1, b + 1, 2 << a))
+                for a, b, c in self.triples
+            ]
 
     def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> _Edges:
         edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
@@ -234,13 +246,25 @@ class _InnerSearch:
         ``bucket[b]`` the pairs of value b that still have one; the search
         branches on the first undecided triple of the lowest pair of least
         value.  At an accepted leaf every triple is decided, so ``val`` holds
-        the exact codegrees of the pairs avoiding vertex 0.
+        the exact codegrees of the pairs avoiding vertex 0.  A non-clique
+        pattern's covering check runs the embedder for vertex 0 on ``bits``,
+        the host's codegree table, which follows every included triple.
         """
         nv = self.nv
         degree = min(m.bit_count() for m in N)
         if degree < v:
             return None
         clique = self.theta is not None
+        n, F = self.n, self.F
+        bits: list[list[int]] = []
+        if not clique:
+            # the host's codegree table (as ``codegree_neighbourhoods`` builds
+            # it) with the link triples only, except that a link pair leaves
+            # out vertex 0: the embedder pinning 0 never has it as a candidate
+            bits = [[0] + [m << 1 for m in N]] + [[m << 1] + [0] * nv for m in N]
+            if next(_improving_embeddings(bits, n, 0, F), None) is not None:
+                # the link triples alone already cover vertex 0
+                return None
         link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
         # tot[s]: link pairs plus included triples inside (t-1)-set s, which
         # may reach cap with vertex 0 uncovered; other patterns have no sets
@@ -248,16 +272,13 @@ class _InnerSearch:
         cap = self.theta - 1 if clique else 0
         if any(c > cap for c in tot):
             return None
-        if not clique and is_covered(TriGraph(self.n, self.host_edges(N, ())), 0, self.F):
-            # the link triples alone already cover vertex 0
-            return None
         val = [b + nv - 2 for b in link1]
         und = list(self.pair_tri_mask)
         bucket = [0] * nv
         for p, b in enumerate(val):
             if und[p]:
                 bucket[b] |= 1 << p
-        tri_pairs, tri_sets = self.tri_pairs, self.tri_sets
+        tri_pairs, tri_sets, tri_flips = self.tri_pairs, self.tri_sets, self.tri_flips
         current: list[int] = []
 
         def rec(cut: bool) -> Optional[tuple[int, list[int]]]:
@@ -279,14 +300,14 @@ class _InnerSearch:
 
             # try including the triple when it keeps vertex 0 uncovered
             current.append(tri)
+            for row, col, m in tri_flips[tri]:
+                bits[row][col] ^= m
             for s in tri_sets[tri]:
                 if tot[s] >= cap:
                     allowed = False
                     break
             else:
-                allowed = clique or not is_covered(
-                    TriGraph(self.n, self.host_edges(N, current)), 0, self.F
-                )
+                allowed = clique or next(_improving_embeddings(bits, n, 0, F), None) is None
             if allowed:
                 # including leaves every value as it is
                 for p in ps:
@@ -304,6 +325,8 @@ class _InnerSearch:
                     und[p] ^= bit
                 for s in tri_sets[tri]:
                     tot[s] -= 1
+            for row, col, m in tri_flips[tri]:
+                bits[row][col] ^= m
             current.pop()
 
             # exclude it; a pair falling below v cuts the child, whose

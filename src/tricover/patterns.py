@@ -11,13 +11,18 @@ Two independent detectors are provided:
   pattern vertex in turn, fills the other positions in index order with
   candidates drawn from the codegree neighbourhoods of placed pairs, and so
   finds the lexicographically smallest copy through v (``is_covered`` stops
-  at the first copy it meets).  Neighbourhoods are int bitmasks, so a
+  at the first copy it meets).  Pattern vertices that some swap of two
+  vertices maps onto each other form a symmetry class, and the search only
+  builds embeddings whose images increase along every class: the lex-min
+  copy is one of them, and the labellings of a copy that such swaps give
+  are never searched twice.  Neighbourhoods are int bitmasks, so a
   position's candidates are the AND of a few masks with the mask of unused
-  vertices, walked lowest bit first.  ``covering_report`` runs this search
-  for every vertex in turn and shares its refutations: a vertex found
-  uncovered lies in no copy at all, so it leaves the unused-vertex mask of
-  every later search.  That is exact (no copy is lost), and it pays only
-  when uncovered vertices come early, as x does at 0 in the constructions,
+  vertices, cut to the range its class allows and walked lowest bit first.
+  ``covering_report`` runs this search for every vertex in turn and shares
+  its refutations: a vertex found uncovered lies in no copy at all, so it
+  leaves the unused-vertex mask of every later search.  That is exact (no
+  copy is lost), and it pays only when uncovered vertices come early, as x
+  does at 0 in the constructions,
 * a counting check for the complete and near-complete patterns K_t / K_t^-,
   based on the fact that a t-set of vertices hosts a copy of K_t (K_t^-)
   exactly when it spans at least C(t,3) (C(t,3) - 1) edges.
@@ -34,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -117,42 +122,63 @@ def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 Neighbourhoods = Sequence[Sequence[int]]
-# per free position, in index order: (position, placed pairs closing an edge)
-_Steps = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+# per free position, in index order: (position, placed pairs closing an edge,
+# the placed class member its image must exceed, the anchor when its image
+# must stay below v), -1 for an absent constraint
+_Step = tuple[int, tuple[tuple[int, ...], ...], int, int]
 
 
 @lru_cache(maxsize=None)
-def _anchor_orbits(F: Pattern) -> tuple[int, ...]:
-    """Entry p is the least vertex of p's automorphism orbit: v is the image
-    of p in some copy of F iff it is the image of every orbit member in some
-    copy.  Above 8 vertices the permutation scan is skipped and every vertex
-    is its own orbit."""
-    if F.t > 8:
-        return tuple(range(F.t))
-    autos = []
-    edge_set = set(F.edges)
-    for perm in permutations(range(F.t)):
-        if all(tuple(sorted((perm[a], perm[b], perm[c]))) in edge_set for a, b, c in F.edges):
-            autos.append(perm)
-    return tuple(min(perm[p] for perm in autos) for p in range(F.t))
+def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
+    """Entry q is the least p for which swapping positions p and q is an
+    automorphism of F, or q itself when there is none.
+
+    Swappability is an equivalence (conjugating one swap by another gives
+    the third), so the least member of q's class swaps with q directly and
+    q is only tested against class leaders: O(t^2 |E|) work for any t."""
+    classes = list(range(F.t))
+    for q in range(F.t):
+        for p in range(q):
+            swap = {p: q, q: p}
+            if classes[p] == p and all(
+                tuple(sorted(swap.get(w, w) for w in e)) in F.edges for e in F.edges
+            ):
+                classes[q] = p
+                break
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
-def _anchor_steps(F: Pattern, anchor: int) -> _Steps:
+def _anchor_steps(F: Pattern, anchor: int) -> tuple[int, int, tuple[_Step, ...]]:
+    """(class members before the anchor, class members after it, the steps
+    that fill every other position in index order).
+
+    Images increase along each symmetry class: swapping two members maps an
+    embedding to one with the same image, so the lex-min embedding has the
+    smaller image at the earlier member.  A step's candidates therefore lie
+    above the image of the previous member of its class, and below v when
+    the anchor is a later member."""
+    classes = _symmetry_classes(F)
     steps = []
     placed = {anchor}
     for q in range(F.t):
-        if q != anchor:
-            placed.add(q)
-            edges = [e for e in sorted(F.edges) if q in e and placed.issuperset(e)]
-            steps.append((q, tuple(tuple(w for w in e if w != q) for e in edges)))
-    return tuple(steps)
+        if q == anchor:
+            continue
+        placed.add(q)
+        edges = [e for e in sorted(F.edges) if q in e and placed.issuperset(e)]
+        pairs = tuple(tuple(w for w in e if w != q) for e in edges)
+        prev = max((p for p in range(q) if classes[p] == classes[q]), default=-1)
+        cap = anchor if classes[q] == classes[anchor] and q < anchor else -1
+        steps.append((q, pairs, prev, cap))
+    members = [p for p in range(F.t) if classes[p] == classes[anchor]]
+    before = members.index(anchor)
+    return before, len(members) - 1 - before, tuple(steps)
 
 
 def _complete(
     bits: Neighbourhoods,
     n: int,
-    steps: _Steps,
+    steps: tuple[_Step, ...],
     i: int,
     phi: list[int],
     free: int,
@@ -161,14 +187,19 @@ def _complete(
     """The lex-min completion of ``phi`` (-1 marks an open position) from
     ``steps[i]`` on, or None.  ``free`` is the mask of vertices not in phi.
     A position's candidates are the free vertices in the codegree
-    neighbourhood of every placed pair closing an edge through it.
+    neighbourhood of every placed pair closing an edge through it, within
+    the limits its symmetry class sets.
     ``bound``, when given, is an embedding that phi matches on every placed
     position: only smaller completions are wanted, so larger candidates are
     cut, and the bound is dropped once a candidate falls below it."""
     if i == len(steps):
         return tuple(phi)
-    q, pairs = steps[i]
+    q, pairs, prev, cap = steps[i]
     cands = free
+    if prev >= 0:
+        cands &= -(2 << phi[prev])
+    if cap >= 0:
+        cands &= (1 << phi[cap]) - 1
     for a, b in pairs:
         cands &= bits[phi[a]][phi[b]]
         if not cands:
@@ -197,8 +228,10 @@ def _improving_embeddings(
     Anchor p pins v at position p.  Anchors are tried in index order, each
     bounded by the best embedding so far, which holds v at an earlier
     position; so the search for anchor p returns a smaller embedding or
-    nothing.  An anchor that fails before any embedding is found fails
-    unbounded, which refutes its whole automorphism orbit.
+    nothing.  Every search keeps images increasing along each symmetry
+    class, which keeps the lex-min embedding and drops the relabellings
+    that swaps within a class give; an anchor is skipped when too few free
+    vertices lie below or above v for the rest of its class.
 
     ``dead`` is a mask of vertices already shown to lie in no copy of F, v
     not among them; they lie in no embedding, so they are never candidates.
@@ -206,20 +239,19 @@ def _improving_embeddings(
     if F.t > n:
         return
     free = ((1 << n) - 1) ^ dead ^ (1 << v)
-    orbit = _anchor_orbits(F)
-    refuted = set()
+    lower = (free & ((1 << v) - 1)).bit_count()
+    upper = (free >> v).bit_count()
     best = None
     for anchor in range(F.t):
-        if orbit[anchor] in refuted:
+        before, after, steps = _anchor_steps(F, anchor)
+        if before > lower or after > upper:
             continue
         phi = [-1] * F.t
         phi[anchor] = v
-        res = _complete(bits, n, _anchor_steps(F, anchor), 0, phi, free, best)
+        res = _complete(bits, n, steps, 0, phi, free, best)
         if res is not None:
             best = res
             yield res
-        elif best is None:
-            refuted.add(orbit[anchor])
 
 
 def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -310,8 +342,8 @@ def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
     those of a :func:`covered_at` call per vertex.  The saving needs an
     uncovered vertex to come before the vertices it would otherwise be tried
     for.  The constructions put x at 0, where on H4(28) and K5- it cuts a
-    covered vertex's search from about 990 calls of the completion step to
-    about 24; with x last it saves nothing and costs nothing.
+    covered vertex's search from about 420 calls of the completion step to
+    about 35; with x last it saves nothing and costs nothing.
     """
     nbhd = codegree_neighbourhoods(H)
     uncovered = []

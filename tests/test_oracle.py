@@ -37,6 +37,8 @@ from _brute import (
 K4M = builtin_pattern("K4-")
 K5M = builtin_pattern("K5-")
 BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
+# a tight path: its embedder reads codegree pairs in both host orders
+PATH = Pattern(5, frozenset({(0, 1, 2), (1, 2, 3), (2, 3, 4)}), "path")
 
 # c2(n, F) for n = 6, 7, 8
 EXACT_TABLE = {"K4-": (2, 2, 2), "K5-": (3, 4, 4), "K4": (2, 3, 4), "K5": (3, 4, 5)}
@@ -321,7 +323,7 @@ class TestIncrementalBound:
                 assert value == min_codegree(TriGraph(inner.n, edges)).min >= v, (bits, v)
             assert ours.nodes == ref.nodes, (bits, v)
 
-    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2], ids=lambda F: F.name)
+    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2, PATH], ids=lambda F: F.name)
     def test_every_link_at_6(self, F):
         inner = _InnerSearch(6, F)
         for bits in range(1 << len(inner.pairs)):
@@ -361,6 +363,26 @@ class TestOneWitness:
         res = exact_c2(8, builtin_pattern(name))
         assert res.exhaustive and res.witness is not None
         assert built == [8]
+
+
+    @pytest.mark.parametrize("n, value, nodes", [(6, 0, 133), (7, 1, 532), (8, 0, 8_722)])
+    def test_book2_keeps_its_values_and_node_counts(self, n, value, nodes):
+        res = exact_c2(n, BOOK2)
+        assert (res.value, res.nodes_explored, res.exhaustive) == (value, nodes, True)
+
+    def test_non_clique_completion_builds_no_trigraph(self, monkeypatch):
+        # the covering check follows one codegree table through the search
+        built = []
+        init = TriGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TriGraph, "__init__", counting)
+        res = exact_c2(7, BOOK2)
+        assert res.exhaustive and res.witness is not None
+        assert built == [7]
 
 
 class TestOneEdgePattern:

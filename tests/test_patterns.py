@@ -24,6 +24,10 @@ from tricover import patterns
 
 from _brute import bf_covered, bf_lexmin_embedding, random_trigraph
 
+BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
+# turned onto itself by a rotation of {0, 1, 2} and {3, 4, 5} together
+ROTATION = Pattern(6, frozenset({(0, 1, 3), (1, 2, 4), (0, 2, 5)}), "rotation")
+
 
 class TestBuiltinPatterns:
     def test_edge_counts(self):
@@ -145,16 +149,46 @@ class TestCoveredAt:
                 assert emb == bf_lexmin_embedding(H, v, F) == report.witnesses.get(v)
                 assert is_covered(H, v, F) == (emb is not None)
 
-    def test_refuted_orbit_is_skipped(self, monkeypatch):
-        # book2's orbits are {0, 1} and {2, 3}; vertex 2 lies in one edge only,
-        # so anchor 0 fails, anchor 1 is skipped and anchor 2 succeeds
-        F = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
-        H = TriGraph(4, [(0, 1, 2), (0, 1, 3)])
-        tried = []
-        steps = patterns._anchor_steps
-        monkeypatch.setattr(patterns, "_anchor_steps", lambda F, a: tried.append(a) or steps(F, a))
-        assert covered_at(H, 2, F) == bf_lexmin_embedding(H, 2, F) == (0, 1, 2, 3)
-        assert tried == [0, 2, 3]
+    @pytest.mark.parametrize("F, classes", [
+        (builtin_pattern("K4-"), (0, 0, 0, 3)),
+        (builtin_pattern("K5-"), (0, 0, 0, 3, 3)),
+        (builtin_pattern("K5"), (0, 0, 0, 0, 0)),
+        (BOOK2, (0, 0, 2, 2)),
+        (ROTATION, (0, 1, 2, 3, 4, 5)),
+    ], ids=["K4-", "K5-", "K5", "book2", "rotation"])
+    def test_symmetry_classes(self, F, classes):
+        assert patterns._symmetry_classes(F) == classes
+
+    def test_rotation_has_an_automorphism_but_no_swap(self):
+        # i -> i + 1 on {0, 1, 2} and on {3, 4, 5} maps the edges onto
+        # themselves, yet no single swap of two positions does
+        rot = (1, 2, 0, 4, 5, 3)
+        assert {tuple(sorted(rot[w] for w in e)) for e in ROTATION.edges} == ROTATION.edges
+
+    @pytest.mark.parametrize("F", [
+        builtin_pattern("K4-"), builtin_pattern("K5-"), builtin_pattern("K5"), BOOK2, ROTATION,
+    ], ids=lambda F: F.name)
+    def test_symmetry_broken_search_agrees_with_brute_force(self, F):
+        rng = Random(F.name)
+        for _ in range(6):
+            n = rng.randint(5, 7)
+            H = random_trigraph(rng, n, rng.choice((0.3, 0.5, 0.8)))
+            for v in range(n):
+                assert covered_at(H, v, F) == bf_lexmin_embedding(H, v, F), (H.edges, v)
+                assert is_covered(H, v, F) == (bf_covered(H, v, F) is not None), (H.edges, v)
+
+    @pytest.mark.parametrize("F", [
+        builtin_pattern("K8"),
+        Pattern(9, frozenset(combinations(range(9), 3)), "K9"),
+    ], ids=lambda F: F.name)
+    def test_large_complete_patterns(self, F):
+        # one symmetry class of t members: the lex-min copy through v is the
+        # least t-set holding v, in increasing order
+        H = complete_trigraph(F.t + 1)
+        for v in range(H.n):
+            least = tuple(range(F.t)) if v < F.t else tuple(range(F.t - 1)) + (v,)
+            assert covered_at(H, v, F) == least
+            assert is_covered(H, v, F)
 
     @pytest.mark.parametrize("v", [True, 1.0, -1, 99])
     def test_bad_vertex_in_every_detector(self, v):
