@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .hypergraphs import Graph
+from .hypergraphs import Graph, _canonical_edge, _is_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class BlowupSpec:
             k = self.multiplicity.get(v)
             if k is None:
                 raise ValueError(f"no multiplicity given for base vertex {v}")
-            if not isinstance(k, int) or k < 0:
+            if not _is_int(k) or k < 0:
                 raise ValueError(f"multiplicity of base vertex {v} must be a non-negative integer")
 
 
@@ -85,8 +85,7 @@ def add_matching_between(result: BlowupResult, class_a: int, class_b: int) -> Gr
         for v in members_b:
             if g.has_edge(u, v):
                 raise ValueError(f"classes already adjacent (edge {u}-{v} present)")
-    pairs = list(zip(members_a, members_b))
-    return add_edge_list(g, pairs)
+    return add_edge_list(g, zip(members_a, members_b))
 
 
 def add_edge_list(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -96,11 +95,9 @@ def add_edge_list(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     hand-transcribed matchings of the extremal constructions.
     """
     new_edges = g.edges()
-    seen = set(map(tuple, new_edges))
-    for u, v in pairs:
-        if u == v:
-            raise ValueError(f"pair ({u}, {v}) has equal endpoints")
-        key = (u, v) if u < v else (v, u)
+    seen = set(new_edges)
+    for e in pairs:
+        key = _canonical_edge(e, g.n, 2)
         if key in seen:
             raise ValueError(f"edge {key} already present or listed twice")
         seen.add(key)

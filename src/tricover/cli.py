@@ -26,7 +26,7 @@ from typing import Optional
 
 from .constructions import FAMILIES, check_construction, construct, verify_claim
 from .fileio import FormatError, dumps_json, load, save, write_edge_list
-from .hypergraphs import Graph, TriGraph
+from .hypergraphs import Graph, TriGraph, _check_vertex
 from .koenig import bipartite_edge_coloring
 from .oracle import DEFAULT_HARD_CAP, exact_c2
 from .patterns import builtin_pattern, covering_report
@@ -119,8 +119,7 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
         v = int(token)
     except ValueError:
         raise ValueError(f"bad vertex {token!r}: expected an index or 'x'") from None
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v} out of range [0, {H.n})")
+    _check_vertex(v, H.n)
     return v
 
 

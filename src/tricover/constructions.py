@@ -25,14 +25,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
-from .hypergraphs import (
-    Graph,
-    TriGraph,
-    is_triangle_free,
-    link_graph,
-    min_codegree,
-    pair_degree_table,
-)
+from .hypergraphs import Graph, TriGraph, _is_int, is_triangle_free, pair_degree_table
 from .koenig import complete_bipartite_matchings
 from .patterns import builtin_pattern, covered_at, covering_obstruction
 
@@ -115,6 +108,11 @@ def base_graph(name: str) -> Graph:
     return Graph(r + 6, edges, class_of=class_of)
 
 
+def _check_m(m: int) -> None:
+    if not _is_int(m) or m < 1:
+        raise ValueError("m must be a positive integer")
+
+
 def link_graph_for(family: str, m: int) -> Graph:
     """The link that defines H1/H2/H3: a blowup of the base graph (hexagon
     classes of size m-1, outer vertices kept single) plus the family's
@@ -123,8 +121,7 @@ def link_graph_for(family: str, m: int) -> Graph:
     spec = _H_SPECS.get(family)
     if spec is None:
         raise ValueError(f"unknown construction family {family!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     base = base_graph(spec["base"])
     r = _BASE_SPECS[spec["base"]]["outer"]
     mult = {v: 1 for v in range(r)}
@@ -167,9 +164,7 @@ def construct_t(sizes: tuple[int, int, int]) -> TriGraph:
     third-part vertices lie in no edge.  Every pair has codegree at most 1,
     and V1 x V2 pairs exactly 1.
     """
-    a, m, ell = sizes
-    if not (1 <= a <= m <= ell):
-        raise ValueError(f"sizes must satisfy 1 <= |V1| <= |V2| <= |V3|, got {sizes}")
+    a, m, ell = _check_sizes(sizes)
     coloring = complete_bipartite_matchings(a, m)
     edges = []
     for i in range(m):
@@ -177,6 +172,16 @@ def construct_t(sizes: tuple[int, int, int]) -> TriGraph:
             edges.append((u, w, a + m + i))
     class_of = {v: f"V{_part(v, a, m) + 1}" for v in range(a + m + ell)}
     return TriGraph(a + m + ell, edges, class_of=class_of)
+
+
+def _check_sizes(sizes: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The part sizes of T as a tuple of three ints with 1 <= |V1| <= |V2| <= |V3|."""
+    t = tuple(sizes) if isinstance(sizes, (tuple, list)) else ()
+    if len(t) != 3 or not all(map(_is_int, t)):
+        raise ValueError(f"sizes must be three ints, got {sizes!r}")
+    if not 1 <= t[0] <= t[1] <= t[2]:
+        raise ValueError(f"sizes must satisfy 1 <= |V1| <= |V2| <= |V3|, got {sizes}")
+    return t
 
 
 def _part(i: int, a: int, m: int) -> int:
@@ -188,6 +193,8 @@ def _part(i: int, a: int, m: int) -> int:
 def h4_part_sizes(n: int) -> tuple[int, int, int]:
     """The unique near-balanced part sizes (|V1|, |V2|, |V3|) summing to n-1
     with |V2|-1 <= |V1| <= |V2| <= |V3| <= |V2|+1 and |V3| - |V1| <= 1."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 5:
         raise ValueError("the three-part construction needs n >= 5")
     s = n - 1
@@ -328,13 +335,20 @@ def _infer_m(family: str, n: int) -> int:
     return (n - offset) // 6
 
 
+def _codegrees(H: TriGraph) -> tuple[dict[tuple[int, int], int], int]:
+    """Every pair's codegree, and their minimum delta2."""
+    table = pair_degree_table(H)
+    if not table:
+        raise ValueError("minimum codegree needs at least 2 vertices")
+    return table, min(table.values())
+
+
 def check_base_graph(G: Graph, name: str) -> ClaimReport:
     exp_n, exp_edges = _EXPECTED_BASE_COUNTS[name]
-    tf = is_triangle_free(G)
     checks = {
         "vertex_count": G.n == exp_n,
         "edge_count": G.edge_count == exp_edges,
-        "triangle_free": tf.triangle_free,
+        "triangle_free": is_triangle_free(G).triangle_free,
     }
     return _report(G, name, {}, checks)
 
@@ -349,44 +363,42 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
         raise ValueError(f"{family!r} is not one of the blowup-link families")
     if m is None:
         m = _infer_m(family, H.n)
+    _check_m(m)
     expected_n = 6 * m + _H_SPECS[family]["offset"]
     expected_delta = expected_n // 3
     if H.distinguished is None:
         return _unmarked_report(H, family, {"m": m}, expected_delta, "K4-")
     x = H.distinguished
-    link = link_graph(H, x)
-    profile = min_codegree(H)
-    measured_profile = Counter(map(len, link.graph.adj))
+    table, delta2 = _codegrees(H)
+    # the link degree of v is the codegree of xv
+    link_degree = {v: table[(v, x) if v < x else (x, v)] for v in range(H.n) if v != x}
+    measured_profile = Counter(link_degree.values())
     if family == "H3":
         expected_profile = {2 * m + 2: 1, 2 * m + 1: expected_n - 2}
     else:
         expected_profile = {expected_delta: expected_n - 1}
     obstruction = covering_obstruction(H, x)
-    k4m = builtin_pattern("K4-")
     checks = {
         "vertex_count": H.n == expected_n,
-        "delta2": profile.min == expected_delta,
-        "link_triangle_free": is_triangle_free(link.graph).triangle_free,
+        "delta2": delta2 == expected_delta,
+        "link_triangle_free": obstruction.link_triangle is None,
         "link_degree_profile": measured_profile == expected_profile,
         "obstruction": obstruction.holds,
-        "x_uncovered": covered_at(H, x, k4m) is None,
+        "x_uncovered": covered_at(H, x, builtin_pattern("K4-")) is None,
     }
     if family == "H3" and H.class_of:
         heavy = [v for v, lab in H.class_of.items() if lab == "1"]
         if len(heavy) == 1:
-            link_idx = link.host_to_link().get(heavy[0])
-            checks["heavy_vertex_degree"] = (
-                link_idx is not None and link.graph.degree(link_idx) == 2 * m + 2
-            )
+            checks["heavy_vertex_degree"] = link_degree.get(heavy[0]) == 2 * m + 2
     return _report(H, family, {"m": m}, checks, expected_delta2=expected_delta,
-                   measured_delta2=profile.min, pattern="K4-",
+                   measured_delta2=delta2, pattern="K4-",
                    link_degree_profile=measured_profile)
 
 
 def check_t_construction(H: TriGraph, sizes: tuple[int, int, int]) -> ClaimReport:
-    a, m, ell = sizes
+    a, m, ell = sizes = _check_sizes(sizes)
     n = a + m + ell
-    table = pair_degree_table(H) if H.n >= 2 else {}
+    table = pair_degree_table(H)
     transversal = all(len({_part(v, a, m) for v in e}) == 3 for e in H.edges)
     cross_pairs_ok = all(
         table.get((u, w), 0) == 1 for u in range(a) for w in range(a, a + m)
@@ -395,7 +407,7 @@ def check_t_construction(H: TriGraph, sizes: tuple[int, int, int]) -> ClaimRepor
         "vertex_count": H.n == n,
         "edge_count": H.edge_count == a * m,
         "all_edges_transversal": transversal,
-        "max_codegree_le_1": (max(table.values()) <= 1) if table else True,
+        "max_codegree_le_1": max(table.values(), default=0) <= 1,
         "v1_v2_codegree_1": cross_pairs_ok,
     }
     return _report(H, "T", {"sizes": list(sizes)}, checks)
@@ -421,10 +433,7 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     body = [v if v < x else v - 1 for v in range(H.n)]
     part = [_part(b, a, m) for b in body]
     t_codegree = pair_degree_table(construct_t(sizes))
-    table = pair_degree_table(H)
-    if not table:
-        raise ValueError("minimum codegree needs at least 2 vertices")
-    delta2 = min(table.values())
+    table, delta2 = _codegrees(H)
     same_ok = x_ok = cross_ok = True
     for (u, w), d in table.items():
         if u == x or w == x:
@@ -438,11 +447,10 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
             d_t = t_codegree.get((body[u], body[w]), 0)
             if d != sizes[part[u]] + sizes[part[w]] - 1 + d_t:
                 cross_ok = False
-    k5m = builtin_pattern("K5-")
     checks = {
         "vertex_count": H.n == n,
         "delta2": delta2 == expected_delta,
-        "x_uncovered": covered_at(H, x, k5m) is None,
+        "x_uncovered": covered_at(H, x, builtin_pattern("K5-")) is None,
         "codegree_same_part": same_ok,
         "codegree_x_pairs": x_ok,
         "codegree_cross_part": cross_ok,
@@ -504,6 +512,8 @@ def lower_bound_certificate(n: int, pattern: Union[str, object]) -> tuple[TriGra
     """
     name = pattern if isinstance(pattern, str) else getattr(pattern, "name", None)
     if name == "K4-":
+        if not _is_int(n):
+            raise ValueError(f"n must be an int, got {n!r}")
         family = next((f for f, spec in _H_SPECS.items() if spec["offset"] == n % 6), None)
         if n < 6 or family is None:
             raise UnsupportedResidueError(

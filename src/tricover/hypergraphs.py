@@ -18,16 +18,46 @@ from operator import lt
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_vertex(v: int, n: int) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+    if not _is_int(v) or not 0 <= v < n:
         raise ValueError(f"vertex {v!r} out of range [0, {n})")
 
 
 def _check_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"vertex count {n!r} is not an int")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+
+
+def _canonical_edge(e: Iterable[int], n: int, k: int) -> tuple[int, ...]:
+    """The edge e as a sorted tuple of k distinct int vertices in [0, n)."""
+    # materialise once: an iterator edge is consumed by the first pass
+    try:
+        t = tuple(e)
+    except TypeError:
+        raise ValueError(f"edge {e!r} is not a {k}-element vertex set") from None
+    if len(t) != k or not all(map(_is_int, t)):
+        raise ValueError(f"edge {t!r} is not a {k}-element vertex set")
+    s = tuple(sorted(t))
+    if len(set(s)) != k:
+        raise ValueError(f"edge {t!r} is not a {k}-element vertex set")
+    for v in s:
+        _check_vertex(v, n)
+    return s
+
+
+def _check_labels(class_of: Optional[Mapping[int, str]], n: int) -> Optional[dict[int, str]]:
+    """A copy of the vertex labels, every labelled vertex checked against n."""
+    if class_of is None:
+        return None
+    for v in class_of:
+        _check_vertex(v, n)
+    return dict(class_of)
 
 
 class Graph:
@@ -56,27 +86,12 @@ class Graph:
                     adj[u].add(v)
                     adj[v].add(u)
                     continue
-            try:
-                t = tuple(e)
-            except TypeError:
-                raise ValueError(f"edge {e!r} is not a 2-element vertex set") from None
-            if len(t) != 2:
-                raise ValueError(f"edge {t!r} is not a 2-element vertex set")
-            u, v = t
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u}")
+            u, v = _canonical_edge(e, n, 2)
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
-        if class_of is not None:
-            for v in class_of:
-                _check_vertex(v, n)
-            self.class_of = dict(class_of)
-        else:
-            self.class_of = None
+        self.class_of = _check_labels(class_of, n)
 
     def neighbors(self, v: int) -> frozenset[int]:
         _check_vertex(v, self.n)
@@ -117,26 +132,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _canonical_triple(e: Iterable[int], n: int) -> tuple[int, int, int]:
-    # materialise once: an iterator edge is consumed by the first pass
-    try:
-        t = tuple(e)
-    except TypeError:
-        raise ValueError(f"edge {e!r} is not a 3-element vertex set") from None
-    if len(t) != 3:
-        raise ValueError(f"edge {t!r} is not a 3-element vertex set")
-    for v in t:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"edge {t!r} is not a 3-element vertex set")
-    a, b, c = sorted(t)
-    if 0 <= a < b < c < n:
-        return a, b, c
-    if a == b or b == c:
-        raise ValueError(f"edge {t!r} is not a 3-element vertex set")
-    bad = next(v for v in (a, b, c) if not 0 <= v < n)
-    raise ValueError(f"vertex {bad!r} out of range [0, {n})")
-
-
 class TriGraph:
     """Simple 3-uniform hypergraph.
 
@@ -165,7 +160,7 @@ class TriGraph:
                 if type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < n:
                     add(e)
                     continue
-            add(_canonical_triple(e, n))
+            add(_canonical_edge(e, n, 3))
         # a frozenset copied from a set is sized once for its final count; one
         # grown edge by edge from a list can take twice the memory
         unique = set(canon)
@@ -179,12 +174,7 @@ class TriGraph:
         if distinguished is not None:
             _check_vertex(distinguished, n)
         self.distinguished = distinguished
-        if class_of is not None:
-            for v in class_of:
-                _check_vertex(v, n)
-            self.class_of = dict(class_of)
-        else:
-            self.class_of = None
+        self.class_of = _check_labels(class_of, n)
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
         return tuple(sorted((a, b, c))) in self._edge_set
@@ -339,12 +329,7 @@ def spanned_link_edges(G: Graph, s: Iterable[int]) -> int:
     On three vertices, "spans at most one edge" is exactly path-freeness: no
     two of the three pairs are both edges.
     """
-    t = tuple(sorted(s))
-    if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"{tuple(s)!r} is not a set of 3 distinct vertices")
-    a, b, c = t
-    for v in t:
-        _check_vertex(v, G.n)
+    a, b, c = _canonical_edge(s, G.n, 3)
     return int(G.has_edge(a, b)) + int(G.has_edge(a, c)) + int(G.has_edge(b, c))
 
 

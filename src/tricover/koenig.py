@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraphs import Graph
+from .hypergraphs import Graph, _is_int
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ def complete_bipartite_matchings(a: int, b: int) -> EdgeColoring:
     pairs small vertex j with large vertex a + (j + i) mod b.  Deterministic,
     so constructions built from it are bit-reproducible.
     """
+    if not (_is_int(a) and _is_int(b)):
+        raise ValueError(f"side sizes must be ints, got ({a!r}, {b!r})")
     if a < 0 or b < 0:
         raise ValueError("side sizes must be non-negative")
     if a > b:

@@ -45,7 +45,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .hypergraphs import (
     TriGraph,
-    _canonical_triple,
+    _canonical_edge,
     _check_count,
     _check_vertex,
     codegree_neighbourhoods,
@@ -69,7 +69,7 @@ class Pattern:
         if not isinstance(self.edges, frozenset):
             raise ValueError(f"pattern edges must be a frozenset, got {type(self.edges).__name__}")
         for e in self.edges:
-            if not isinstance(e, tuple) or _canonical_triple(e, self.t) != e:
+            if not isinstance(e, tuple) or _canonical_edge(e, self.t, 3) != e:
                 raise ValueError(f"bad pattern edge {e!r}")
 
     @property

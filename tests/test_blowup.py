@@ -78,7 +78,7 @@ def test_zero_multiplicity_gives_empty_class():
 
 
 def test_bad_multiplicity_rejected():
-    for mult in ({0: -1, 1: 1}, {0: 1.5, 1: 1}, {0: "2", 1: 1}, {0: 2}):
+    for mult in ({0: -1, 1: 1}, {0: 1.5, 1: 1}, {0: "2", 1: 1}, {0: 2}, {0: True, 1: 1}):
         with pytest.raises(ValueError):
             BlowupSpec(Graph(2, [(0, 1)]), mult)
 
@@ -142,3 +142,13 @@ class TestAddEdgeList:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             add_edge_list(Graph(3), [(1, 1)])
+
+    @pytest.mark.parametrize("pair", [(0, 1, "a"), (0, "a"), 5, (1, 1), (0, True)])
+    def test_malformed_pair_is_value_error(self, pair):
+        with pytest.raises(ValueError, match="is not a 2-element vertex set"):
+            add_edge_list(Graph(3), [pair])
+
+    def test_iterator_pair(self):
+        assert add_edge_list(Graph(3), [iter((2, 0))]).edges() == [(0, 2)]
+        with pytest.raises(ValueError, match=r"edge \(1, 1\) is not a 2-element vertex set"):
+            add_edge_list(Graph(3), [iter((1, 1))])

@@ -90,6 +90,17 @@ class TestVerify:
         assert run(capsys, "verify", "--family", "T", "--sizes", "2,2,2")[0] == 0
         assert run(capsys, "verify", "--family", "H4", "--n", "11")[0] == 0
 
+    @pytest.mark.parametrize("family, args", [
+        ("H1", ["--m", "0"]), ("H3", ["--m", "-1"]), ("T", ["--sizes", "0,0,0"]),
+    ])
+    def test_bad_parameter_with_input_file_is_usage_error(self, capsys, tmp_path, family, args):
+        # the same rule as without --in, where the construction rejects it
+        path = tmp_path / "g.hg"
+        save(construct(family, m=1, sizes=(2, 3, 3)), path)
+        assert run(capsys, "verify", "--family", family, *args)[0] == 2
+        code, out, err = run(capsys, "verify", "--family", family, *args, "--in", str(path))
+        assert code == 2 and out == "" and err
+
 
 class TestCovering:
     def test_x_uncovered_exit_1(self, capsys, tmp_path):
@@ -251,6 +262,12 @@ class TestErrorStreams:
         path.write_text(json.dumps({"uniformity": 2, "n": 3, "edges": [[0, 1]], "distinguished": 1}))
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and "3-graphs only" in err
+
+    def test_loop_edge_in_json_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"uniformity": 2, "n": 3, "edges": [[1, 1]]}))
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and "edge (1, 1) is not a 2-element vertex set" in err
 
     def test_vertex_count_above_limit_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.hg"

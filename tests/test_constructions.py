@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from tricover import (
+    Graph,
     TriGraph,
     UnsupportedResidueError,
     base_graph,
@@ -286,3 +287,160 @@ def test_construct_dispatcher_requires_params():
         construct("T")
     with pytest.raises(ValueError):
         construct("H9")
+
+
+class TestParameterRules:
+    """One rule per family parameter, on the build path and the check path."""
+
+    @pytest.mark.parametrize("n", [5.5, 7.0, "9", True, None])
+    def test_h4_part_sizes_needs_an_int(self, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            h4_part_sizes(n)
+
+    @pytest.mark.parametrize("n", [5.5, "9", True])
+    def test_h4_build_and_check_share_the_rule(self, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            construct_h4(n)
+        with pytest.raises(ValueError, match="n must be an int"):
+            check_construction(construct_h4(5), "H4", n=n)
+
+    @pytest.mark.parametrize("sizes", [(1.5, 2, 3), "abc", (1, 2), (1, 2, 3, 4), (True, 2, 3), 5])
+    def test_t_sizes_must_be_three_ints(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be three ints"):
+            construct_t(sizes)
+        with pytest.raises(ValueError, match="sizes must be three ints"):
+            check_construction(construct_t((2, 3, 3)), "T", sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [(0, 0, 0), (2, 1, 3)])
+    def test_t_check_rejects_what_the_build_rejects(self, sizes):
+        with pytest.raises(ValueError, match=r"1 <= \|V1\|"):
+            check_construction(construct_t((2, 3, 3)), "T", sizes=sizes)
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, "1", True])
+    def test_h_check_rejects_a_bad_m(self, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            check_construction(construct_h("H1", 1), "H1", m=m)
+
+    @pytest.mark.parametrize("pattern", ["K4-", "K5-"])
+    def test_certificate_needs_an_int_n(self, pattern):
+        with pytest.raises(ValueError, match="n must be an int"):
+            lower_bound_certificate(9.5, pattern)
+        with pytest.raises(ValueError, match="n must be an int"):
+            lower_bound_certificate("9", pattern)
+
+
+def _edit(H, add=(), remove=(), n=None, class_of=None):
+    """H with edges added and removed, on n vertices, keeping x and (by default) the labels."""
+    edges = [e for e in H.edges if e not in set(remove)] + list(add)
+    return TriGraph(n or H.n, edges, distinguished=H.distinguished,
+                    class_of=H.class_of if class_of is None else class_of)
+
+
+def _link_path(H):
+    """A link path a-b-c of x = 0 (a, c non-adjacent: the link is triangle-free)."""
+    link = link_graph(H, 0)
+    for b in range(link.graph.n):
+        nb = sorted(link.graph.adj[b])
+        if len(nb) >= 2:
+            a, c = nb[:2]
+            return tuple(link.to_host[i] for i in (a, b, c))
+    raise AssertionError("link has no path of length 2")
+
+
+def _h_defect(key):
+    H = construct_h("H1", 2)
+    if key == "vertex_count":
+        return _edit(H, n=H.n + 1)
+    if key in ("link_triangle_free", "x_uncovered"):
+        # three link pairs on {1, 2, 3}: a link triangle, and x in a K4-
+        return _edit(H, add=[(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    if key == "link_degree_profile":
+        return _edit(H, remove=[next(e for e in H.edges if 0 in e)])
+    if key == "obstruction":
+        return _edit(H, add=[tuple(sorted(_link_path(H)))])
+    raise KeyError(key)
+
+
+def _h4_defect(key):
+    H = construct_h4(9)  # parts V1 = {1, 2}, V2 = {3, 4, 5}, V3 = {6, 7, 8}
+    if key == "codegree_same_part":
+        return _edit(H, remove=[(3, 4, 5)])
+    if key == "codegree_x_pairs":
+        return _edit(H, remove=[(0, 1, 3)])
+    if key == "codegree_cross_part":
+        return _edit(H, remove=[next(e for e in H.edges if e[0] <= 2 < e[1] <= 5 < e[2])])
+    if key == "x_uncovered":
+        return _edit(H, add=[e for e in combinations(range(9), 3) if e[0] == 0])
+    raise KeyError(key)
+
+
+def _t_defect(key):
+    T = construct_t((2, 3, 3))  # V1 = {0, 1}, V2 = {2, 3, 4}, V3 = {5, 6, 7}
+    if key == "all_edges_transversal":
+        return _edit(T, add=[(0, 1, 5)])
+    if key == "max_codegree_le_1":
+        u, w, z = T.edges[0]
+        other = next(v for v in range(5, 8) if v != z)
+        return _edit(T, add=[(u, w, other)])
+    if key == "v1_v2_codegree_1":
+        return _edit(T, remove=[T.edges[0]])
+    raise KeyError(key)
+
+
+class TestEveryClaimCheckCanFail:
+    """Each check key is False on a construction with the matching defect."""
+
+    @pytest.mark.parametrize("key", [
+        "vertex_count", "link_triangle_free", "link_degree_profile", "obstruction", "x_uncovered",
+    ])
+    def test_h_family(self, key):
+        report = check_construction(_h_defect(key), "H1", m=2)
+        assert report.checks[key] is False and not report.passed
+
+    def test_obstruction_alone_when_the_link_stays_triangle_free(self):
+        report = check_construction(_h_defect("obstruction"), "H1", m=2)
+        assert report.checks["link_triangle_free"] is True
+        assert report.checks["obstruction"] is False
+
+    def test_h3_heavy_vertex_degree(self):
+        H = construct_h("H3", 2)
+        heavy = next(v for v, lab in H.class_of.items() if lab == "1")
+        other = next(v for v, lab in H.class_of.items() if lab == "2")
+        labels = dict(H.class_of)
+        labels[heavy], labels[other] = "2", "1"
+        report = check_construction(_edit(H, class_of=labels), "H3", m=2)
+        assert report.checks["heavy_vertex_degree"] is False and not report.passed
+        assert verify_claim("H3", m=2).checks["heavy_vertex_degree"] is True
+
+    def test_h3_heavy_label_on_x(self):
+        H = construct_h("H3", 2)
+        labels = {v: ("1" if v == 0 else ("x" if lab == "1" else lab)) for v, lab in H.class_of.items()}
+        report = check_construction(_edit(H, class_of=labels), "H3", m=2)
+        assert report.checks["heavy_vertex_degree"] is False
+
+    @pytest.mark.parametrize("key", [
+        "codegree_same_part", "codegree_x_pairs", "codegree_cross_part", "x_uncovered",
+    ])
+    def test_h4(self, key):
+        report = check_construction(_h4_defect(key), "H4", n=9)
+        assert report.checks[key] is False and not report.passed
+
+    @pytest.mark.parametrize("key", ["all_edges_transversal", "max_codegree_le_1", "v1_v2_codegree_1"])
+    def test_t(self, key):
+        report = check_construction(_t_defect(key), "T", sizes=(2, 3, 3))
+        assert report.checks[key] is False and not report.passed
+
+    def test_base_graph_triangle_free(self):
+        G = base_graph("G1")
+        u, v = next(
+            (u, v) for u, v in combinations(range(G.n), 2)
+            if v not in G.adj[u] and G.adj[u] & G.adj[v]
+        )
+        report = check_construction(Graph(G.n, G.edges() + [(u, v)], class_of=G.class_of), "G1")
+        assert report.checks["triangle_free"] is False and not report.passed
+
+    def test_base_graph_edge_count(self):
+        G = base_graph("G1")
+        report = check_construction(Graph(G.n, G.edges()[1:], class_of=G.class_of), "G1")
+        assert report.checks["edge_count"] is False and not report.passed
+        assert report.checks["triangle_free"] is True

@@ -64,6 +64,15 @@ class TestGraph:
     def test_iterator_edge(self):
         assert Graph(3, [iter((2, 0))]).edges() == [(0, 2)]
 
+    @pytest.mark.parametrize("edge", [(1, 1), (0, "a"), (0, True), (0, 1.0)])
+    def test_vertex_set_rule_shared_with_trigraph(self, edge):
+        with pytest.raises(ValueError, match=r"edge \(.*\) is not a 2-element vertex set"):
+            Graph(3, [edge])
+
+    def test_out_of_range_names_the_least_bad_vertex(self):
+        with pytest.raises(ValueError, match=r"vertex 3 out of range \[0, 3\)"):
+            Graph(3, [(4, 3)])
+
     def test_edges_sorted(self):
         g = Graph(4, [(2, 3), (1, 0), (3, 1)])
         assert g.edges() == [(0, 1), (1, 3), (2, 3)]
@@ -335,3 +344,18 @@ class TestSpannedLinkEdges:
             spanned_link_edges(g, (0, 1))
         with pytest.raises(ValueError):
             spanned_link_edges(g, (0, 1, 1))
+
+    @pytest.mark.parametrize("s", [(0, 1, "a"), (0, "a"), 5, (0, 1, True), (0, 1, 1)])
+    def test_malformed_set_is_value_error(self, s):
+        with pytest.raises(ValueError, match="is not a 3-element vertex set"):
+            spanned_link_edges(Graph(5), s)
+
+    def test_iterator_set(self):
+        g = Graph(5, [(0, 1), (1, 3)])
+        assert spanned_link_edges(g, iter((3, 0, 1))) == 2
+        with pytest.raises(ValueError, match=r"edge \(0, 1, 1\) is not a 3-element vertex set"):
+            spanned_link_edges(g, iter((0, 1, 1)))
+
+    def test_out_of_range_names_the_least_bad_vertex(self):
+        with pytest.raises(ValueError, match=r"vertex -1 out of range \[0, 5\)"):
+            spanned_link_edges(Graph(5), (7, -1, 0))

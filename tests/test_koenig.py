@@ -117,6 +117,11 @@ class TestCompleteBipartiteMatchings:
         with pytest.raises(ValueError):
             complete_bipartite_matchings(3, 2)
 
+    @pytest.mark.parametrize("a, b", [(1.5, 2), (1, 2.0), ("1", 2), (True, 2), (0, None)])
+    def test_side_sizes_must_be_ints(self, a, b):
+        with pytest.raises(ValueError, match="side sizes must be ints"):
+            complete_bipartite_matchings(a, b)
+
 
 def test_property_sweep_random_instances():
     rng = Random(4096)
