@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .hypergraphs import Graph, TriGraph
+from .hypergraphs import Graph, TriGraph, _is_int
 
 GraphLike = Union[Graph, TriGraph]
 
@@ -169,7 +169,7 @@ def to_json_dict(obj: GraphLike) -> dict:
 def _json_int(value: object, what: str) -> int:
     # bool is an int subclass, and 5.0 == 5, so both would slip past a
     # comparison and reach the writer as "True" or "5.0"
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise FormatError(f"bad {what}: {value!r} is not an integer")
     return value
 

@@ -221,10 +221,7 @@ class PairDegreeProfile:
 
 def codegree(H: TriGraph, a: int, b: int) -> int:
     """Number of vertices c such that {a, b, c} is an edge of H."""
-    _check_vertex(a, H.n)
-    _check_vertex(b, H.n)
-    if a == b:
-        raise ValueError("codegree requires two distinct vertices")
+    _canonical_edge((a, b), H.n, 2)
     return sum(1 for c in range(H.n) if c != a and c != b and H.has_edge(a, b, c))
 
 

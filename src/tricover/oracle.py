@@ -58,7 +58,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, min_codegree, pair_degree_table
+from .hypergraphs import TriGraph, _is_int, min_codegree, pair_degree_table
 from .patterns import (
     Pattern,
     _improving_embeddings,
@@ -86,7 +86,7 @@ class _Budget:
 
     def __init__(self, node_limit: Optional[int], time_limit: Optional[float]):
         # spend() never sees a NaN deadline pass, so NaN would mean no limit
-        if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+        if node_limit is not None and (not _is_int(node_limit) or node_limit < 0):
             raise ValueError(f"node_budget must be a non-negative int, got {node_limit!r}")
         if time_limit is not None and not (
             type(time_limit) in (int, float) and 0 <= time_limit < math.inf
@@ -250,12 +250,11 @@ class _InnerSearch:
         pattern's covering check runs the embedder for vertex 0 on ``bits``,
         the host's codegree table, which follows every included triple.
         """
-        nv = self.nv
+        n, nv, F = self.n, self.nv, self.F
         degree = min(m.bit_count() for m in N)
         if degree < v:
             return None
         clique = self.theta is not None
-        n, F = self.n, self.F
         bits: list[list[int]] = []
         if not clique:
             # the host's codegree table (as ``codegree_neighbourhoods`` builds
@@ -279,56 +278,66 @@ class _InnerSearch:
             if und[p]:
                 bucket[b] |= 1 << p
         tri_pairs, tri_sets, tri_flips = self.tri_pairs, self.tri_sets, self.tri_flips
-        current: list[int] = []
-
-        def rec(cut: bool) -> Optional[tuple[int, list[int]]]:
+        # the decisions so far: i includes triple i, ~i excludes it
+        stack: list[int] = []
+        tri, cut = -1, min(val) < v
+        while True:
             budget.spend()
             if cut:
-                return None
-            # every pair value is at least v here, so the search is done when
-            # no bucket from v up holds a pair
-            for b in range(v, nv):
-                if bucket[b]:
-                    break
-            else:
-                return min(degree, min(val)), sorted(current)
-            low = bucket[b] & -bucket[b]
-            m = und[low.bit_length() - 1]
-            bit = m & -m
-            tri = bit.bit_length() - 1
-            ps = tri_pairs[tri]
-
-            # try including the triple when it keeps vertex 0 uncovered
-            current.append(tri)
-            for row, col, m in tri_flips[tri]:
-                bits[row][col] ^= m
-            for s in tri_sets[tri]:
-                if tot[s] >= cap:
-                    allowed = False
-                    break
-            else:
-                allowed = clique or next(_improving_embeddings(bits, n, 0, F), None) is None
-            if allowed:
-                # including leaves every value as it is
-                for p in ps:
-                    und[p] ^= bit
-                    if not und[p]:
-                        bucket[val[p]] ^= 1 << p
-                for s in tri_sets[tri]:
-                    tot[s] += 1
-                res = rec(False)
-                if res is not None:
-                    return res
+                # back up to the last included triple and exclude it instead
+                while stack and (tri := stack.pop()) < 0:
+                    bit, ps = 1 << ~tri, tri_pairs[~tri]
+                    for p in ps:
+                        bucket[val[p]] &= ~(1 << p)
+                        und[p] ^= bit
+                        val[p] += 1
+                        bucket[val[p]] |= 1 << p
+                if tri < 0:  # backed up past the root
+                    return None
+                bit, ps = 1 << tri, tri_pairs[tri]
                 for p in ps:
                     if not und[p]:
                         bucket[val[p]] ^= 1 << p
                     und[p] ^= bit
                 for s in tri_sets[tri]:
                     tot[s] -= 1
-            for row, col, m in tri_flips[tri]:
-                bits[row][col] ^= m
-            current.pop()
-
+                for row, col, m in tri_flips[tri]:
+                    bits[row][col] ^= m
+            else:
+                # every pair value is at least v here, so the search is done
+                # when no bucket from v up holds a pair
+                for b in range(v, nv):
+                    if bucket[b]:
+                        break
+                else:
+                    chosen = sorted(i for i in stack if i >= 0)
+                    return min(degree, min(val)), self.host_edges(N, chosen)
+                low = bucket[b] & -bucket[b]
+                m = und[low.bit_length() - 1]
+                bit = m & -m
+                tri = bit.bit_length() - 1
+                ps = tri_pairs[tri]
+                # try including the triple when it keeps vertex 0 uncovered
+                for row, col, m in tri_flips[tri]:
+                    bits[row][col] ^= m
+                for s in tri_sets[tri]:
+                    if tot[s] >= cap:
+                        allowed = False
+                        break
+                else:
+                    allowed = clique or next(_improving_embeddings(bits, n, 0, F), None) is None
+                if allowed:
+                    # including leaves every value as it is
+                    for p in ps:
+                        und[p] ^= bit
+                        if not und[p]:
+                            bucket[val[p]] ^= 1 << p
+                    for s in tri_sets[tri]:
+                        tot[s] += 1
+                    stack.append(tri)
+                    continue
+                for row, col, m in tri_flips[tri]:
+                    bits[row][col] ^= m
             # exclude it; a pair falling below v cuts the child, whose
             # buckets are then never read
             cut = False
@@ -340,20 +349,7 @@ class _InnerSearch:
                     cut = True
                 elif und[p]:
                     bucket[val[p]] |= 1 << p
-            res = rec(cut)
-            if res is not None:
-                return res
-            for p in ps:
-                bucket[val[p]] &= ~(1 << p)
-                und[p] ^= bit
-                val[p] += 1
-                bucket[val[p]] |= 1 << p
-            return None
-
-        found = rec(min(val) < v)
-        if found is None:
-            return None
-        return found[0], self.host_edges(N, found[1])
+            stack.append(~tri)
 
     # -- one level of the bottom-up search ----------------------------------
 
@@ -374,8 +370,7 @@ class _InnerSearch:
         # the link only grows, so a pair that makes it cover vertex 0 on its
         # own is never included: any pair for the one-edge pattern (theta 1),
         # a pair closing a link triangle for K4- (theta 3)
-        no_pair = self.theta == 1
-        no_triangle = self.theta == 3
+        no_pair, no_triangle = self.theta == 1, self.theta == 3
 
         def breaks_leader(x: int, y: int) -> bool:
             # excluding xy decides the last entry of a comparison with s(L)
@@ -393,32 +388,40 @@ class _InnerSearch:
                     return True
             return False
 
-        def rec(j: int, cut: bool) -> Optional[_Found]:
+        # one bool per decided pair, True if it is in the link; a pair whose
+        # exclusion breaks a leader constraint is pushed and backed up at once
+        stack: list[bool] = []
+        cut = nv - 1 < v
+        while True:
             # a child cut by the degree bound still counts as a node
             budget.spend()
-            if cut:
-                return None
-            if j == P:
-                return self._complete(N, v, budget)
-            x, y = pairs[j]
-            if not breaks_leader(x, y):
+            if not cut and len(stack) < P:
+                x, y = pairs[len(stack)]
+                stack.append(False)
                 reach[x] -= 1
                 reach[y] -= 1
-                res = rec(j + 1, reach[x] < v or reach[y] < v)
+                if not breaks_leader(x, y):
+                    cut = reach[x] < v or reach[y] < v
+                    continue
+            elif not cut and (found := self._complete(N, v, budget)) is not None:
+                return found
+            # back up to the last excluded pair that may be included instead
+            while stack:
+                x, y = pairs[len(stack) - 1]
+                if stack.pop():
+                    N[x] ^= 1 << y
+                    N[y] ^= 1 << x
+                    continue
                 reach[x] += 1
                 reach[y] += 1
-                if res is not None:
-                    return res
-            if no_pair or (no_triangle and N[x] & N[y]):
+                if not (no_pair or (no_triangle and N[x] & N[y])):
+                    break
+            else:
                 return None
             N[x] |= 1 << y
             N[y] |= 1 << x
-            res = rec(j + 1, False)
-            N[x] ^= 1 << y
-            N[y] ^= 1 << x
-            return res
-
-        return rec(0, nv - 1 < v)
+            stack.append(True)
+            cut = False
 
     def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[_Found]:
         if self.theta in (3, 4):  # K4- and K4
@@ -451,7 +454,7 @@ def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[_E
 
 
 def _check_instance(n: int, pattern: Pattern) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
@@ -503,10 +506,7 @@ def exact_c2(
                 value, edges = found
         else:
             value, edges = _naive_search(n, pattern, budget)
-    except (BudgetExhausted, RecursionError):
-        # the link and completion searches recurse once per decided pair or
-        # triple, so a host too deep for the interpreter's stack ends the
-        # search as a spent budget does
+    except BudgetExhausted:
         exhaustive = False
     elapsed = time.monotonic() - start
 
@@ -625,7 +625,7 @@ def certify_upper_behavior(
     """
     _check_instance(n, pattern)
     for name, value in (("threshold", threshold), ("samples", samples)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if n > 12:
         raise ValueError("sampling spot-checks are limited to n <= 12")

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from tricover import (
     TriGraph,
+    builtin_pattern,
     coloring_is_valid,
     construct,
     construct_h,
     construct_h4,
+    exact_c2,
     load,
     parse_edge_list,
     save,
@@ -202,10 +204,15 @@ class TestOracle:
         assert "exhaustive = false" in out
 
     def test_too_deep_search_exit_1(self, capsys):
-        code, out, err = run(capsys, "oracle", "--n", "20", "--pattern", "K5",
-                             "--allow-large", "--budget-seconds", "2")
+        # the CLI adds frames to the stack, and the result is still the one a
+        # direct call gives
+        code, out, err = run(capsys, "oracle", "--n", "20", "--pattern", "K5-",
+                             "--allow-large", "--budget-nodes", "20000")
         assert code == 1 and err == ""
-        assert "exhaustive = false" in out
+        res = exact_c2(20, builtin_pattern("K5-"), allow_large=True, node_budget=20000)
+        assert res.value >= 0 and "exhaustive = false" in out
+        assert f"value = {res.value}\n" in out and f"nodes_explored = {res.nodes_explored}\n" in out
+        assert "WITNESS" in out and "value = -1" not in out
 
     def test_removed_options_rejected(self, capsys):
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--threads", "2")[0] == 2

@@ -17,6 +17,7 @@ from tricover import (
     certify_upper_behavior,
     clique_profile,
     complete_trigraph,
+    covered_at,
     covering_report,
     exact_c2,
     is_covered,
@@ -152,14 +153,25 @@ class TestBudgets:
         assert not res.exhaustive
         assert res.value <= 3  # cannot exceed the true threshold
 
+    @staticmethod
+    def deep_witness(n, name, budget):
+        # the budget, not the depth, ends the search, with a witness
+        F = builtin_pattern(name)
+        res = exact_c2(n, F, allow_large=True, node_budget=budget)
+        assert not res.exhaustive and res.nodes_explored == budget + 1
+        assert res.witness is not None and res.value >= 0
+        assert min_codegree(res.witness).min == res.value
+        assert covered_at(res.witness, 0, F) is None
+        return res.value
+
     def test_too_deep_search_ends_non_exhaustive(self):
-        # the searches recurse once per link pair and triple: 171 + 969 here
-        res = exact_c2(20, builtin_pattern("K5"), allow_large=True, node_budget=5000)
-        assert not res.exhaustive
-        if res.witness is None:
-            assert res.value == -1
-        else:
-            assert min_codegree(res.witness).min == res.value
+        # 171 link pairs and 969 triples, deeper than the interpreter's
+        # recursion limit
+        self.deep_witness(20, "K5", 5000)
+
+    def test_too_deep_link_search_ends_non_exhaustive(self):
+        # the link search alone decides 1 176 pairs
+        assert self.deep_witness(50, "K4-", 20000) <= 50 // 3
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
