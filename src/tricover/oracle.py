@@ -33,16 +33,21 @@ Search strategy (branch and bound):
 
 For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
 iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
-and the completion search keeps that count per (t-1)-set.  The link alone
-reaches the threshold only when it equals C(t-1, 2): for K4- a link
-triangle, for the one-edge pattern (t = 3) any link pair.  The link search
-never includes such a pair.  For t = 4 every candidate triple lies in one
-(t-1)-set only, itself, so adding every triple that spans at most
-threshold - 2 link pairs is an optimal completion, and the codegree of each
-pair after it is a popcount on the link's adjacency masks (``leaf_value``).
-Other patterns fall back on the generic embedder, pinned at vertex 0 and run
-on one codegree table that follows every included and undone triple, and
-are correspondingly slower.
+and the completion search keeps that count per (t-1)-set, starting from a
+popcount of the link's pair mask.  A set one short of the threshold is
+full: every undecided triple in it is excluded at once (forced exclusion),
+at the root for the sets the link fills and after each include for the
+sets it fills, so the bounds fall as soon as a triple is lost and an
+include needs no covering test.  The link alone reaches the threshold only
+when it equals C(t-1, 2): for K4- a link triangle, for the one-edge pattern
+(t = 3) any link pair.  The link search never includes such a pair.  For
+t = 4 every candidate triple lies in one (t-1)-set only, itself, so adding
+every triple that spans at most threshold - 2 link pairs is an optimal
+completion, and the codegree of each pair after it is a popcount on the
+link's adjacency masks (``leaf_value``), so the completion search never
+runs and its tables are never built.  Other patterns fall back on the generic
+embedder, pinned at vertex 0 and run on one codegree table that follows
+every included and undone triple, and are correspondingly slower.
 
 A separate naive path (``prune=False``) enumerates every edge subset and is
 used to validate the pruned search on tiny instances.
@@ -75,6 +80,12 @@ DEFAULT_SEED = 20160901
 # what a level hands back: (delta2, host edges) of a completion
 _Edges = list[tuple[int, int, int]]
 _Found = tuple[int, _Edges]
+# the completion tables of ``_InnerSearch``: tri_pairs, pair_tri_mask,
+# set_pair_mask, set_tri_mask, tri_sets, tri_flips
+_Tables = tuple[
+    list[tuple[int, int, int]], list[int], list[int], list[int],
+    list[list[int]], list[tuple[tuple[int, int, int], ...]],
+]
 
 
 class BudgetExhausted(Exception):
@@ -152,37 +163,46 @@ class _InnerSearch:
         self.nv = n - 1
         self.F = F
         self.pairs = list(combinations(range(self.nv), 2))
-        pidx = {p: i for i, p in enumerate(self.pairs)}
         self.triples = list(combinations(range(self.nv), 3))
-        self.tri_pairs = [
-            (pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in self.triples
-        ]
-        # pair_tri_mask[p]: bit i set iff triple i contains pair p
-        self.pair_tri_mask = [0] * len(self.pairs)
-        for i, ps in enumerate(self.tri_pairs):
-            for p in ps:
-                self.pair_tri_mask[p] |= 1 << i
         profile = clique_profile(F)
-        self.theta: Optional[int] = None
-        self.set_pairs: list[list[int]] = []
-        self.tri_sets: list[list[int]] = [[] for _ in self.triples]
+        self.theta: Optional[int] = profile[1] if profile is not None else None
+        self._tables: Optional[_Tables] = None
+
+    def _completion_tables(self) -> _Tables:
+        """The tables that only ``decision_search`` reads, built on its first
+        call: the closed-form K4/K4- leaves never need them."""
+        pidx = {p: i for i, p in enumerate(self.pairs)}
+        tri_pairs = [(pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in self.triples]
+        # pair_tri_mask[p]: bit i set iff triple i contains pair p
+        pair_tri_mask = [0] * len(self.pairs)
+        for i, ps in enumerate(tri_pairs):
+            for p in ps:
+                pair_tri_mask[p] |= 1 << i
+        # per (t-1)-set s of a clique pattern: the masks of its pairs and of
+        # its triples, and for each triple the sets holding it
+        set_pair_mask: list[int] = []
+        set_tri_mask: list[int] = []
+        tri_sets: list[list[int]] = [[] for _ in self.triples]
         # tri_flips[i]: the (row, column, bit) updates adding or removing
         # triple i in a host codegree table; clique patterns keep no table
-        self.tri_flips: list[tuple[tuple[int, int, int], ...]] = [() for _ in self.triples]
-        if profile is not None:
-            self.theta = profile[1]
+        tri_flips: list[tuple[tuple[int, int, int], ...]] = [() for _ in self.triples]
+        if self.theta is not None:
             tidx = {tri: i for i, tri in enumerate(self.triples)}
-            for s_i, s in enumerate(combinations(range(self.nv), F.t - 1)):
-                self.set_pairs.append([pidx[p] for p in combinations(s, 2)])
+            for s_i, s in enumerate(combinations(range(self.nv), self.F.t - 1)):
+                set_pair_mask.append(sum(1 << pidx[p] for p in combinations(s, 2)))
+                mask = 0
                 for tri in combinations(s, 3):
-                    self.tri_sets[tidx[tri]].append(s_i)
+                    tri_sets[tidx[tri]].append(s_i)
+                    mask |= 1 << tidx[tri]
+                set_tri_mask.append(mask)
         else:
-            self.tri_flips = [
+            tri_flips = [
                 ((a + 1, b + 1, 2 << c), (b + 1, a + 1, 2 << c),
                  (a + 1, c + 1, 2 << b), (c + 1, a + 1, 2 << b),
                  (b + 1, c + 1, 2 << a), (c + 1, b + 1, 2 << a))
                 for a, b, c in self.triples
             ]
+        return tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask, tri_sets, tri_flips
 
     def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> _Edges:
         edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
@@ -246,7 +266,17 @@ class _InnerSearch:
         ``bucket[b]`` the pairs of value b that still have one; the search
         branches on the first undecided triple of the lowest pair of least
         value.  At an accepted leaf every triple is decided, so ``val`` holds
-        the exact codegrees of the pairs avoiding vertex 0.  A non-clique
+        the exact codegrees of the pairs avoiding vertex 0.
+
+        For a clique pattern ``tot[s]`` counts the link pairs and included
+        triples inside (t-1)-set s.  Once it reaches ``cap`` (threshold - 1)
+        one more triple of s would cover vertex 0, so every undecided triple
+        of s is excluded at once (forced exclusion), at the root for the sets
+        the link fills and after each include for the sets it fills.  An
+        undecided triple therefore never lies in a full set, and an include
+        is never tested against ``cap``.  Forced and branching exclusions
+        share one step; a forced one spends no node, and backing up undoes
+        it with the other exclusions above the last include.  A non-clique
         pattern's covering check runs the embedder for vertex 0 on ``bits``,
         the host's codegree table, which follows every included triple.
         """
@@ -254,6 +284,9 @@ class _InnerSearch:
         degree = min(m.bit_count() for m in N)
         if degree < v:
             return None
+        if self._tables is None:
+            self._tables = self._completion_tables()
+        tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask, tri_sets, tri_flips = self._tables
         clique = self.theta is not None
         bits: list[list[int]] = []
         if not clique:
@@ -265,23 +298,48 @@ class _InnerSearch:
                 # the link triples alone already cover vertex 0
                 return None
         link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
-        # tot[s]: link pairs plus included triples inside (t-1)-set s, which
-        # may reach cap with vertex 0 uncovered; other patterns have no sets
-        tot = [sum(link1[p] for p in sp) for sp in self.set_pairs]
+        link = sum(b << p for p, b in enumerate(link1))
+        # tot[s] starts from the link pairs in s; other patterns have no sets
+        tot = [(link & m).bit_count() for m in set_pair_mask]
         cap = self.theta - 1 if clique else 0
-        if any(c > cap for c in tot):
+        if tot and max(tot) > cap:
             return None
+        # the triples to exclude next: the branching triple, or the undecided
+        # triples of the sets an include or (for t = 4) the link filled
+        out = 0
+        if cap in tot:
+            for s, c in enumerate(tot):
+                if c == cap:
+                    out |= set_tri_mask[s]
         val = [b + nv - 2 for b in link1]
-        und = list(self.pair_tri_mask)
+        und = list(pair_tri_mask)
         bucket = [0] * nv
         for p, b in enumerate(val):
             if und[p]:
                 bucket[b] |= 1 << p
-        tri_pairs, tri_sets, tri_flips = self.tri_pairs, self.tri_sets, self.tri_flips
         # the decisions so far: i includes triple i, ~i excludes it
         stack: list[int] = []
-        tri, cut = -1, min(val) < v
+        cut = min(val) < v
         while True:
+            # the one exclude step, for a branching triple and for forced
+            # ones alike: a pair falling below v cuts the child, whose
+            # buckets are then never read, and ends the step
+            while out and not cut:
+                bit = out & -out
+                out ^= bit
+                tri = bit.bit_length() - 1
+                ps = tri_pairs[tri]
+                if not und[ps[0]] & bit:
+                    continue  # the include itself, or excluded before
+                for p in ps:
+                    bucket[val[p]] &= ~(1 << p)
+                    und[p] ^= bit
+                    val[p] -= 1
+                    if val[p] < v:
+                        cut = True
+                    elif und[p]:
+                        bucket[val[p]] |= 1 << p
+                stack.append(~tri)
             budget.spend()
             if cut:
                 # back up to the last included triple and exclude it instead
@@ -294,8 +352,8 @@ class _InnerSearch:
                         bucket[val[p]] |= 1 << p
                 if tri < 0:  # backed up past the root
                     return None
-                bit, ps = 1 << tri, tri_pairs[tri]
-                for p in ps:
+                bit = 1 << tri
+                for p in tri_pairs[tri]:
                     if not und[p]:
                         bucket[val[p]] ^= 1 << p
                     und[p] ^= bit
@@ -303,53 +361,39 @@ class _InnerSearch:
                     tot[s] -= 1
                 for row, col, m in tri_flips[tri]:
                     bits[row][col] ^= m
+                out, cut = bit, False
+                continue
+            # every pair value is at least v here, so the search is done
+            # when no bucket from v up holds a pair
+            for b in range(v, nv):
+                if bucket[b]:
+                    break
             else:
-                # every pair value is at least v here, so the search is done
-                # when no bucket from v up holds a pair
-                for b in range(v, nv):
-                    if bucket[b]:
-                        break
-                else:
-                    chosen = sorted(i for i in stack if i >= 0)
-                    return min(degree, min(val)), self.host_edges(N, chosen)
-                low = bucket[b] & -bucket[b]
-                m = und[low.bit_length() - 1]
-                bit = m & -m
-                tri = bit.bit_length() - 1
-                ps = tri_pairs[tri]
-                # try including the triple when it keeps vertex 0 uncovered
+                chosen = sorted(i for i in stack if i >= 0)
+                return min(degree, min(val)), self.host_edges(N, chosen)
+            low = bucket[b] & -bucket[b]
+            m = und[low.bit_length() - 1]
+            bit = m & -m
+            tri = bit.bit_length() - 1
+            # include the triple when it keeps vertex 0 uncovered; for a
+            # clique pattern it always does, by the forced exclusions
+            for row, col, m in tri_flips[tri]:
+                bits[row][col] ^= m
+            if not clique and next(_improving_embeddings(bits, n, 0, F), None) is not None:
                 for row, col, m in tri_flips[tri]:
                     bits[row][col] ^= m
-                for s in tri_sets[tri]:
-                    if tot[s] >= cap:
-                        allowed = False
-                        break
-                else:
-                    allowed = clique or next(_improving_embeddings(bits, n, 0, F), None) is None
-                if allowed:
-                    # including leaves every value as it is
-                    for p in ps:
-                        und[p] ^= bit
-                        if not und[p]:
-                            bucket[val[p]] ^= 1 << p
-                    for s in tri_sets[tri]:
-                        tot[s] += 1
-                    stack.append(tri)
-                    continue
-                for row, col, m in tri_flips[tri]:
-                    bits[row][col] ^= m
-            # exclude it; a pair falling below v cuts the child, whose
-            # buckets are then never read
-            cut = False
-            for p in ps:
-                bucket[val[p]] &= ~(1 << p)
+                out = bit
+                continue
+            # including leaves every value as it is
+            for p in tri_pairs[tri]:
                 und[p] ^= bit
-                val[p] -= 1
-                if val[p] < v:
-                    cut = True
-                elif und[p]:
-                    bucket[val[p]] |= 1 << p
-            stack.append(~tri)
+                if not und[p]:
+                    bucket[val[p]] ^= 1 << p
+            for s in tri_sets[tri]:
+                tot[s] += 1
+                if tot[s] == cap:
+                    out |= set_tri_mask[s]
+            stack.append(tri)
 
     # -- one level of the bottom-up search ----------------------------------
 
@@ -475,8 +519,9 @@ def exact_c2(
 
     Exhaustive (``exhaustive=True``) results equal c2(n, pattern).  Witnesses
     are re-verified independently (codegree profile, and the embedder finding
-    no copy of the pattern through vertex 0) before being returned.  ``prune=False`` switches to the naive full
-    enumeration (n <= 5 scale, used for cross-validation).  Beyond
+    no copy of the pattern through vertex 0) before being returned.
+    ``prune=False`` switches to the naive full enumeration (n <= 5 scale,
+    used for cross-validation).  Beyond
     ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
     budget; when the budget runs out the result is non-exhaustive and
     reports the best verified lower bound.  The search is deterministic.

@@ -122,7 +122,7 @@ def bf_is_adjacent_leader(nv: int, vec: tuple[int, ...]) -> bool:
     return True
 
 
-def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
+def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget, force: bool = True):
     """The completion search as it was written before its incremental bound:
     every node rescans all pairs for the least ``link1 + in + undecided``
     value and branches on the first undecided triple of the lowest pair of
@@ -130,7 +130,13 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
     local vertices 0..n-2 (host vertex = local + 1); ``budget.spend()`` is
     called once per node.  Returns the completion's edges, or None.  For a
     pattern that is not K_t or K_t^- the covering test is the library's
-    ``is_covered``, as it was in that search."""
+    ``is_covered``, as it was in that search.
+
+    With ``force`` (K_t and K_t^- only), at the root and after every include
+    a rescan of all (t-1)-sets finds those one triple short of the
+    threshold and excludes each of their undecided triples, which costs no
+    node; they are undecided again when the include is undone.  Without it
+    such a triple is excluded only when the search tries to include it."""
     nv = n - 1
     pairs = list(combinations(range(nv), 2))
     P = len(pairs)
@@ -144,11 +150,13 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
     full = comb(F.t, 3)
     theta = F.edge_count if F.edge_count >= full - 1 else None
     set_pairs = []
+    set_tris = []
     tri_sets: list[list[int]] = [[] for _ in triples]
     if theta is not None:
         tidx = {tri: i for i, tri in enumerate(triples)}
         for s_i, s in enumerate(combinations(range(nv), F.t - 1)):
             set_pairs.append([pidx[p] for p in combinations(s, 2)])
+            set_tris.append([tidx[tri] for tri in combinations(s, 3)])
             for tri in combinations(s, 3):
                 tri_sets[tidx[tri]].append(s_i)
 
@@ -173,6 +181,19 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
         if is_covered(TriGraph(n, host_edges(())), 0, F):
             return None
     decided = bytearray(len(triples))  # 0 undecided, 1 in, 2 out
+
+    def force_out():
+        forced = []
+        if clique and force:
+            for s, tris in enumerate(set_tris):
+                if tot[s] == theta - 1:
+                    for i in tris:
+                        if decided[i] == 0:
+                            decided[i] = 2
+                            for p in tri_pairs[i]:
+                                und[p] -= 1
+                            forced.append(i)
+        return forced
 
     def rec():
         budget.spend()
@@ -207,9 +228,14 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
                     tot[s] += 1
             else:
                 current.append(tri)
+            forced = force_out()
             res = rec()
             if res is not None:
                 return res
+            for i in forced:
+                decided[i] = 0
+                for p in tri_pairs[i]:
+                    und[p] += 1
             decided[tri] = 0
             for p in tri_pairs[tri]:
                 in_cnt[p] -= 1
@@ -230,6 +256,7 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget):
             und[p] += 1
         return None
 
+    force_out()
     chosen = rec()
     return None if chosen is None else host_edges(chosen)
 

@@ -57,7 +57,7 @@ class TestExactValues:
         [
             (9, "K4-", 3), (9, "K5-", 5), (9, "K4", 4),
             (10, "K4-", 3), (10, "K5-", 6), (10, "K4", 5), (10, "K5", 6),
-            (11, "K4-", 3),
+            (11, "K4-", 3), (11, "K5", 7),
         ],
     )
     def test_large_cells_are_exhaustive(self, n, name, expected):
@@ -250,6 +250,19 @@ class TestClosedFormStep:
         N, _ = cls.link_of(inner, bits)
         return not any(N[x] & N[y] for x, y in inner.pairs if (N[x] >> y) & 1)
 
+    @pytest.mark.parametrize("name, built", [("K4-", 0), ("K4", 0), ("K5-", 1), ("K5", 1)])
+    def test_completion_tables_only_where_the_search_runs(self, name, built, monkeypatch):
+        calls = []
+        tables = _InnerSearch._completion_tables
+
+        def counting(self):
+            calls.append(self.n)
+            return tables(self)
+
+        monkeypatch.setattr(_InnerSearch, "_completion_tables", counting)
+        res = exact_c2(8, builtin_pattern(name))
+        assert res.exhaustive and calls == [8] * built
+
     @pytest.mark.parametrize("name", ["K4", "K4-"])
     def test_every_link_at_6(self, name):
         F = builtin_pattern(name)
@@ -317,8 +330,12 @@ class TestLexLeaders:
 
 class TestIncrementalBound:
     """``decision_search`` against the rescanning search it replaced
-    (``bf_decision_search``): the same completion and the same node count on
-    every link at n = 6 and on seeded links at n = 7, at every level."""
+    (``bf_decision_search``), which finds the sets to force by its own
+    rescan: the same completion and the same node count on every link at
+    n = 6 and on seeded links at n = 7, at every level.  For clique patterns
+    the reference without forced exclusion is a second route: it finds a
+    completion at exactly the same levels, so the best delta2 agrees too,
+    though at a given level it may return another completion."""
 
     @staticmethod
     def agree(inner, F, bits):
@@ -334,8 +351,16 @@ class TestIncrementalBound:
                 # the delta2 read off the leaf's bounds is the witness's own
                 assert value == min_codegree(TriGraph(inner.n, edges)).min >= v, (bits, v)
             assert ours.nodes == ref.nodes, (bits, v)
+            if clique_profile(F) is not None:
+                unforced = bf_decision_search(inner.n, F, N, v, _Budget(None, None), force=False)
+                assert (unforced is None) == (got is None), (bits, v)
+                if unforced is not None:
+                    assert min_codegree(TriGraph(inner.n, unforced)).min >= v, (bits, v)
 
-    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2, PATH], ids=lambda F: F.name)
+    @pytest.mark.parametrize(
+        "F", [K5M, builtin_pattern("K5"), K4M, builtin_pattern("K4"), BOOK2, PATH],
+        ids=lambda F: F.name,
+    )
     def test_every_link_at_6(self, F):
         inner = _InnerSearch(6, F)
         for bits in range(1 << len(inner.pairs)):
