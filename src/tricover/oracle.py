@@ -28,8 +28,9 @@ Search strategy (branch and bound):
   bound, so the branching pair and triple are lowest-bit operations.
 * The levels ascend from v = 0: the first witness at level v has some
   delta2 = w >= v, the next level asks for w + 1, and the first refuted
-  level proves the last witness optimal.  A level hands back (w, edge
-  list); only the last witness becomes a ``TriGraph``.
+  level proves the last witness optimal.  A level hands back (w, the link's
+  adjacency masks, the chosen triples); only the last witness, also when a
+  budget ends the ascent, becomes an edge list and a ``TriGraph``.
 
 For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
 iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
@@ -45,9 +46,12 @@ t = 4 every candidate triple lies in one (t-1)-set only, itself, so adding
 every triple that spans at most threshold - 2 link pairs is an optimal
 completion, and the codegree of each pair after it is a popcount on the
 link's adjacency masks (``leaf_value``), so the completion search never
-runs and its tables are never built.  Other patterns fall back on the generic
-embedder, pinned at vertex 0 and run on one codegree table that follows
-every included and undone triple, and are correspondingly slower.
+runs and its tables are never built.  A link pair's closed form only falls
+as the link grows, so the link DFS also cuts an include once a link pair
+through its two ends has a value below v (``link_cut``, O(nv) work): no
+other link pair changes.  Other patterns fall back on the generic embedder,
+pinned at vertex 0 and run on one codegree table that follows every
+included and undone triple, and are correspondingly slower.
 
 A separate naive path (``prune=False``) enumerates every edge subset and is
 used to validate the pruned search on tiny instances.
@@ -63,12 +67,11 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, _is_int, min_codegree, pair_degree_table
+from .hypergraphs import TriGraph, _is_int, pair_degree_table
 from .patterns import (
     Pattern,
     _improving_embeddings,
     clique_profile,
-    covered_at,
     covered_by_count,
     covering_report,
     is_covered,
@@ -77,9 +80,11 @@ from .patterns import (
 DEFAULT_HARD_CAP = 10
 DEFAULT_SEED = 20160901
 
-# what a level hands back: (delta2, host edges) of a completion
 _Edges = list[tuple[int, int, int]]
-_Found = tuple[int, _Edges]
+# what a level hands back: (delta2, the link's adjacency masks, the chosen
+# triples avoiding vertex 0), the chosen triples None for the closed-form
+# t = 4 completion (``leaf_witness``)
+_Found = tuple[int, list[int], Optional[list[int]]]
 # the completion tables of ``_InnerSearch``: tri_pairs, pair_tri_mask,
 # set_pair_mask, set_tri_mask, tri_sets, tri_flips
 _Tables = tuple[
@@ -166,13 +171,18 @@ class _InnerSearch:
         self.triples = list(combinations(range(self.nv), 3))
         profile = clique_profile(F)
         self.theta: Optional[int] = profile[1] if profile is not None else None
+        # K4- and K4: the leaves are completed in closed form
+        self.closed_form = self.theta in (3, 4)
         self._tables: Optional[_Tables] = None
 
     def _completion_tables(self) -> _Tables:
         """The tables that only ``decision_search`` reads, built on its first
         call: the closed-form K4/K4- leaves never need them."""
-        pidx = {p: i for i, p in enumerate(self.pairs)}
-        tri_pairs = [(pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in self.triples]
+        # pidx[a][b]: the index of pair ab, a < b
+        pidx = [[0] * self.nv for _ in range(self.nv)]
+        for i, (a, b) in enumerate(self.pairs):
+            pidx[a][b] = i
+        tri_pairs = [(pidx[a][b], pidx[a][c], pidx[b][c]) for a, b, c in self.triples]
         # pair_tri_mask[p]: bit i set iff triple i contains pair p
         pair_tri_mask = [0] * len(self.pairs)
         for i, ps in enumerate(tri_pairs):
@@ -189,11 +199,14 @@ class _InnerSearch:
         if self.theta is not None:
             tidx = {tri: i for i, tri in enumerate(self.triples)}
             for s_i, s in enumerate(combinations(range(self.nv), self.F.t - 1)):
-                set_pair_mask.append(sum(1 << pidx[p] for p in combinations(s, 2)))
                 mask = 0
-                for tri in combinations(s, 3):
-                    tri_sets[tidx[tri]].append(s_i)
-                    mask |= 1 << tidx[tri]
+                for a, b in combinations(s, 2):
+                    mask |= 1 << pidx[a][b]
+                set_pair_mask.append(mask)
+                mask = 0
+                for i in map(tidx.__getitem__, combinations(s, 3)):
+                    tri_sets[i].append(s_i)
+                    mask |= 1 << i
                 set_tri_mask.append(mask)
         else:
             tri_flips = [
@@ -253,11 +266,30 @@ class _InnerSearch:
         ]
         return self.host_edges(N, chosen)
 
+    def link_cut(self, N: Sequence[int], x: int, y: int, v: int) -> bool:
+        """t = 4, once xy has joined the link: whether a link pair through x
+        or y has its ``leaf_value`` closed form below v.  Only those pairs
+        change, and their values only fall as the link grows (the union of
+        the two neighbourhoods, for K4-, and their intersection, for K4,
+        only grow), so no completion of the partial link reaches v."""
+        minus = self.theta == 3
+        # the value is below v when the union or intersection exceeds limit
+        limit = self.nv + 1 - v if minus else self.nv - 1 - v
+        for a, m in ((x, N[x]), (y, N[y] & ~(1 << x))):
+            Na = N[a]
+            while m:
+                low = m & -m
+                m ^= low
+                Nb = N[low.bit_length() - 1]
+                if ((Na | Nb) if minus else (Na & Nb)).bit_count() > limit:
+                    return True
+        return False
+
     # -- decision search: is there a completion with delta2 >= v? ----------
 
-    def decision_search(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[_Found]:
-        """A completion of the link N with delta2 >= v, as (delta2, edges),
-        or None.
+    def decision_search(self, N: list[int], v: int, budget: _Budget) -> Optional[_Found]:
+        """A completion of the link N with delta2 >= v, as (delta2, N, the
+        chosen triples in increasing order), or None.
 
         Each pair's bound ``val`` is its codegree if every undecided triple
         through it were added; it falls by one exactly when one of its
@@ -369,8 +401,7 @@ class _InnerSearch:
                 if bucket[b]:
                     break
             else:
-                chosen = sorted(i for i in stack if i >= 0)
-                return min(degree, min(val)), self.host_edges(N, chosen)
+                return min(degree, min(val)), N, sorted(i for i in stack if i >= 0)
             low = bucket[b] & -bucket[b]
             m = und[low.bit_length() - 1]
             bit = m & -m
@@ -399,7 +430,8 @@ class _InnerSearch:
 
     def search_level(self, v: int, budget: _Budget) -> Optional[_Found]:
         """The first link, in exclude-before-include order, whose completion
-        reaches delta2 >= v, as (delta2, edges); None refutes level v.
+        reaches delta2 >= v, as (delta2, link masks, chosen triples); None
+        refutes level v.
 
         Only lex-leaders are enumerated: links L with L <= s(L) for every
         transposition s = (u u+1) of link vertices, L read as its 0/1 vector
@@ -413,7 +445,8 @@ class _InnerSearch:
         N = [0] * nv
         # the link only grows, so a pair that makes it cover vertex 0 on its
         # own is never included: any pair for the one-edge pattern (theta 1),
-        # a pair closing a link triangle for K4- (theta 3)
+        # a pair closing a link triangle for K4- (theta 3); for t = 4 an
+        # include that drops a link pair's closed form below v is cut
         no_pair, no_triangle = self.theta == 1, self.theta == 3
 
         def breaks_leader(x: int, y: int) -> bool:
@@ -465,12 +498,12 @@ class _InnerSearch:
             N[x] |= 1 << y
             N[y] |= 1 << x
             stack.append(True)
-            cut = False
+            cut = self.closed_form and self.link_cut(N, x, y, v)
 
-    def _complete(self, N: Sequence[int], v: int, budget: _Budget) -> Optional[_Found]:
-        if self.theta in (3, 4):  # K4- and K4
+    def _complete(self, N: list[int], v: int, budget: _Budget) -> Optional[_Found]:
+        if self.closed_form:
             value = self.leaf_value(N, v)
-            return (value, self.leaf_witness(N)) if value >= v else None
+            return (value, N, None) if value >= v else None
         return self.decision_search(N, v, budget)
 
 
@@ -518,10 +551,11 @@ def exact_c2(
     """Maximum delta2 over n-vertex 3-graphs in which vertex 0 is uncovered.
 
     Exhaustive (``exhaustive=True``) results equal c2(n, pattern).  Witnesses
-    are re-verified independently (codegree profile, and the embedder finding
-    no copy of the pattern through vertex 0) before being returned.
-    ``prune=False`` switches to the naive full enumeration (n <= 5 scale,
-    used for cross-validation).  Beyond
+    are re-verified independently (the least pair codegree, and the embedder
+    finding no copy of the pattern through vertex 0) before being returned.
+    ``prune=False`` switches to the naive full enumeration, used for
+    cross-validation: it is limited to n <= 6, where it takes about half a
+    minute.  Beyond
     ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
     budget; when the budget runs out the result is non-exhaustive and
     reports the best verified lower bound.  The search is deterministic.
@@ -541,6 +575,7 @@ def exact_c2(
     start = time.monotonic()
     exhaustive = True
     value, edges = -1, None
+    last: Optional[_Found] = None
     try:
         if prune:
             # a witness at level v has delta2 = w >= v, so the next level is
@@ -548,18 +583,22 @@ def exact_c2(
             # and a BudgetExhausted keeps it as a verified lower bound
             inner = _InnerSearch(n, pattern)
             while (found := inner.search_level(value + 1, budget)) is not None:
-                value, edges = found
+                last, value = found, found[0]
         else:
             value, edges = _naive_search(n, pattern, budget)
     except BudgetExhausted:
         exhaustive = False
+    if last is not None:
+        # the one edge list of the search, for its last witness
+        _, N, chosen = last
+        edges = inner.leaf_witness(N) if chosen is None else inner.host_edges(N, chosen)
     elapsed = time.monotonic() - start
 
     witness = None
     if edges is not None:
         # independent re-verification of the returned certificate
         witness = TriGraph(n, edges, distinguished=0)
-        if min_codegree(witness).min != value or covered_at(witness, 0, pattern) is not None:
+        if min(pair_degree_table(witness).values()) != value or is_covered(witness, 0, pattern):
             raise AssertionError("search produced an inconsistent witness")
     return SearchResult(
         n=n,

@@ -126,22 +126,27 @@ Neighbourhoods = Sequence[Sequence[int]]
 # the placed class member its image must exceed, the anchor when its image
 # must stay below v), -1 for an absent constraint
 _Step = tuple[int, tuple[tuple[int, ...], ...], int, int]
+# per anchor: (class members before it, class members after it, the steps
+# that fill every other position in index order)
+_Plan = tuple[int, int, tuple[_Step, ...]]
 
 
-@lru_cache(maxsize=None)
 def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
     """Entry q is the least p for which swapping positions p and q is an
     automorphism of F, or q itself when there is none.
 
     Swappability is an equivalence (conjugating one swap by another gives
     the third), so the least member of q's class swaps with q directly and
-    q is only tested against class leaders: O(t^2 |E|) work for any t."""
+    q is only tested against class leaders: O(t^2 |E|) work for any t.  An
+    edge is a bitmask of its vertices; the swap moves it only when it holds
+    exactly one of p and q, and then flips both bits."""
+    masks = {(1 << a) | (1 << b) | (1 << c) for a, b, c in F.edges}
     classes = list(range(F.t))
     for q in range(F.t):
         for p in range(q):
-            swap = {p: q, q: p}
+            swap = (1 << p) | (1 << q)
             if classes[p] == p and all(
-                tuple(sorted(swap.get(w, w) for w in e)) in F.edges for e in F.edges
+                (m ^ swap) in masks for m in masks if (m >> p ^ m >> q) & 1
             ):
                 classes[q] = p
                 break
@@ -149,30 +154,41 @@ def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _anchor_steps(F: Pattern, anchor: int) -> tuple[int, int, tuple[_Step, ...]]:
-    """(class members before the anchor, class members after it, the steps
-    that fill every other position in index order).
+def _anchor_plans(F: Pattern) -> tuple[_Plan, ...]:
+    """The embedder's plan for each anchor, the position that v takes.
 
     Images increase along each symmetry class: swapping two members maps an
     embedding to one with the same image, so the lex-min embedding has the
     smaller image at the earlier member.  A step's candidates therefore lie
     above the image of the previous member of its class, and below v when
-    the anchor is a later member."""
+    the anchor is a later member.  The edges are sorted once; a step for
+    position q closes the edges through q whose vertices are all placed,
+    which are the positions up to q and the anchor."""
+    t = F.t
     classes = _symmetry_classes(F)
-    steps = []
-    placed = {anchor}
-    for q in range(F.t):
-        if q == anchor:
-            continue
-        placed.add(q)
-        edges = [e for e in sorted(F.edges) if q in e and placed.issuperset(e)]
-        pairs = tuple(tuple(w for w in e if w != q) for e in edges)
-        prev = max((p for p in range(q) if classes[p] == classes[q]), default=-1)
-        cap = anchor if classes[q] == classes[anchor] and q < anchor else -1
-        steps.append((q, pairs, prev, cap))
-    members = [p for p in range(F.t) if classes[p] == classes[anchor]]
-    before = members.index(anchor)
-    return before, len(members) - 1 - before, tuple(steps)
+    members = [[p for p in range(t) if classes[p] == classes[q]] for q in range(t)]
+    prev = [max((p for p in members[q] if p < q), default=-1) for q in range(t)]
+    # per position q: (edge mask, the edge's other two vertices) for each
+    # edge through q, in sorted edge order
+    through: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(t)]
+    for a, b, c in sorted(F.edges):
+        m = (1 << a) | (1 << b) | (1 << c)
+        through[a].append((m, (b, c)))
+        through[b].append((m, (a, c)))
+        through[c].append((m, (a, b)))
+    plans = []
+    for anchor in range(t):
+        steps = []
+        for q in range(t):
+            if q == anchor:
+                continue
+            unplaced = ~((2 << q) - 1 | 1 << anchor)
+            pairs = tuple([pair for m, pair in through[q] if not m & unplaced])
+            cap = anchor if classes[q] == classes[anchor] and q < anchor else -1
+            steps.append((q, pairs, prev[q], cap))
+        before = members[anchor].index(anchor)
+        plans.append((before, len(members[anchor]) - 1 - before, tuple(steps)))
+    return tuple(plans)
 
 
 def _complete(
@@ -242,8 +258,7 @@ def _improving_embeddings(
     lower = (free & ((1 << v) - 1)).bit_count()
     upper = (free >> v).bit_count()
     best = None
-    for anchor in range(F.t):
-        before, after, steps = _anchor_steps(F, anchor)
+    for anchor, (before, after, steps) in enumerate(_anchor_plans(F)):
         if before > lower or after > upper:
             continue
         phi = [-1] * F.t

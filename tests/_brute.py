@@ -51,6 +51,44 @@ def bf_lexmin_embedding(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, 
     return best
 
 
+def bf_symmetry_classes(F: Pattern) -> tuple[int, ...]:
+    """The embedder's symmetry classes as first written: entry q is the least
+    class leader p whose swap with q maps every edge, moved as a sorted
+    tuple, onto an edge of F; q itself when there is none."""
+    classes = list(range(F.t))
+    for q in range(F.t):
+        for p in range(q):
+            swap = {p: q, q: p}
+            if classes[p] == p and all(
+                tuple(sorted(swap.get(w, w) for w in e)) in F.edges for e in F.edges
+            ):
+                classes[q] = p
+                break
+    return tuple(classes)
+
+
+def bf_anchor_steps(F: Pattern, anchor: int):
+    """One anchor's embedder plan as first written, rebuilt from scratch on
+    every call: (class members before the anchor, class members after it,
+    one (position, placed pairs closing an edge, previous class member or
+    -1, the anchor or -1) step per other position in index order)."""
+    classes = bf_symmetry_classes(F)
+    steps = []
+    placed = {anchor}
+    for q in range(F.t):
+        if q == anchor:
+            continue
+        placed.add(q)
+        edges = [e for e in sorted(F.edges) if q in e and placed.issuperset(e)]
+        pairs = tuple(tuple(w for w in e if w != q) for e in edges)
+        prev = max((p for p in range(q) if classes[p] == classes[q]), default=-1)
+        cap = anchor if classes[q] == classes[anchor] and q < anchor else -1
+        steps.append((q, pairs, prev, cap))
+    members = [p for p in range(F.t) if classes[p] == classes[anchor]]
+    before = members.index(anchor)
+    return before, len(members) - 1 - before, tuple(steps)
+
+
 def bf_codegree(H: TriGraph, a: int, b: int) -> int:
     return sum(1 for c in range(H.n) if c not in (a, b) and tuple(sorted((a, b, c))) in H.edge_set)
 

@@ -57,10 +57,11 @@ class TestExactValues:
         [
             (9, "K4-", 3), (9, "K5-", 5), (9, "K4", 4),
             (10, "K4-", 3), (10, "K5-", 6), (10, "K4", 5), (10, "K5", 6),
-            (11, "K4-", 3), (11, "K5", 7),
+            (11, "K4-", 3), (11, "K5", 7), (13, "K4", 7),
         ],
     )
     def test_large_cells_are_exhaustive(self, n, name, expected):
+        # K4 at n = 13 takes 2.6 M nodes without the codegree prune
         # exact_c2 re-verifies the witness before returning it
         res = exact_c2(n, builtin_pattern(name), allow_large=True, node_budget=200_000)
         assert res.exhaustive and res.value == expected
@@ -148,7 +149,7 @@ class TestBudgets:
             exact_c2(11, K4M, allow_large=True)  # budget required
 
     def test_beyond_cap_with_budget(self):
-        # the whole search takes 5 825 nodes
+        # the whole search takes 1 376 nodes
         res = exact_c2(11, K4M, allow_large=True, node_budget=100)
         assert not res.exhaustive
         assert res.value <= 3  # cannot exceed the true threshold
@@ -200,7 +201,8 @@ class TestBudgets:
     def test_zero_budgets_are_legal(self):
         res = exact_c2(11, K4M, allow_large=True, node_budget=0)
         assert not res.exhaustive and res.nodes_explored == 1 and res.witness is None
-        # the clock is read every 1 024 nodes, and this search takes 5 825
+        # the clock is read every 1 024 nodes, and this search takes 1 376
+        assert exact_c2(11, K4M, allow_large=True, node_budget=10_000).nodes_explored > 1024
         assert not exact_c2(11, K4M, allow_large=True, time_budget=0).exhaustive
 
 
@@ -294,6 +296,64 @@ class TestClosedFormStep:
                 checked += 1
 
 
+class TestCodegreePrune:
+    """For t = 4 the link DFS cuts an include once a link pair through its
+    two ends has a ``leaf_value`` closed form below v (``link_cut``).  The
+    cut must never reject a link whose completion reaches v: on every link
+    the DFS can yield at n = 6 and on seeded ones at n = 7, with each link
+    pair taken as the last include, it is checked against the greedy
+    completion ``bf_greedy_value``."""
+
+    @staticmethod
+    def check(inner, F, bits):
+        """Whether some pair cuts the link at the level above its value."""
+        N, link = TestClosedFormStep.link_of(inner, bits)
+        value = bf_greedy_value(inner.n, F, link)[0]
+        ends = [(x, y) for x, y in inner.pairs if (N[x] >> y) & 1]
+        for v in range(value + 1):
+            for x, y in ends:
+                assert not inner.link_cut(N, x, y, v), (bits, v, x, y)
+        return any(inner.link_cut(N, x, y, value + 1) for x, y in ends)
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_every_link_at_6(self, name):
+        F = builtin_pattern(name)
+        inner = _InnerSearch(6, F)
+        cuts = sum(
+            self.check(inner, F, bits) for bits in range(1 << len(inner.pairs))
+            if TestClosedFormStep.yieldable(inner, F, bits)
+        )
+        assert cuts > 0  # the prune is not vacuous
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_seeded_links_at_7(self, name):
+        F = builtin_pattern(name)
+        inner = _InnerSearch(7, F)
+        rng = Random(707)
+        checked = cuts = 0
+        while checked < 300:
+            # a sparser draw, so that triangle-free links come up for K4-
+            bits = rng.getrandbits(len(inner.pairs)) & rng.getrandbits(len(inner.pairs))
+            if TestClosedFormStep.yieldable(inner, F, bits):
+                cuts += self.check(inner, F, bits)
+                checked += 1
+        assert cuts > 0
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    def test_search_matches_every_link_at_6(self, name):
+        # the best greedy completion over every labelled link, with neither
+        # the lex-leader rule nor any prune; prune=False gives the same value
+        # but takes about half a minute per pattern at n = 6
+        F = builtin_pattern(name)
+        inner = _InnerSearch(6, F)
+        best = max(
+            found[0] for bits in range(1 << len(inner.pairs))
+            if (found := bf_greedy_value(6, F, TestClosedFormStep.link_of(inner, bits)[1]))
+        )
+        res = exact_c2(6, F)
+        assert res.exhaustive and res.value == best
+
+
 class TestLexLeaders:
     """The link DFS keeps only links L with L <= s(L) for every adjacent
     transposition s of link vertices.  At level 0 with K5 nothing else
@@ -346,8 +406,8 @@ class TestIncrementalBound:
             edges = bf_decision_search(inner.n, F, N, v, ref)
             assert (got is None) == (edges is None), (bits, v)
             if got is not None:
-                value, got_edges = got
-                assert got_edges == edges, (bits, v)
+                value, link, chosen = got
+                assert inner.host_edges(link, chosen) == edges, (bits, v)
                 # the delta2 read off the leaf's bounds is the witness's own
                 assert value == min_codegree(TriGraph(inner.n, edges)).min >= v, (bits, v)
             assert ours.nodes == ref.nodes, (bits, v)
@@ -384,8 +444,59 @@ class TestIncrementalBound:
 
 
 class TestOneWitness:
-    """Levels hand back edge lists: a pruned search builds its witness once,
-    at the end, and re-verifies that one graph."""
+    """Levels hand back (delta2, link masks, chosen triples): a pruned search
+    builds the edge list and the ``TriGraph`` of its last witness once, at
+    the end, also when a budget ends the ascent, and re-verifies that one
+    graph.  A witness that fails the re-verification is an error."""
+
+    @pytest.mark.parametrize("n, name, budget", [
+        (8, "K5", None), (8, "K4-", None), (7, "book2", None),
+        (9, "K5-", 300), (12, "K4", 500),
+    ])
+    def test_one_edge_list_per_search(self, n, name, budget, monkeypatch):
+        built = []
+        host_edges = _InnerSearch.host_edges
+
+        def counting(self, N, chosen):
+            built.append(self.n)
+            return host_edges(self, N, chosen)
+
+        monkeypatch.setattr(_InnerSearch, "host_edges", counting)
+        F = BOOK2 if name == "book2" else builtin_pattern(name)
+        res = exact_c2(n, F, allow_large=True, node_budget=budget)
+        assert res.exhaustive == (budget is None) and res.witness is not None
+        assert built == [n]
+
+    @staticmethod
+    def fake_levels(monkeypatch, change):
+        """Each level's result passed through change(inner, found)."""
+        search_level = _InnerSearch.search_level
+
+        def level(self, v, budget):
+            found = search_level(self, v, budget)
+            return None if found is None else change(self, found)
+
+        monkeypatch.setattr(_InnerSearch, "search_level", level)
+
+    @pytest.mark.parametrize("name", ["K5-", "K4"])
+    def test_wrong_delta2_is_caught(self, name, monkeypatch):
+        self.fake_levels(monkeypatch, lambda inner, found: (found[0] + 1, *found[1:]))
+        with pytest.raises(AssertionError, match="search produced an inconsistent witness"):
+            exact_c2(7, builtin_pattern(name))
+
+    @pytest.mark.parametrize("name", ["K5-", "K4"])
+    def test_covered_vertex_0_is_caught(self, name, monkeypatch):
+        # the complete link and every triple: the complete 3-graph, whose
+        # delta2 n - 2 is reported correctly, but vertex 0 is covered
+        def complete(inner, found):
+            full = (1 << inner.nv) - 1
+            return inner.n - 2, [full ^ (1 << x) for x in range(inner.nv)], list(
+                range(len(inner.triples))
+            )
+
+        self.fake_levels(monkeypatch, complete)
+        with pytest.raises(AssertionError, match="search produced an inconsistent witness"):
+            exact_c2(7, builtin_pattern(name))
 
     @pytest.mark.parametrize("name", ["K5", "K4-"])
     def test_one_trigraph_per_search(self, name, monkeypatch):

@@ -22,9 +22,16 @@ from tricover import (
 )
 from tricover import patterns
 
-from _brute import bf_covered, bf_lexmin_embedding, random_trigraph
+from _brute import (
+    bf_anchor_steps,
+    bf_covered,
+    bf_lexmin_embedding,
+    bf_symmetry_classes,
+    random_trigraph,
+)
 
 BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
+PATH = Pattern(5, frozenset({(0, 1, 2), (1, 2, 3), (2, 3, 4)}), "path")
 # turned onto itself by a rotation of {0, 1, 2} and {3, 4, 5} together
 ROTATION = Pattern(6, frozenset({(0, 1, 3), (1, 2, 4), (0, 2, 5)}), "rotation")
 
@@ -219,6 +226,34 @@ class TestCoveredAt:
             H2 = TriGraph(7, list(H.edges) + extra[:4])
             covered_after = {v for v in range(7) if is_covered(H2, v, F)}
             assert covered_before <= covered_after
+
+
+class TestAnchorPlans:
+    """``_anchor_plans`` builds every anchor's plan from one sorted edge list
+    and tests swaps on edge bitmasks; ``bf_anchor_steps`` rebuilds each
+    anchor's plan from sorted tuples, as the embedder first did."""
+
+    @staticmethod
+    def agree(F):
+        assert patterns._symmetry_classes(F) == bf_symmetry_classes(F)
+        assert patterns._anchor_plans(F) == tuple(bf_anchor_steps(F, a) for a in range(F.t))
+
+    @pytest.mark.parametrize("t", range(4, 9))
+    def test_cliques_and_near_cliques(self, t):
+        self.agree(builtin_pattern(f"K{t}"))
+        self.agree(builtin_pattern(f"K{t}-"))
+
+    @pytest.mark.parametrize("F", [BOOK2, PATH, ROTATION], ids=lambda F: F.name)
+    def test_named_patterns(self, F):
+        self.agree(F)
+
+    def test_seeded_random_patterns(self):
+        rng = Random(300)
+        for _ in range(400):
+            t = rng.randint(3, 8)
+            p = rng.choice((0.15, 0.4, 0.7, 0.9))
+            edges = frozenset(e for e in combinations(range(t), 3) if rng.random() < p)
+            self.agree(Pattern(t, edges, "random"))
 
 
 class TestCountingDetector:
