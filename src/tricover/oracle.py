@@ -62,7 +62,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from random import Random
 from typing import Optional, Sequence
 
@@ -648,45 +649,90 @@ class CertifyReport:
         }
 
 
+# byte -> b"1" when its top bit is clear, else b"0": the keep digit of a
+# triple from the top byte of its first Mersenne Twister word
+_KEEP_DIGIT = bytes(0x31 if b < 0x80 else 0x30 for b in range(256))
+# b"1" -> 1 and b"0" -> 0, so the digits of ``bin`` select with ``compress``
+_DIGIT_BIT = bytes(b == 0x31 for b in range(256))
+
+
+def _coin_flips(rng: Random, count: int) -> int:
+    """A mask whose bit i is set exactly when the i-th of ``count`` calls
+    ``rng.random() < 0.5`` would be true, leaving ``rng`` in the same state.
+
+    CPython's ``random()`` is ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`` for
+    the next two 32-bit Mersenne Twister words w0, w1, so it is below 1/2
+    exactly when bit 31 of w0 is clear.  ``getrandbits(64 * count)`` fills
+    its 32-bit words least significant first in the order they are
+    generated, so it consumes the same 2 * count words, and call i's w0 is
+    bytes 8i .. 8i + 3 of its little-endian form: the test is the top bit
+    of byte 8i + 3.
+    """
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    return int(words[3::8].translate(_KEEP_DIGIT)[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _sampler_tables(n: int) -> tuple[
+    tuple[tuple[int, int, int], ...], tuple[int, ...],
+    tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...],
+]:
+    """The spot-check sampler's tables on n vertices (n <= 12, so few are
+    cached), triples and pairs in ``combinations`` order: the triples, per
+    pair the mask of its triples, per triple its three pair indices, and per
+    pair its triple indices in increasing order (which is increasing third
+    vertex)."""
+    pair_index = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(combinations(range(n), 2)):
+        pair_index[a][b] = i
+    triples = tuple(combinations(range(n), 3))
+    tri_pairs = tuple((pair_index[a][b], pair_index[a][c], pair_index[b][c]) for a, b, c in triples)
+    pair_tris: list[list[int]] = [[] for _ in range(n * (n - 1) // 2)]
+    for i, pairs in enumerate(tri_pairs):
+        for p in pairs:
+            pair_tris[p].append(i)
+    pair_tri_mask = tuple(sum(1 << i for i in tris) for tris in pair_tris)
+    return triples, pair_tri_mask, tri_pairs, tuple(map(tuple, pair_tris))
+
+
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
     """A random 3-graph with delta2 > threshold: start from density 1/2 and
     repair by adding random triples through minimum-codegree pairs.
 
-    Each pair, in lexicographic order, keeps its codegree neighbourhood (the
-    set of third vertices) and its codegree.  The repair step takes the
-    lexicographically first pair of minimum codegree and a uniform choice
-    among its absent third vertices, listed in increasing order.  The random
-    stream is one rng.random() per triple in combinations order, then one
-    rng.choice per repair step, so a seed draws the same graphs as the
-    dictionary-based reference ``bf_sample_above_threshold`` in the tests.
+    The sample is one int mask, bit i for triple i in ``combinations``
+    order, and the codegree of a pair is the popcount of the mask under the
+    pair's triple mask (``_sampler_tables``, built once per n).  The repair
+    step takes the lexicographically first pair of minimum codegree and a
+    uniform choice among its absent triples in increasing order, which is
+    increasing third vertex.  Codegrees only grow, so one pass over the
+    pairs per minimum value meets those pairs in that order.
+
+    The random stream is that of one rng.random() per triple in
+    ``combinations`` order, then one rng.choice per repair step.  The
+    random() calls are drawn at once by ``_coin_flips``: triple i is kept
+    exactly when bit 31 of the first of its two Mersenne Twister words is
+    clear, which is the top bit of byte 8i + 3 of
+    ``getrandbits(64 * T).to_bytes(8 * T, "little")`` for T triples.  So a
+    seed draws the same graphs as the dictionary-based reference
+    ``bf_sample_above_threshold`` in the tests, one random() per triple, and
+    leaves the generator in the same state.
     """
-    pairs = list(combinations(range(n), 2))
-    pair_index = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
-        pair_index[a][b] = i
-    third: list[set[int]] = [set() for _ in pairs]
-    edges = []
-    for a, b, c in combinations(range(n), 3):
-        if rng.random() < 0.5:
-            edges.append((a, b, c))
-            third[pair_index[a][b]].add(c)
-            third[pair_index[a][c]].add(b)
-            third[pair_index[b][c]].add(a)
-    counts = [len(s) for s in third]
-    while True:
+    triples, pair_tri_mask, tri_pairs, pair_tris = _sampler_tables(n)
+    inc = _coin_flips(rng, len(triples))
+    counts = [(inc & m).bit_count() for m in pair_tri_mask]
+    lo = min(counts)
+    while lo <= threshold:
+        # counts only grow, so the pairs left at codegree lo after a repair
+        # all come later in the list: one pass repairs them in order
+        for p, c in enumerate(counts):
+            if c == lo:
+                i = rng.choice([j for j in pair_tris[p] if not inc >> j & 1])
+                inc |= 1 << i
+                for q in tri_pairs[i]:
+                    counts[q] += 1
         lo = min(counts)
-        if lo > threshold:
-            break
-        i = counts.index(lo)
-        a, b = pairs[i]
-        nbhd = third[i]
-        c = rng.choice([c for c in range(n) if c != a and c != b and c not in nbhd])
-        a, b, c = sorted((a, b, c))
-        edges.append((a, b, c))
-        for j, w in ((pair_index[a][b], c), (pair_index[a][c], b), (pair_index[b][c], a)):
-            third[j].add(w)
-            counts[j] += 1
-    return TriGraph(n, edges)
+    # in combinations order the edges are sorted, so TriGraph keeps them
+    return TriGraph(n, compress(triples, bin(inc)[:1:-1].encode().translate(_DIGIT_BIT)))
 
 
 def certify_upper_behavior(

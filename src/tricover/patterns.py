@@ -302,14 +302,16 @@ def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
     t, threshold = profile
     if t > H.n:
         return False
+    edges = H.edge_set
     others = [u for u in range(H.n) if u != v]
     for T in combinations(others, t - 1):
         count = 0
+        # a < b, so the link triple is sorted by placing v by comparison
         for a, b in combinations(T, 2):
-            if H.has_edge(v, a, b):
+            if ((v, a, b) if v < a else (a, v, b) if v < b else (a, b, v)) in edges:
                 count += 1
         for e in combinations(T, 3):
-            if e in H.edge_set:
+            if e in edges:
                 count += 1
         if count >= threshold:
             return True

@@ -23,7 +23,7 @@ from tricover import (
     is_covered,
     min_codegree,
 )
-from tricover.oracle import _Budget, _InnerSearch, _sample_above_threshold
+from tricover.oracle import _Budget, _InnerSearch, _coin_flips, _sample_above_threshold
 
 from _brute import (
     bf_decision_search,
@@ -571,7 +571,25 @@ class TestCertifyUpperBehavior:
             H = _sample_above_threshold(7, 3, rng)
             assert min_codegree(H).min > 3
 
-    @pytest.mark.parametrize("n, threshold", [(6, 1), (7, 3), (8, 4), (9, 3), (10, 3), (12, 4)])
+    @pytest.mark.parametrize("count", [4, 10, 20, 56, 220])
+    def test_coin_flips_match_random_calls(self, count):
+        # the sampler's one draw must read the same keep bits as one
+        # random() < 0.5 per triple and leave the generator where they leave it
+        for seed in (0, 1, 7, 2016, 20160901):
+            ours, ref = Random(seed), Random(seed)
+            for _ in range(3):
+                keep = _coin_flips(ours, count)
+                assert [keep >> i & 1 for i in range(count)] == [
+                    ref.random() < 0.5 for _ in range(count)
+                ]
+                assert keep >> count == 0
+            assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize(
+        "n, threshold",
+        # (12, 9) is the top threshold, where every pair gets repaired
+        [(5, 0), (6, 1), (7, 3), (8, 4), (9, 3), (10, 3), (11, 3), (12, 4), (12, 9)],
+    )
     def test_draws_match_reference_sampler(self, n, threshold):
         # one stream per side, so the random state after each draw must agree too
         ours, ref = Random(n * 100 + threshold), Random(n * 100 + threshold)

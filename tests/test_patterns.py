@@ -26,6 +26,7 @@ from _brute import (
     bf_anchor_steps,
     bf_covered,
     bf_lexmin_embedding,
+    bf_sample_above_threshold,
     bf_symmetry_classes,
     random_trigraph,
 )
@@ -265,6 +266,22 @@ class TestCountingDetector:
             for F in (K4m, K5m, K4, K5):
                 for v in range(H.n):
                     assert covered_by_count(H, v, F) == is_covered(H, v, F)
+
+    def test_agrees_with_brute_force(self):
+        # every vertex of each sample, so v comes first, between and last in
+        # its link pairs' triples; at n = 9 some vertices lie in no K5-, K4
+        # or K5
+        rng = Random(2)
+        patterns_ = [builtin_pattern(s) for s in ("K4-", "K5-", "K4", "K5")]
+        outcomes = set()
+        for n, threshold in ((9, 1), (10, 3), (11, 4), (12, 5)):
+            H = bf_sample_above_threshold(n, threshold, rng)
+            for F in patterns_:
+                for v in range(n):
+                    got = covered_by_count(H, v, F)
+                    assert got == (bf_covered(H, v, F) is not None)
+                    outcomes.add((F.name, got))
+        assert outcomes >= {(name, got) for name in ("K5-", "K4", "K5") for got in (False, True)}
 
     def test_rejects_other_shapes(self):
         odd = Pattern(4, frozenset({(0, 1, 2)}), "one")
