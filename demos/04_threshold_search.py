@@ -10,7 +10,14 @@ floor((2n-2)/3) for K5^-.  A randomized spot-check then samples dense
 
 import time
 
-from tricover import builtin_pattern, certify_upper_behavior, exact_c2, write_edge_list
+from tricover import (
+    builtin_pattern,
+    certify_upper_behavior,
+    covering_report,
+    exact_c2,
+    min_codegree,
+    write_edge_list,
+)
 
 
 def banner(title):
@@ -40,14 +47,6 @@ def main():
         print("   ", line)
     print("  delta2 =", res.value, "with vertex 0 uncovered")
 
-    banner("Pruned search vs naive enumeration at n = 5")
-    for name in ("K4", "K4-", "K5", "K5-"):
-        F = builtin_pattern(name)
-        a = exact_c2(5, F)
-        b = exact_c2(5, F, prune=False)
-        print(f"  {name:<5} pruned={a.value}  naive={b.value}  "
-              f"(nodes {a.nodes_explored} vs {b.nodes_explored})")
-
     banner("Spot-check: dense samples above the threshold are always covered")
     for n, F, t in ((9, K4m, 3), (12, K4m, 4), (7, K5m, 4)):
         t0 = time.monotonic()
@@ -55,13 +54,15 @@ def main():
         print(f"  n={n} {F.name} threshold={t}: {rep.counterexample_count} "
               f"covering-free samples out of {rep.samples} "
               f"({time.monotonic() - t0:.1f}s)")
+        assert rep.counterexample_count == 0
 
     banner("Below the threshold, covering-free witnesses do exist")
     rep = certify_upper_behavior(6, K4m, 1, 3000)
     print(f"  n=6 K4- threshold=1: {rep.counterexample_count} covering-free samples")
-    if rep.counterexamples:
-        H = rep.counterexamples[0]
-        print("  one of them:", sorted(H.edges))
+    assert rep.counterexamples
+    for H in rep.counterexamples:
+        assert min_codegree(H).min > 1 and covering_report(H, K4m).uncovered
+    print("  one of them:", sorted(rep.counterexamples[0].edges))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Subcommands::
 
     construct  --family {G1|G2|G3|H1|H2|H3|T|H4} [--m M | --n N | --sizes a,b,c] --out PATH
     verify     --family ... [params] [--in PATH] [--format text|json]
-    covering   --in PATH --pattern {K4-|K5-|K4|Kt:T|Kt-:T} [--vertex V|--all] [--format ...]
+    covering   --in PATH --pattern {K4-|K5-|K4|Kt:T|Kt-:T} [--vertex V] [--format ...]
     koenig     --in PATH --sides PATH [--format ...]
     oracle     --n N --pattern P [--budget-nodes K] [--budget-seconds S] [--allow-large] [--format ...]
     export     --in PATH --format {json|hg} [--out PATH]
@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covering", help="per-vertex pattern covering report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pattern", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--vertex", help="vertex index, or the literal 'x' for the file's X marker")
-    group.add_argument("--all", action="store_true", help="exit 0 iff every vertex is covered (default)")
+    p.add_argument("--vertex", help="vertex index, or the literal 'x' for the file's X marker"
+                   " (default: exit 0 iff every vertex is covered)")
     add_format(p)
 
     p = sub.add_parser("koenig", help="partition a bipartite graph's edges into Delta matchings")

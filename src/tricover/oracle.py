@@ -52,9 +52,6 @@ through its two ends has a value below v (``link_cut``, O(nv) work): no
 other link pair changes.  Other patterns fall back on the generic embedder,
 pinned at vertex 0 and run on one codegree table that follows every
 included and undone triple, and are correspondingly slower.
-
-A separate naive path (``prune=False``) enumerates every edge subset and is
-used to validate the pruned search on tiny instances.
 """
 
 from __future__ import annotations
@@ -512,25 +509,6 @@ class _InnerSearch:
 # Top-level searches
 # ---------------------------------------------------------------------------
 
-def _naive_search(n: int, F: Pattern, budget: _Budget) -> tuple[int, Optional[_Edges]]:
-    """Enumerate every 3-graph with vertex 0 pinned uncovered; no pruning.
-    Returns the best delta2 and the edges of the first graph reaching it."""
-    triples = list(combinations(range(n), 3))
-    if len(triples) > 20:
-        raise ValueError("naive enumeration is limited to n <= 6")
-    best, witness = -1, None
-    for mask in range(1 << len(triples)):
-        budget.spend()
-        edges = [triples[i] for i in range(len(triples)) if (mask >> i) & 1]
-        H = TriGraph(n, edges)
-        if is_covered(H, 0, F):
-            continue
-        d = min(pair_degree_table(H).values())
-        if d > best:
-            best, witness = d, edges
-    return best, witness
-
-
 def _check_instance(n: int, pattern: Pattern) -> None:
     if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
@@ -546,7 +524,6 @@ def exact_c2(
     *,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
-    prune: bool = True,
     allow_large: bool = False,
 ) -> SearchResult:
     """Maximum delta2 over n-vertex 3-graphs in which vertex 0 is uncovered.
@@ -554,12 +531,9 @@ def exact_c2(
     Exhaustive (``exhaustive=True``) results equal c2(n, pattern).  Witnesses
     are re-verified independently (the least pair codegree, and the embedder
     finding no copy of the pattern through vertex 0) before being returned.
-    ``prune=False`` switches to the naive full enumeration, used for
-    cross-validation: it is limited to n <= 6, where it takes about half a
-    minute.  Beyond
-    ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an explicit
-    budget; when the budget runs out the result is non-exhaustive and
-    reports the best verified lower bound.  The search is deterministic.
+    Beyond ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an
+    explicit budget; when the budget runs out the result is non-exhaustive
+    and reports the best verified lower bound.  The search is deterministic.
     ``n`` must be an int, and a budget finite and non-negative (a node
     budget an int); anything else raises ValueError.
     """
@@ -577,16 +551,13 @@ def exact_c2(
     exhaustive = True
     value, edges = -1, None
     last: Optional[_Found] = None
+    inner = _InnerSearch(n, pattern)
     try:
-        if prune:
-            # a witness at level v has delta2 = w >= v, so the next level is
-            # w + 1; the first refuted level proves the last witness optimal,
-            # and a BudgetExhausted keeps it as a verified lower bound
-            inner = _InnerSearch(n, pattern)
-            while (found := inner.search_level(value + 1, budget)) is not None:
-                last, value = found, found[0]
-        else:
-            value, edges = _naive_search(n, pattern, budget)
+        # a witness at level v has delta2 = w >= v, so the next level is
+        # w + 1; the first refuted level proves the last witness optimal,
+        # and a BudgetExhausted keeps it as a verified lower bound
+        while (found := inner.search_level(value + 1, budget)) is not None:
+            last, value = found, found[0]
     except BudgetExhausted:
         exhaustive = False
     if last is not None:

@@ -12,7 +12,7 @@ from math import comb
 from random import Random
 from typing import Optional
 
-from tricover import Graph, Pattern, TriGraph, is_covered
+from tricover import Graph, Pattern, TriGraph, is_covered, pair_degree_table
 
 
 def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -102,6 +102,22 @@ def bf_triangle_free(G: Graph) -> bool:
         G.has_edge(a, b) and G.has_edge(a, c) and G.has_edge(b, c)
         for a, b, c in combinations(range(G.n), 3)
     )
+
+
+def bf_exact_c2(n: int, F: Pattern) -> int:
+    """c2(n, F) by enumerating every 3-graph on n vertices with vertex 0
+    uncovered, no pruning: the best delta2, or -1 when every graph covers
+    vertex 0.  2^C(n, 3) graphs, so n <= 6, where it takes from half a
+    minute to two minutes."""
+    triples = list(combinations(range(n), 3))
+    if len(triples) > 20:
+        raise ValueError("naive enumeration is limited to n <= 6")
+    best = -1
+    for mask in range(1 << len(triples)):
+        H = TriGraph(n, [triples[i] for i in range(len(triples)) if (mask >> i) & 1])
+        if not is_covered(H, 0, F):
+            best = max(best, min(pair_degree_table(H).values()))
+    return best
 
 
 def bf_greedy_value(

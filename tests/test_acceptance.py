@@ -25,7 +25,13 @@ from tricover import (
 )
 from tricover.cli import main as cli_main
 
-from _brute import bf_covered, random_bipartite, random_regular_bipartite, random_trigraph
+from _brute import (
+    bf_covered,
+    bf_exact_c2,
+    random_bipartite,
+    random_regular_bipartite,
+    random_trigraph,
+)
 
 K4M = builtin_pattern("K4-")
 K5M = builtin_pattern("K5-")
@@ -90,7 +96,7 @@ def test_criterion_4_oracle_self_consistency():
             if n < pattern.t:
                 continue
             pruned = exact_c2(n, pattern).value
-            naive = exact_c2(n, pattern, prune=False).value
+            naive = bf_exact_c2(n, pattern)
             if pruned != naive:
                 mismatches.append((n, name, pruned, naive))
     _report(4, not mismatches, f"pruned == naive on all small instances; mismatches={mismatches}")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tricover import (
     TriGraph,
+    bipartite_edge_coloring,
     builtin_pattern,
     coloring_is_valid,
     construct,
@@ -93,7 +94,7 @@ class TestVerify:
         assert run(capsys, "verify", "--family", "H4", "--n", "11")[0] == 0
 
     @pytest.mark.parametrize("family, args", [
-        ("H1", ["--m", "0"]), ("H3", ["--m", "-1"]), ("T", ["--sizes", "0,0,0"]),
+        ("H1", ["--m", "0"]), ("H3", ["--m", "-1"]), ("T", ["--sizes", "0,0,0"]), ("T", []),
     ])
     def test_bad_parameter_with_input_file_is_usage_error(self, capsys, tmp_path, family, args):
         # the same rule as without --in, where the construction rejects it
@@ -102,6 +103,12 @@ class TestVerify:
         assert run(capsys, "verify", "--family", family, *args)[0] == 2
         code, out, err = run(capsys, "verify", "--family", family, *args, "--in", str(path))
         assert code == 2 and out == "" and err
+
+    def test_3_graph_family_on_2_graph_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.hg"
+        save(construct("G1"), path)
+        code, out, err = run(capsys, "verify", "--family", "H4", "--in", str(path))
+        assert code == 2 and out == "" and "3-graph family" in err
 
 
 class TestCovering:
@@ -117,10 +124,12 @@ class TestCovering:
 
         path = tmp_path / "k5.hg"
         save(TriGraph(5, combinations(range(5), 3)), path)
-        code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K5-", "--all")
+        code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K5-")
         assert code == 0
         code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K4", "--vertex", "3")
         assert code == 0
+        # the whole-graph report is the default, with no flag for it
+        assert run(capsys, "covering", "--in", str(path), "--pattern", "K5-", "--all")[0] == 2
 
     def test_vertex_x_without_marker_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "plain.hg"
@@ -139,6 +148,8 @@ class TestCovering:
         save(TriGraph(5, [(0, 1, 2)]), path)
         code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", "9")
         assert code == 2 and out == "" and "out of range" in err
+        code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", "1.5")
+        assert code == 2 and out == "" and "bad vertex '1.5'" in err
 
     def test_mistyped_json_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "h.json"
@@ -151,7 +162,7 @@ class TestCovering:
 
         path = tmp_path / "k6.hg"
         save(TriGraph(6, combinations(range(6), 3)), path)
-        code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "Kt-:6", "--all")
+        code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "Kt-:6")
         assert code == 0
 
 
@@ -183,6 +194,19 @@ class TestKoenig:
         spath = tmp_path / "sides"
         spath.write_text("0 1\n")
         assert run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))[0] == 3
+        spath.write_text("0\none\n")
+        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
+        assert code == 3 and out == "" and "integers" in err
+
+    def test_json_is_the_coloring_dict(self, capsys, tmp_path):
+        gpath = tmp_path / "g.hg"
+        spath = tmp_path / "sides"
+        gpath.write_text("HG 2 5 4\n0 3\n0 4\n1 3\n2 4\n")
+        spath.write_text("0 1 2\n3 4\n")
+        code, out, _ = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath),
+                           "--format", "json")
+        expected = bipartite_edge_coloring(load(gpath), [0, 1, 2], [3, 4]).to_dict()
+        assert code == 0 and json.loads(out) == expected and expected["delta"] == 2
 
 
 class TestOracle:
@@ -276,6 +300,12 @@ class TestErrorStreams:
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and "edge (1, 1) is not a 2-element vertex set" in err
 
+    def test_negative_header_count_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "neg.hg"
+        path.write_text("HG 3 -1 0\n")
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
+        assert code == 3 and out == "" and "negative counts in header" in err
+
     def test_vertex_count_above_limit_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.hg"
         path.write_text(f"HG 2 {MAX_VERTICES + 1} 0\n")
@@ -296,12 +326,12 @@ _PATHS = ("@valid", "@malformed", "@json", "@missing", "@dir")
 _OPTIONS = {
     "construct": ("--family", "--m", "--n", "--sizes", "--out"),
     "verify": ("--family", "--m", "--n", "--sizes", "--in", "--format"),
-    "covering": ("--in", "--pattern", "--vertex", "--all", "--format"),
+    "covering": ("--in", "--pattern", "--vertex", "--format"),
     "koenig": ("--in", "--sides", "--format"),
     "oracle": ("--n", "--pattern", "--budget-nodes", "--budget-seconds", "--allow-large", "--format"),
     "export": ("--in", "--format", "--out"),
 }
-_FLAGS = ("--all", "--allow-large", "--help")
+_FLAGS = ("--allow-large", "--help")
 _REQUIRED = ("--family", "--in", "--out", "--pattern", "--sides")
 _ANY = st.sampled_from(
     tuple(_OPTIONS) + tuple(dict.fromkeys(o for opts in _OPTIONS.values() for o in opts))

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from tricover import (
+    EdgeColoring,
     Graph,
     bipartite_edge_coloring,
     coloring_is_valid,
@@ -81,6 +82,29 @@ def test_non_crossing_edge_reported():
     g = Graph(4, [(0, 2), (2, 3)])
     with pytest.raises(ValueError, match=r"\(2, 3\)"):
         bipartite_edge_coloring(g, [0, 1], [2, 3])
+
+
+class TestColoringIsValid:
+    """Each rule of the validator rejects a coloring that breaks only that
+    rule, on the graph with edges 02, 03 and 14 (Delta = 2, at vertex 0)."""
+
+    G = Graph(5, [(0, 2), (0, 3), (1, 4)])
+
+    def test_accepts_a_valid_coloring(self):
+        assert coloring_is_valid(self.G, EdgeColoring((((0, 2), (1, 4)), ((0, 3),)), delta=2))
+
+    @pytest.mark.parametrize("classes, delta", [
+        pytest.param((((0, 2), (1, 3)), ((0, 3),)), 2, id="edge-not-in-graph"),
+        pytest.param((((0, 2), (1, 4)), ((0, 3), (1, 4))), 2, id="edge-in-two-classes"),
+        pytest.param((((0, 2), (0, 3)), ((1, 4),)), 2, id="class-edges-share-endpoint"),
+        pytest.param((((0, 2),), ((1, 4),)), 2, id="edge-in-no-class"),
+        # the class count, the recorded delta and the graph's Delta must agree
+        pytest.param((((0, 2), (1, 4)), ((0, 3),), ()), 2, id="class-count-not-delta"),
+        pytest.param((((0, 2), (1, 4)), ((0, 3),)), 3, id="delta-not-max-degree"),
+        pytest.param((((0, 2), (1, 4)), ((0, 3),), ()), 3, id="both-not-max-degree"),
+    ])
+    def test_rejects(self, classes, delta):
+        assert not coloring_is_valid(self.G, EdgeColoring(classes, delta=delta))
 
 
 class TestCompleteBipartiteMatchings:

@@ -27,6 +27,7 @@ from tricover.oracle import _Budget, _InnerSearch, _coin_flips, _sample_above_th
 
 from _brute import (
     bf_decision_search,
+    bf_exact_c2,
     bf_greedy_value,
     bf_is_adjacent_leader,
     bf_lexmin_links,
@@ -38,6 +39,9 @@ from _brute import (
 K4M = builtin_pattern("K4-")
 K5M = builtin_pattern("K5-")
 BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
+# its completion search backs up past included triples, undoing their
+# codegree table updates
+BOOK3 = Pattern(5, frozenset({(0, 1, 2), (0, 1, 3), (0, 1, 4)}), "book3")
 # a tight path: its embedder reads codegree pairs in both host orders
 PATH = Pattern(5, frozenset({(0, 1, 2), (1, 2, 3), (2, 3, 4)}), "path")
 
@@ -96,18 +100,15 @@ class TestPruningSoundness:
         if n < pattern.t:
             pytest.skip("pattern larger than the host")
         pruned = exact_c2(n, pattern)
-        naive = exact_c2(n, pattern, prune=False)
-        assert pruned.exhaustive and naive.exhaustive
-        assert pruned.value == naive.value
+        assert pruned.exhaustive and pruned.value == bf_exact_c2(n, pattern)
 
     def test_generic_pattern_path(self):
         # not complete or near-complete, so the search must fall back on the
         # embedder for its covering checks
-        assert clique_profile(BOOK2) is None
-        for n in (4, 5):
-            pruned = exact_c2(n, BOOK2)
-            naive = exact_c2(n, BOOK2, prune=False)
-            assert pruned.exhaustive and pruned.value == naive.value
+        for F, n in ((BOOK2, 4), (BOOK2, 5), (BOOK3, 5)):
+            assert clique_profile(F) is None
+            pruned = exact_c2(n, F)
+            assert pruned.exhaustive and pruned.value == bf_exact_c2(n, F)
 
     def test_pinned_vertex_reduction_is_lossless(self):
         # maximizing over "vertex 0 uncovered" equals maximizing over "some
@@ -342,8 +343,8 @@ class TestCodegreePrune:
     @pytest.mark.parametrize("name", ["K4", "K4-"])
     def test_search_matches_every_link_at_6(self, name):
         # the best greedy completion over every labelled link, with neither
-        # the lex-leader rule nor any prune; prune=False gives the same value
-        # but takes about half a minute per pattern at n = 6
+        # the lex-leader rule nor any prune; bf_exact_c2 gives the same value
+        # but takes half a minute or more per pattern at n = 6
         F = builtin_pattern(name)
         inner = _InnerSearch(6, F)
         best = max(
@@ -418,7 +419,7 @@ class TestIncrementalBound:
                     assert min_codegree(TriGraph(inner.n, unforced)).min >= v, (bits, v)
 
     @pytest.mark.parametrize(
-        "F", [K5M, builtin_pattern("K5"), K4M, builtin_pattern("K4"), BOOK2, PATH],
+        "F", [K5M, builtin_pattern("K5"), K4M, builtin_pattern("K4"), BOOK2, PATH, BOOK3],
         ids=lambda F: F.name,
     )
     def test_every_link_at_6(self, F):
@@ -558,12 +559,13 @@ class TestCertifyUpperBehavior:
         assert rep.samples == 200 and rep.counterexample_count == 0
 
     def test_below_threshold_witnesses_are_verified(self):
-        # below the true threshold, covering-free samples may legitimately
-        # appear; each one must itself be a valid lower-bound witness
-        rep = certify_upper_behavior(6, K4M, 1, 400, seed=17)
+        # below c2(7, K5-) = 4 covering-free samples are common; each one
+        # must itself be a valid lower-bound witness
+        rep = certify_upper_behavior(7, K5M, 2, 200, seed=17)
+        assert rep.counterexample_count > 0
         for H in rep.counterexamples:
-            assert min_codegree(H).min > 1
-            assert covering_report(H, K4M).uncovered
+            assert min_codegree(H).min > 2
+            assert covering_report(H, K5M).uncovered
 
     def test_sample_respects_threshold(self):
         rng = Random(1)
