@@ -70,7 +70,6 @@ from .patterns import (
     Pattern,
     _improving_embeddings,
     clique_profile,
-    covered_by_count,
     covering_report,
     is_covered,
 )
@@ -594,7 +593,8 @@ class CertifyReport:
     Every sampled graph gets a full covering check; graphs with an uncovered
     vertex are counterexamples to "delta2 > threshold forces a covering" and
     double as lower-bound witnesses.  Above the true threshold none should
-    appear.
+    appear.  ``repairs`` is the number of repair steps the sampler took over
+    all samples, one ``rng.choice`` each, so it is fixed by the seed.
     """
 
     n: int
@@ -603,6 +603,7 @@ class CertifyReport:
     samples: int
     seed: int
     counterexamples: list[TriGraph] = field(default_factory=list)
+    repairs: int = 0
 
     @property
     def counterexample_count(self) -> int:
@@ -615,6 +616,7 @@ class CertifyReport:
             "threshold": self.threshold,
             "samples": self.samples,
             "seed": self.seed,
+            "repairs": self.repairs,
             "counterexample_count": self.counterexample_count,
             "counterexamples": [to_json_dict(H) for H in self.counterexamples],
         }
@@ -666,17 +668,72 @@ def _sampler_tables(n: int) -> tuple[
     return triples, pair_tri_mask, tri_pairs, tuple(map(tuple, pair_tris))
 
 
-def _sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
-    """A random 3-graph with delta2 > threshold: start from density 1/2 and
-    repair by adding random triples through minimum-codegree pairs.
+@lru_cache(maxsize=None)
+def _tset_tables(n: int, t: int) -> tuple[tuple[int, int], ...]:
+    """Per t-set of n vertices, in ``combinations`` order: (the mask of the
+    triples inside it, in the triple order of ``_sampler_tables(n)``, its
+    vertex mask).  At most C(12, 6) = 924 sets.
+
+    A triple lies inside a t-set unless it meets one of the n - t vertices
+    the set misses.  Complementing reverses the lexicographic order of sets
+    of one size (the least element where two sets differ changes sides), so
+    the missed sets, in ``combinations`` order, list the t-sets backwards.
+    """
+    triples = _sampler_tables(n)[0]
+    through = [0] * n
+    for i, tri in enumerate(triples):
+        for v in tri:
+            through[v] |= 1 << i
+    every_triple = (1 << len(triples)) - 1
+    everyone = (1 << n) - 1
+    tables = []
+    for missed in combinations(range(n), n - t):
+        meets = outside = 0
+        for u in missed:
+            meets |= through[u]
+            outside |= 1 << u
+        tables.append((every_triple & ~meets, everyone ^ outside))
+    tables.reverse()
+    return tuple(tables)
+
+
+def _covered_vertices(inc: int, tsets: tuple[tuple[int, int], ...], threshold: int,
+                      everyone: int) -> int:
+    """The mask of the vertices of the sample ``inc`` that lie in some t-set
+    spanning at least ``threshold`` of its triples, which for K_t / K_t^- is
+    the mask of covered vertices (the ``clique_profile`` rule).  Sets whose
+    vertices are all covered already are skipped, and the walk stops once
+    every vertex of ``everyone`` is covered."""
+    uncovered = everyone
+    for tri_mask, vertices in tsets:
+        if vertices & uncovered and (inc & tri_mask).bit_count() >= threshold:
+            uncovered &= ~vertices
+            if not uncovered:
+                break
+    return everyone ^ uncovered
+
+
+def _mask_trigraph(n: int, inc: int) -> TriGraph:
+    """The sample ``inc``, bit i for triple i in ``combinations`` order, as a
+    ``TriGraph``."""
+    keep = bin(inc)[:1:-1].encode().translate(_DIGIT_BIT)
+    # in combinations order the edges are sorted, so TriGraph keeps them
+    return TriGraph(n, compress(_sampler_tables(n)[0], keep))
+
+
+def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, int]:
+    """A random 3-graph with delta2 > threshold, as (its triple mask, the
+    number of repair steps): start from density 1/2 and repair by adding
+    random triples through minimum-codegree pairs.
 
     The sample is one int mask, bit i for triple i in ``combinations``
-    order, and the codegree of a pair is the popcount of the mask under the
-    pair's triple mask (``_sampler_tables``, built once per n).  The repair
-    step takes the lexicographically first pair of minimum codegree and a
-    uniform choice among its absent triples in increasing order, which is
-    increasing third vertex.  Codegrees only grow, so one pass over the
-    pairs per minimum value meets those pairs in that order.
+    order (``_mask_trigraph`` turns it into a ``TriGraph``), and the
+    codegree of a pair is the popcount of the mask under the pair's triple
+    mask (``_sampler_tables``, built once per n).  The repair step takes the
+    lexicographically first pair of minimum codegree and a uniform choice
+    among its absent triples in increasing order, which is increasing third
+    vertex.  Codegrees only grow, so one pass over the pairs per minimum
+    value meets those pairs in that order.
 
     The random stream is that of one rng.random() per triple in
     ``combinations`` order, then one rng.choice per repair step.  The
@@ -691,6 +748,7 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
     triples, pair_tri_mask, tri_pairs, pair_tris = _sampler_tables(n)
     inc = _coin_flips(rng, len(triples))
     counts = [(inc & m).bit_count() for m in pair_tri_mask]
+    repairs = 0
     lo = min(counts)
     while lo <= threshold:
         # counts only grow, so the pairs left at codegree lo after a repair
@@ -699,11 +757,11 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
             if c == lo:
                 i = rng.choice([j for j in pair_tris[p] if not inc >> j & 1])
                 inc |= 1 << i
+                repairs += 1
                 for q in tri_pairs[i]:
                     counts[q] += 1
         lo = min(counts)
-    # in combinations order the edges are sorted, so TriGraph keeps them
-    return TriGraph(n, compress(triples, bin(inc)[:1:-1].encode().translate(_DIGIT_BIT)))
+    return inc, repairs
 
 
 def certify_upper_behavior(
@@ -718,8 +776,14 @@ def certify_upper_behavior(
 
     Finding one would contradict "c2(n, pattern) <= threshold"; when the
     threshold is set below the true value, witnesses are expected and are
-    reported as lower-bound certificates.  Candidate counterexamples are
-    re-verified with the generic embedder before being recorded.  ``n``,
+    reported as lower-bound certificates.  For K_t / K_t^- coverage is
+    decided on the sample's triple mask: a vertex is covered exactly when
+    some t-set through it spans at least ``clique_profile``'s threshold of
+    edges (``_covered_vertices``), and a ``TriGraph`` is built only for a
+    sample with an uncovered vertex.  Other patterns build a ``TriGraph``
+    per sample and run the embedder on each vertex.  Either way a candidate
+    counterexample is re-verified by ``covering_report`` before it is
+    recorded, and a disagreement raises AssertionError.  ``n``,
     ``threshold`` and ``samples`` must be ints (not bools) with
     pattern.t <= n <= 12, threshold <= n - 3 and samples >= 0, and the
     pattern needs an edge; anything else raises ValueError.
@@ -734,15 +798,21 @@ def certify_upper_behavior(
         raise ValueError(f"no 3-graph on {n} vertices has delta2 > {threshold}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    covered = covered_by_count if clique_profile(pattern) is not None else is_covered
+    profile = clique_profile(pattern)
+    tsets = _tset_tables(n, profile[0]) if profile is not None else ()
+    everyone = (1 << n) - 1
     rng = Random(seed)
     report = CertifyReport(n=n, pattern=pattern.name, threshold=threshold,
                            samples=samples, seed=seed)
     for _ in range(samples):
-        H = _sample_above_threshold(n, threshold, rng)
-        if not all(covered(H, v, pattern) for v in range(H.n)):
-            if covering_report(H, pattern).uncovered:
-                report.counterexamples.append(H)
-            else:
-                raise AssertionError("covering detectors disagree on a sample")
+        inc, repairs = _sample_above_threshold(n, threshold, rng)
+        report.repairs += repairs
+        if profile is not None and _covered_vertices(inc, tsets, profile[1], everyone) == everyone:
+            continue
+        H = _mask_trigraph(n, inc)
+        if profile is None and all(is_covered(H, v, pattern) for v in range(n)):
+            continue
+        if not covering_report(H, pattern).uncovered:
+            raise AssertionError("covering detectors disagree on a sample")
+        report.counterexamples.append(H)
     return report

@@ -388,3 +388,18 @@ def bf_sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:
         for p in combinations(tri, 2):
             counts[p] += 1
     return TriGraph(n, present)
+
+
+def bf_certify_upper_behavior(
+    n: int, F: Pattern, threshold: int, samples: int, seed: int
+) -> list[TriGraph]:
+    """The spot-check by the reference sampler and the enumerating embedder:
+    every sample of ``Random(seed)`` with a vertex in no copy of F, in the
+    order drawn."""
+    rng = Random(seed)
+    found = []
+    for _ in range(samples):
+        H = bf_sample_above_threshold(n, threshold, rng)
+        if any(bf_covered(H, v, F) is None for v in range(n)):
+            found.append(H)
+    return found

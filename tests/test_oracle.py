@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -18,14 +19,24 @@ from tricover import (
     clique_profile,
     complete_trigraph,
     covered_at,
+    covered_by_count,
     covering_report,
     exact_c2,
     is_covered,
     min_codegree,
 )
-from tricover.oracle import _Budget, _InnerSearch, _coin_flips, _sample_above_threshold
+from tricover.oracle import (
+    _Budget,
+    _InnerSearch,
+    _coin_flips,
+    _covered_vertices,
+    _mask_trigraph,
+    _sample_above_threshold,
+    _tset_tables,
+)
 
 from _brute import (
+    bf_certify_upper_behavior,
     bf_decision_search,
     bf_exact_c2,
     bf_greedy_value,
@@ -570,7 +581,7 @@ class TestCertifyUpperBehavior:
     def test_sample_respects_threshold(self):
         rng = Random(1)
         for _ in range(30):
-            H = _sample_above_threshold(7, 3, rng)
+            H = _mask_trigraph(7, _sample_above_threshold(7, 3, rng)[0])
             assert min_codegree(H).min > 3
 
     @pytest.mark.parametrize("count", [4, 10, 20, 56, 220])
@@ -596,16 +607,60 @@ class TestCertifyUpperBehavior:
         # one stream per side, so the random state after each draw must agree too
         ours, ref = Random(n * 100 + threshold), Random(n * 100 + threshold)
         for _ in range(50):
-            assert _sample_above_threshold(n, threshold, ours) == bf_sample_above_threshold(
-                n, threshold, ref
-            )
+            inc, _ = _sample_above_threshold(n, threshold, ours)
+            assert _mask_trigraph(n, inc) == bf_sample_above_threshold(n, threshold, ref)
         assert ours.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_top_threshold_gives_complete_graph(self, n):
         rng = Random(n)
         for _ in range(5):
-            assert _sample_above_threshold(n, n - 3, rng) == complete_trigraph(n)
+            inc, _ = _sample_above_threshold(n, n - 3, rng)
+            assert _mask_trigraph(n, inc) == complete_trigraph(n)
+
+    @pytest.mark.parametrize(
+        "n, name, threshold, hits",
+        [
+            (9, "K4-", 3, False),  # at c2(9, K4-) = 3
+            (8, "K5-", 4, False),  # at c2(8, K5-) = 4
+            (8, "K5-", 2, True),
+            (9, "K4", 2, True),
+            (9, "K5", 3, True),
+            (7, "book2", 1, False),  # at c2(7, book2) = 1, through the embedder
+        ],
+    )
+    def test_matches_reference_spot_check(self, n, name, threshold, hits):
+        F = BOOK2 if name == "book2" else builtin_pattern(name)
+        rep = certify_upper_behavior(n, F, threshold, 20, seed=3)
+        ref = bf_certify_upper_behavior(n, F, threshold, 20, 3)
+        assert rep.counterexamples == ref
+        assert bool(ref) == hits
+
+    def test_detector_disagreement_raises(self, monkeypatch):
+        # a detector calling some vertex uncovered on samples that
+        # covering_report finds covered is a fault, not a counterexample
+        monkeypatch.setattr("tricover.oracle._covered_vertices", lambda *args: 0)
+        with pytest.raises(AssertionError, match="disagree"):
+            certify_upper_behavior(9, K4M, 3, 5, seed=1)
+        monkeypatch.setattr("tricover.oracle.is_covered", lambda *args: False)
+        with pytest.raises(AssertionError, match="disagree"):
+            certify_upper_behavior(7, BOOK2, 1, 5, seed=1)
+
+    def test_repairs_count_the_reference_sampler_choices(self):
+        class CountingRandom(Random):
+            choices = 0
+
+            def choice(self, seq):
+                self.choices += 1
+                return super().choice(seq)
+
+        for n, F, threshold in ((12, K4M, 4), (8, K5M, 2), (7, BOOK2, 1)):
+            rep = certify_upper_behavior(n, F, threshold, 30, seed=4)
+            ref = CountingRandom(4)
+            for _ in range(30):
+                bf_sample_above_threshold(n, threshold, ref)
+            assert rep.repairs == ref.choices > 0
+            assert rep.to_dict()["repairs"] == rep.repairs
 
     def test_threshold_too_high(self):
         with pytest.raises(ValueError):
@@ -638,6 +693,41 @@ class TestCertifyUpperBehavior:
     def test_report_dict(self):
         doc = certify_upper_behavior(9, K4M, 3, 50, seed=2).to_dict()
         assert doc["samples"] == 50 and doc["counterexample_count"] == 0
+
+
+class TestMaskDetector:
+    @pytest.mark.parametrize("n, t", [(4, 4), (8, 5), (9, 3), (12, 4), (12, 8)])
+    def test_tables_list_tsets_in_combinations_order(self, n, t):
+        index = {e: i for i, e in enumerate(combinations(range(n), 3))}
+        assert _tset_tables(n, t) == tuple(
+            (sum(1 << index[e] for e in combinations(S, 3)), sum(1 << v for v in S))
+            for S in combinations(range(n), t)
+        )
+
+    @pytest.mark.parametrize("name", [f"K{t}{m}" for t in range(4, 9) for m in ("-", "")])
+    def test_matches_counting_detector(self, name):
+        # every threshold from 0 up, so most samples lie below c2; at n = t
+        # only a (nearly) complete graph covers anything.  Samples at density
+        # 1/2 cover every vertex with K4- even below c2, so each sample comes
+        # with a mask of density 1/8 too
+        F = builtin_pattern(name)
+        t, threshold = clique_profile(F)
+        rng = Random(t)
+        outcomes = set()
+        for n in (t, t + 2):
+            tsets = _tset_tables(n, t)
+            T = comb(n, 3)
+            for low in range(n - 2):
+                sample, _ = _sample_above_threshold(n, low, rng)
+                sparse = rng.getrandbits(T) & rng.getrandbits(T) & rng.getrandbits(T)
+                for inc in (sample, sparse):
+                    H = _mask_trigraph(n, inc)
+                    covered = _covered_vertices(inc, tsets, threshold, (1 << n) - 1)
+                    for v in range(n):
+                        got = bool(covered >> v & 1)
+                        assert got == covered_by_count(H, v, F)
+                        outcomes.add(got)
+        assert outcomes == {False, True}
 
 
 def test_package_import_leaves_numpy_unloaded():
