@@ -243,16 +243,18 @@ def codegree_neighbourhoods(H: TriGraph) -> list[list[int]]:
     the codegree of {a, b}.
     """
     n = H.n
+    power = [1 << c for c in range(n)]
     bits = [[0] * n for _ in range(n)]
-    # both orders of a pair share one int object
+    # edges are sorted triples, so each sets entries with a < b only
     for a, b, c in H.edges:
-        ra, rb, rc = bits[a], bits[b], bits[c]
-        ra[b] |= 1 << c
-        rb[a] = ra[b]
-        ra[c] |= 1 << b
-        rc[a] = ra[c]
-        rb[c] |= 1 << a
-        rc[b] = rb[c]
+        ra = bits[a]
+        ra[b] |= power[c]
+        ra[c] |= power[b]
+        bits[b][c] |= power[a]
+    # then each row's lower part takes its column's upper part, so both
+    # orders of a pair share one int object
+    for b, column in enumerate(list(zip(*bits))):
+        bits[b][:b] = column[:b]
     return bits
 
 

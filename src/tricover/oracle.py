@@ -49,9 +49,9 @@ link's adjacency masks (``leaf_value``), so the completion search never
 runs and its tables are never built.  A link pair's closed form only falls
 as the link grows, so the link DFS also cuts an include once a link pair
 through its two ends has a value below v (``link_cut``, O(nv) work): no
-other link pair changes.  Other patterns fall back on the generic embedder,
-pinned at vertex 0 and run on one codegree table that follows every
-included and undone triple, and are correspondingly slower.
+other link pair changes.  Other patterns fall back on the embedder's
+existence search, pinned at vertex 0 and run on one codegree table that
+follows every included and undone triple, and are correspondingly slower.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, _is_int, pair_degree_table
+from .hypergraphs import TriGraph, _is_int, codegree_neighbourhoods, pair_degree_table
 from .patterns import (
     Pattern,
-    _improving_embeddings,
+    _exists,
     clique_profile,
     covering_report,
     is_covered,
@@ -306,8 +306,9 @@ class _InnerSearch:
         is never tested against ``cap``.  Forced and branching exclusions
         share one step; a forced one spends no node, and backing up undoes
         it with the other exclusions above the last include.  A non-clique
-        pattern's covering check runs the embedder for vertex 0 on ``bits``,
-        the host's codegree table, which follows every included triple.
+        pattern's covering check runs the embedder's existence search for
+        vertex 0 on ``bits``, the host's codegree table, which follows every
+        included triple.
         """
         n, nv, F = self.n, self.nv, self.F
         degree = min(m.bit_count() for m in N)
@@ -323,7 +324,7 @@ class _InnerSearch:
             # it) with the link triples only, except that a link pair leaves
             # out vertex 0: the embedder pinning 0 never has it as a candidate
             bits = [[0] + [m << 1 for m in N]] + [[m << 1] + [0] * nv for m in N]
-            if next(_improving_embeddings(bits, n, 0, F), None) is not None:
+            if _exists(bits, n, 0, F):
                 # the link triples alone already cover vertex 0
                 return None
         link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
@@ -407,7 +408,7 @@ class _InnerSearch:
             # clique pattern it always does, by the forced exclusions
             for row, col, m in tri_flips[tri]:
                 bits[row][col] ^= m
-            if not clique and next(_improving_embeddings(bits, n, 0, F), None) is not None:
+            if not clique and _exists(bits, n, 0, F):
                 for row, col, m in tri_flips[tri]:
                     bits[row][col] ^= m
                 out = bit
@@ -781,12 +782,13 @@ def certify_upper_behavior(
     some t-set through it spans at least ``clique_profile``'s threshold of
     edges (``_covered_vertices``), and a ``TriGraph`` is built only for a
     sample with an uncovered vertex.  Other patterns build a ``TriGraph``
-    per sample and run the embedder on each vertex.  Either way a candidate
-    counterexample is re-verified by ``covering_report`` before it is
-    recorded, and a disagreement raises AssertionError.  ``n``,
-    ``threshold`` and ``samples`` must be ints (not bools) with
-    pattern.t <= n <= 12, threshold <= n - 3 and samples >= 0, and the
-    pattern needs an edge; anything else raises ValueError.
+    and its codegree table per sample and run the embedder's existence
+    search on each vertex.  Either way a candidate counterexample is
+    re-verified by ``covering_report`` before it is recorded, and a
+    disagreement raises AssertionError.  ``n``, ``threshold`` and
+    ``samples`` must be ints (not bools) with pattern.t <= n <= 12,
+    threshold <= n - 3 and samples >= 0, and the pattern needs an edge;
+    anything else raises ValueError.
     """
     _check_instance(n, pattern)
     for name, value in (("threshold", threshold), ("samples", samples)):
@@ -810,8 +812,10 @@ def certify_upper_behavior(
         if profile is not None and _covered_vertices(inc, tsets, profile[1], everyone) == everyone:
             continue
         H = _mask_trigraph(n, inc)
-        if profile is None and all(is_covered(H, v, pattern) for v in range(n)):
-            continue
+        if profile is None:
+            bits = codegree_neighbourhoods(H)
+            if all(_exists(bits, n, v, pattern) for v in range(n)):
+                continue
         if not covering_report(H, pattern).uncovered:
             raise AssertionError("covering detectors disagree on a sample")
         report.counterexamples.append(H)

@@ -7,22 +7,30 @@ lies in at least one copy.
 
 Two independent detectors are provided:
 
-* an embedder for any pattern: one backtracking search that pins v at each
-  pattern vertex in turn, fills the other positions in index order with
-  candidates drawn from the codegree neighbourhoods of placed pairs, and so
-  finds the lexicographically smallest copy through v (``is_covered`` stops
-  at the first copy it meets).  Pattern vertices that some swap of two
-  vertices maps onto each other form a symmetry class, and the search only
-  builds embeddings whose images increase along every class: the lex-min
-  copy is one of them, and the labellings of a copy that such swaps give
-  are never searched twice.  Neighbourhoods are int bitmasks, so a
-  position's candidates are the AND of a few masks with the mask of unused
-  vertices, cut to the range its class allows and walked lowest bit first.
-  ``covering_report`` runs this search for every vertex in turn and shares
-  its refutations: a vertex found uncovered lies in no copy at all, so it
-  leaves the unused-vertex mask of every later search.  That is exact (no
-  copy is lost), and it pays only when uncovered vertices come early, as x
-  does at 0 in the constructions,
+* an embedder for any pattern, with two backtracking searches over the
+  codegree neighbourhoods of placed pairs.  Pattern vertices that some swap
+  of two vertices maps onto each other form a symmetry class, and both
+  searches only build embeddings whose images increase along a class, so
+  the labellings of a copy that such swaps give are never searched twice.
+  Neighbourhoods are int bitmasks, so a position's candidates are the AND of
+  a few masks with the mask of unused vertices, cut to the range its class
+  allows and walked lowest bit first.
+
+  - The existence search (``is_covered``) pins v at each class leader in
+    turn; a swap within a class is an automorphism, so any copy through v
+    has a labelling with v there.  It places the other positions most
+    constrained first, the one that closes the most edges with placed
+    positions, so a refutation prunes as early as the pattern allows.
+  - The witness search (``covered_at``) pins v at each pattern vertex in
+    turn and fills the other positions in index order, so it finds the
+    lexicographically smallest copy through v.  It runs only once the
+    existence search has found a copy.
+
+  ``covering_report`` runs both for every vertex in turn and shares what it
+  learns: a vertex found uncovered lies in no copy at all, so it leaves the
+  unused-vertex mask of every later search (exact, no copy is lost), and a
+  vertex inside an earlier witness is known to be covered, so it goes
+  straight to the witness search,
 * a counting check for the complete and near-complete patterns K_t / K_t^-,
   based on the fact that a t-set of vertices hosts a copy of K_t (K_t^-)
   exactly when it spans at least C(t,3) (C(t,3) - 1) edges.
@@ -118,7 +126,7 @@ def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Lex-min embedder over codegree neighbourhoods
+# Embedder over codegree neighbourhoods: existence and lex-min witness
 # ---------------------------------------------------------------------------
 
 Neighbourhoods = Sequence[Sequence[int]]
@@ -129,6 +137,9 @@ _Step = tuple[int, tuple[tuple[int, ...], ...], int, int]
 # per anchor: (class members before it, class members after it, the steps
 # that fill every other position in index order)
 _Plan = tuple[int, int, tuple[_Step, ...]]
+# the existence search's step: (position, placed pairs closing an edge, the
+# placed class member its image must exceed or -1)
+_Probe = tuple[int, tuple[tuple[int, ...], ...], int]
 
 
 def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
@@ -153,29 +164,34 @@ def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
     return tuple(classes)
 
 
-@lru_cache(maxsize=None)
-def _anchor_plans(F: Pattern) -> tuple[_Plan, ...]:
-    """The embedder's plan for each anchor, the position that v takes.
-
-    Images increase along each symmetry class: swapping two members maps an
-    embedding to one with the same image, so the lex-min embedding has the
-    smaller image at the earlier member.  A step's candidates therefore lie
-    above the image of the previous member of its class, and below v when
-    the anchor is a later member.  The edges are sorted once; a step for
-    position q closes the edges through q whose vertices are all placed,
-    which are the positions up to q and the anchor."""
-    t = F.t
-    classes = _symmetry_classes(F)
-    members = [[p for p in range(t) if classes[p] == classes[q]] for q in range(t)]
-    prev = [max((p for p in members[q] if p < q), default=-1) for q in range(t)]
-    # per position q: (edge mask, the edge's other two vertices) for each
-    # edge through q, in sorted edge order
-    through: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(t)]
+def _edges_through(F: Pattern) -> list[list[tuple[int, tuple[int, int]]]]:
+    """Per position q: (edge mask, the edge's other two vertices) for each
+    edge through q, in sorted edge order."""
+    through: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(F.t)]
     for a, b, c in sorted(F.edges):
         m = (1 << a) | (1 << b) | (1 << c)
         through[a].append((m, (b, c)))
         through[b].append((m, (a, c)))
         through[c].append((m, (a, b)))
+    return through
+
+
+@lru_cache(maxsize=None)
+def _anchor_plans(F: Pattern) -> tuple[_Plan, ...]:
+    """The witness search's plan for each anchor, the position that v takes.
+
+    Images increase along each symmetry class: swapping two members maps an
+    embedding to one with the same image, so the lex-min embedding has the
+    smaller image at the earlier member.  A step's candidates therefore lie
+    above the image of the previous member of its class, and below v when
+    the anchor is a later member.  A step for position q closes the edges
+    through q whose vertices are all placed, which are the positions up to
+    q and the anchor."""
+    t = F.t
+    classes = _symmetry_classes(F)
+    members = [[p for p in range(t) if classes[p] == classes[q]] for q in range(t)]
+    prev = [max((p for p in members[q] if p < q), default=-1) for q in range(t)]
+    through = _edges_through(F)
     plans = []
     for anchor in range(t):
         steps = []
@@ -189,6 +205,92 @@ def _anchor_plans(F: Pattern) -> tuple[_Plan, ...]:
         before = members[anchor].index(anchor)
         plans.append((before, len(members[anchor]) - 1 - before, tuple(steps)))
     return tuple(plans)
+
+
+@lru_cache(maxsize=None)
+def _class_plans(F: Pattern) -> tuple[tuple[int, tuple[_Probe, ...]], ...]:
+    """The existence search's plan for each class leader, the position that
+    v takes: (the leader, the steps that fill every other position).
+
+    Any copy through v has a labelling with v at a class leader, since a
+    swap within a class is an automorphism, and with images increasing
+    along every class apart from v itself.  Steps go most constrained
+    first: the position closing the most edges with the placed ones, then
+    one with a placed class-mate, then one outside the leader's class, then
+    the lowest.  Two unplaced class-mates always tie, because their swap is
+    an automorphism fixing every placed position, so a class is placed in
+    index order and a step's candidates lie above the image of the class
+    member placed last, the leader not counted."""
+    t = F.t
+    classes = _symmetry_classes(F)
+    through = _edges_through(F)
+    # per position: the mask of its class
+    mates = [sum(1 << p for p in range(t) if classes[p] == classes[q]) for q in range(t)]
+    plans = []
+    for leader in sorted(set(classes)):
+        # the placed positions other than the leader, which bound their
+        # class-mates' images
+        placed = 0
+        steps = []
+        rest = [q for q in range(t) if q != leader]
+        while rest:
+            done = placed | 1 << leader
+            q = min(rest, key=lambda q: (
+                -sum(1 for m, _ in through[q] if not m & ~(done | 1 << q)),
+                not placed & mates[q],
+                mates[q] >> leader & 1,
+                q,
+            ))
+            rest.remove(q)
+            pairs = tuple([pair for m, pair in through[q] if not m & ~(done | 1 << q)])
+            steps.append((q, pairs, (placed & mates[q]).bit_length() - 1))
+            placed |= 1 << q
+        plans.append((leader, tuple(steps)))
+    return tuple(plans)
+
+
+def _extend(bits: Neighbourhoods, steps: tuple[_Probe, ...], i: int, phi: list[int], free: int) -> bool:
+    """Whether ``phi`` has a completion from ``steps[i]`` on.  ``free`` is
+    the mask of vertices not in phi; a position's candidates are the free
+    vertices in the codegree neighbourhood of every placed pair closing an
+    edge through it, above the image of its class's last placed member."""
+    q, pairs, prev = steps[i]
+    cands = free
+    if prev >= 0:
+        cands &= -(2 << phi[prev])
+    for a, b in pairs:
+        cands &= bits[phi[a]][phi[b]]
+        if not cands:
+            return False
+    i += 1
+    if i == len(steps):
+        return cands != 0
+    while cands:
+        low = cands & -cands
+        phi[q] = low.bit_length() - 1
+        if _extend(bits, steps, i, phi, free ^ low):
+            return True
+        cands ^= low
+    return False
+
+
+def _exists(bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0) -> bool:
+    """Whether some embedding of F has v in its image.
+
+    ``dead`` is a mask of vertices already shown to lie in no copy of F, v
+    not among them; they lie in no embedding, so they are never candidates.
+    """
+    if F.t > n:
+        return False
+    free = ((1 << n) - 1) ^ dead ^ (1 << v)
+    for leader, steps in _class_plans(F):
+        if not steps:
+            return True
+        phi = [-1] * F.t
+        phi[leader] = v
+        if _extend(bits, steps, 0, phi, free):
+            return True
+    return False
 
 
 def _complete(
@@ -239,7 +341,8 @@ def _improving_embeddings(
     bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0
 ) -> Iterator[tuple[int, ...]]:
     """Embeddings of F with v in the image, each lexicographically below the
-    one before; the last is the lex-min one.
+    one before; the last is the lex-min one.  Callers run it only for a
+    vertex known to be covered, so it yields at least once.
 
     Anchor p pins v at position p.  Anchors are tried in index order, each
     bounded by the best embedding so far, which holds v at an earlier
@@ -252,8 +355,6 @@ def _improving_embeddings(
     ``dead`` is a mask of vertices already shown to lie in no copy of F, v
     not among them; they lie in no embedding, so they are never candidates.
     """
-    if F.t > n:
-        return
     free = ((1 << n) - 1) ^ dead ^ (1 << v)
     lower = (free & ((1 << v) - 1)).bit_count()
     upper = (free >> v).bit_count()
@@ -273,20 +374,24 @@ def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest embedding of F into H whose image
     contains v (entry i is the image of pattern vertex i), or None.
 
-    ``F.t > H.n`` yields None, not an error.
+    The existence search decides first, so a refutation never runs the
+    witness search.  ``F.t > H.n`` yields None, not an error.
     """
     _check_vertex(v, H.n)
+    bits = codegree_neighbourhoods(H)
+    if not _exists(bits, H.n, v, F):
+        return None
     best = None
-    for best in _improving_embeddings(codegree_neighbourhoods(H), H.n, v, F):
+    for best in _improving_embeddings(bits, H.n, v, F):
         pass
     return best
 
 
 def is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
-    """Whether some copy of F in H contains v: the search of
-    :func:`covered_at`, stopped at its first embedding."""
+    """Whether some copy of F in H contains v, by the existence search: v
+    at each class leader, the other positions most constrained first."""
     _check_vertex(v, H.n)
-    return next(_improving_embeddings(codegree_neighbourhoods(H), H.n, v, F), None) is not None
+    return _exists(codegree_neighbourhoods(H), H.n, v, F)
 
 
 def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
@@ -352,29 +457,35 @@ class CoverReport:
 def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
     """Covering status of every vertex of H for the pattern F.
 
-    One pass over the vertices in increasing order, each running the search
-    of :func:`covered_at` on one shared neighbourhood table.  A vertex found
+    One pass over the vertices in increasing order on one shared
+    neighbourhood table; the witnesses and the uncovered list are exactly
+    those of a :func:`covered_at` call per vertex.  A vertex inside an
+    earlier witness is known to be covered and goes straight to the witness
+    search; any other runs the existence search first.  A vertex found
     uncovered lies in no copy of F, so it is removed from the candidates of
-    every later search; the witnesses and the uncovered list are exactly
-    those of a :func:`covered_at` call per vertex.  The saving needs an
-    uncovered vertex to come before the vertices it would otherwise be tried
-    for.  The constructions put x at 0, where on H4(28) and K5- it cuts a
-    covered vertex's search from about 420 calls of the completion step to
-    about 35; with x last it saves nothing and costs nothing.
+    every later search, which pays when it comes before the vertices it
+    would otherwise be tried for.  The constructions put x at 0: on H4(28)
+    and K5- the existence search refutes x in about 1 000 calls of its
+    extension step, and with x gone a covered vertex's witness takes about
+    35 calls of the completion step instead of about 420.
     """
     nbhd = codegree_neighbourhoods(H)
     uncovered = []
     witnesses: dict[int, tuple[int, ...]] = {}
     dead = 0
+    # the vertices of the witnesses so far, each known to be covered
+    seen = 0
     for v in range(H.n):
-        emb = None
-        for emb in _improving_embeddings(nbhd, H.n, v, F, dead):
-            pass
-        if emb is None:
+        if not seen >> v & 1 and not _exists(nbhd, H.n, v, F, dead):
             uncovered.append(v)
             dead |= 1 << v
-        else:
-            witnesses[v] = emb
+            continue
+        emb = ()
+        for emb in _improving_embeddings(nbhd, H.n, v, F, dead):
+            pass
+        witnesses[v] = emb
+        for u in emb:
+            seen |= 1 << u
     return CoverReport(pattern=F.name, n=H.n, uncovered=tuple(uncovered), witnesses=witnesses)
 
 

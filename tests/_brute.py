@@ -12,7 +12,7 @@ from math import comb
 from random import Random
 from typing import Optional
 
-from tricover import Graph, Pattern, TriGraph, is_covered, pair_degree_table
+from tricover import Graph, Pattern, TriGraph, pair_degree_table
 
 
 def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -30,6 +30,32 @@ def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
             ):
                 return perm
     return None
+
+
+_BF_IMAGES: dict[Pattern, frozenset[int]] = {}
+
+
+def bf_is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
+    """Whether some t-set through v spans a relabelled copy of F.  A set's
+    edges form a mask over its C(t, 3) triples, and every relabelling of F
+    is one such mask, so each set takes one subset test per relabelling.
+    Fast enough for every 3-graph on 6 vertices."""
+    if F.t > H.n:
+        return False
+    spots = list(combinations(range(F.t), 3))
+    if F not in _BF_IMAGES:
+        index = {e: i for i, e in enumerate(spots)}
+        _BF_IMAGES[F] = frozenset(
+            sum(1 << index[tuple(sorted((perm[a], perm[b], perm[c])))] for a, b, c in F.edges)
+            for perm in permutations(range(F.t))
+        )
+    images = _BF_IMAGES[F]
+    for S in combinations(range(H.n), F.t):
+        if v in S:
+            inside = sum(1 << i for i, (a, b, c) in enumerate(spots) if (S[a], S[b], S[c]) in H.edge_set)
+            if any(not image & ~inside for image in images):
+                return True
+    return False
 
 
 def bf_lexmin_embedding(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -89,6 +115,38 @@ def bf_anchor_steps(F: Pattern, anchor: int):
     return before, len(members) - 1 - before, tuple(steps)
 
 
+def bf_class_plans(F: Pattern):
+    """The existence search's plans rebuilt from scratch with sets of
+    positions: per class leader, (the leader, one (position, placed pairs
+    closing an edge, nearest placed class-mate below other than the leader
+    or -1) step per other position).  The next position closes the most
+    edges with the placed ones, then has a placed class-mate other than the
+    leader, then lies outside the leader's class, then is the lowest."""
+    classes = bf_symmetry_classes(F)
+    plans = []
+    for leader in range(F.t):
+        if classes[leader] != leader:
+            continue
+        placed = {leader}
+        steps = []
+        while len(placed) < F.t:
+            def closing(q):
+                return [e for e in sorted(F.edges) if q in e and placed | {q} >= set(e)]
+
+            def mates(q):
+                return [p for p in placed if p != leader and classes[p] == classes[q]]
+
+            q = min(
+                (q for q in range(F.t) if q not in placed),
+                key=lambda q: (-len(closing(q)), not mates(q), classes[q] == leader, q),
+            )
+            pairs = tuple(tuple(w for w in e if w != q) for e in closing(q))
+            steps.append((q, pairs, max((p for p in mates(q) if p < q), default=-1)))
+            placed.add(q)
+        plans.append((leader, tuple(steps)))
+    return tuple(plans)
+
+
 def bf_codegree(H: TriGraph, a: int, b: int) -> int:
     return sum(1 for c in range(H.n) if c not in (a, b) and tuple(sorted((a, b, c))) in H.edge_set)
 
@@ -115,7 +173,7 @@ def bf_exact_c2(n: int, F: Pattern) -> int:
     best = -1
     for mask in range(1 << len(triples)):
         H = TriGraph(n, [triples[i] for i in range(len(triples)) if (mask >> i) & 1])
-        if not is_covered(H, 0, F):
+        if not bf_is_covered(H, 0, F):
             best = max(best, min(pair_degree_table(H).values()))
     return best
 
@@ -183,8 +241,9 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget, force: 
     least value.  ``N`` holds the link of vertex 0 as adjacency masks over
     local vertices 0..n-2 (host vertex = local + 1); ``budget.spend()`` is
     called once per node.  Returns the completion's edges, or None.  For a
-    pattern that is not K_t or K_t^- the covering test is the library's
-    ``is_covered``, as it was in that search.
+    pattern that is not K_t or K_t^- the covering test is
+    ``bf_is_covered``, which decides what the library's ``is_covered`` did
+    in that search.
 
     With ``force`` (K_t and K_t^- only), at the root and after every include
     a rescan of all (t-1)-sets finds those one triple short of the
@@ -232,7 +291,7 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget, force: 
     else:
         tot = []
         current: list[int] = []
-        if is_covered(TriGraph(n, host_edges(())), 0, F):
+        if bf_is_covered(TriGraph(n, host_edges(())), 0, F):
             return None
     decided = bytearray(len(triples))  # 0 undecided, 1 in, 2 out
 
@@ -270,7 +329,7 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget, force: 
             allowed = all(tot[s] + 1 < theta for s in tri_sets[tri])
         else:
             current.append(tri)
-            allowed = not is_covered(TriGraph(n, host_edges(current)), 0, F)
+            allowed = not bf_is_covered(TriGraph(n, host_edges(current)), 0, F)
             current.pop()
         if allowed:
             decided[tri] = 1

@@ -302,6 +302,21 @@ class TestLinkGraph:
         ]
         assert bits == expected
 
+    def test_neighbourhoods_match_codegrees_on_seeded_graphs(self):
+        # the table sets a < b entries only and mirrors them: both orders of
+        # a pair must be one int whose popcount is the pair's codegree
+        rng = Random(20)
+        for n in list(range(1, 21)) * 2:
+            H = random_trigraph(rng, n, rng.choice((0.05, 0.2, 0.5, 0.9)))
+            bits = codegree_neighbourhoods(H)
+            assert len(bits) == n and all(len(row) == n for row in bits)
+            for a in range(n):
+                assert bits[a][a] == 0
+            for (a, b), d in pair_degree_table(H).items():
+                assert bits[a][b] is bits[b][a]
+                assert bits[a][b].bit_count() == d
+                assert bits[a][b] == sum(1 << c for c in range(n) if tuple(sorted((a, b, c))) in H.edge_set)
+
 
 class TestTriangleFree:
     def test_single_triangle(self):

@@ -24,6 +24,7 @@ from tricover import (
     exact_c2,
     is_covered,
     min_codegree,
+    to_json_dict,
 )
 from tricover.oracle import (
     _Budget,
@@ -642,9 +643,33 @@ class TestCertifyUpperBehavior:
         monkeypatch.setattr("tricover.oracle._covered_vertices", lambda *args: 0)
         with pytest.raises(AssertionError, match="disagree"):
             certify_upper_behavior(9, K4M, 3, 5, seed=1)
-        monkeypatch.setattr("tricover.oracle.is_covered", lambda *args: False)
+        # other patterns run the existence search on each sample's table
+        monkeypatch.setattr("tricover.oracle._exists", lambda *args: False)
         with pytest.raises(AssertionError, match="disagree"):
             certify_upper_behavior(7, BOOK2, 1, 5, seed=1)
+
+    @pytest.mark.parametrize("threshold", [0, 1])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_embedder_branch_matches_reference(self, threshold, seed):
+        # book2 runs the existence search on one codegree table per sample
+        rep = certify_upper_behavior(7, BOOK2, threshold, 30, seed=seed)
+        ref = bf_certify_upper_behavior(7, BOOK2, threshold, 30, seed)
+        assert rep.counterexamples == ref
+        assert rep.to_dict() == {
+            "n": 7, "pattern": "book2", "threshold": threshold, "samples": 30, "seed": seed,
+            "repairs": rep.repairs, "counterexample_count": len(ref),
+            "counterexamples": [to_json_dict(H) for H in ref],
+        }
+
+    @pytest.mark.parametrize("n, threshold, seed", [(7, 1, 3), (8, 2, 1), (9, 2, 6)])
+    def test_embedder_branch_finds_counterexamples(self, n, threshold, seed):
+        # K5 without 012 and 034 is no clique shape, so it takes the
+        # existence search; here some samples leave vertices in no copy,
+        # and at (8, 2, 1) and (9, 2, 6) some leave vertex 0 alone
+        F = Pattern(5, frozenset(set(combinations(range(5), 3)) - {(0, 1, 2), (0, 3, 4)}), "K5--")
+        rep = certify_upper_behavior(n, F, threshold, 20, seed=seed)
+        ref = bf_certify_upper_behavior(n, F, threshold, 20, seed)
+        assert ref and rep.counterexamples == ref
 
     def test_repairs_count_the_reference_sampler_choices(self):
         class CountingRandom(Random):

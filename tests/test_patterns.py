@@ -18,12 +18,14 @@ from tricover import (
     covered_by_count,
     covering_obstruction,
     covering_report,
+    codegree_neighbourhoods,
     is_covered,
 )
 from tricover import patterns
 
 from _brute import (
     bf_anchor_steps,
+    bf_class_plans,
     bf_covered,
     bf_lexmin_embedding,
     bf_sample_above_threshold,
@@ -33,6 +35,7 @@ from _brute import (
 
 BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
 PATH = Pattern(5, frozenset({(0, 1, 2), (1, 2, 3), (2, 3, 4)}), "path")
+BOOK3 = Pattern(5, frozenset({(0, 1, 2), (0, 1, 3), (0, 1, 4)}), "book3")
 # turned onto itself by a rotation of {0, 1, 2} and {3, 4, 5} together
 ROTATION = Pattern(6, frozenset({(0, 1, 3), (1, 2, 4), (0, 2, 5)}), "rotation")
 
@@ -257,6 +260,121 @@ class TestAnchorPlans:
             self.agree(Pattern(t, edges, "random"))
 
 
+class TestClassPlans:
+    """``_class_plans`` orders each class leader's steps most constrained
+    first; ``bf_class_plans`` rebuilds them with sets of positions."""
+
+    @staticmethod
+    def agree(F):
+        plans = patterns._class_plans(F)
+        assert plans == bf_class_plans(F)
+        classes = bf_symmetry_classes(F)
+        assert [leader for leader, _ in plans] == sorted(set(classes))
+        for leader, steps in plans:
+            assert sorted(q for q, *_ in steps) == [q for q in range(F.t) if q != leader]
+            placed = {leader}
+            closed = []
+            for q, pairs, prev in steps:
+                assert all(a in placed and b in placed for a, b in pairs)
+                closed += [tuple(sorted((a, b, q))) for a, b in pairs]
+                # each class goes in index order, so the one bound a step
+                # needs is its last placed class-mate, never the leader
+                mates = [p for p in placed if p != leader and classes[p] == classes[q]]
+                assert all(p < q for p in mates)
+                assert prev == max(mates, default=-1)
+                placed.add(q)
+            # every pattern edge is closed by exactly one step
+            assert sorted(closed) == sorted(F.edges)
+
+    @pytest.mark.parametrize("t", range(4, 9))
+    def test_cliques_and_near_cliques(self, t):
+        self.agree(builtin_pattern(f"K{t}"))
+        self.agree(builtin_pattern(f"K{t}-"))
+
+    @pytest.mark.parametrize("F", [BOOK2, BOOK3, PATH, ROTATION], ids=lambda F: F.name)
+    def test_named_patterns(self, F):
+        self.agree(F)
+
+    def test_seeded_random_patterns(self):
+        rng = Random(301)
+        for _ in range(400):
+            t = rng.randint(1, 8)
+            p = rng.choice((0.15, 0.4, 0.7, 0.9))
+            edges = frozenset(e for e in combinations(range(t), 3) if rng.random() < p)
+            self.agree(Pattern(t, edges, "random"))
+
+    def test_near_clique_orders(self):
+        # 1 and 2 close no edge with 0 alone (012 is the missing triple), so
+        # the class {3, 4} goes first when v sits at 0
+        def orders(name):
+            return {leader: [q for q, *_ in steps] for leader, steps in patterns._class_plans(builtin_pattern(name))}
+
+        assert orders("K5-") == {0: [3, 4, 1, 2], 3: [0, 1, 4, 2]}
+        assert orders("K4-") == {0: [3, 1, 2], 3: [0, 1, 2]}
+
+
+class TestExistenceSearch:
+    """``_exists`` against the enumerating embedder at every vertex."""
+
+    @staticmethod
+    def agree(F, rng, densities, sizes):
+        outcomes = set()
+        for p in densities:
+            H = random_trigraph(rng, rng.choice(sizes), p)
+            bits = codegree_neighbourhoods(H)
+            for v in range(H.n):
+                found = patterns._exists(bits, H.n, v, F)
+                assert found == (bf_covered(H, v, F) is not None), (H.edges, v)
+                outcomes.add(found)
+        return outcomes
+
+    @pytest.mark.parametrize("F", [
+        builtin_pattern("K4-"), builtin_pattern("K5-"), builtin_pattern("K4"), builtin_pattern("K5"),
+        builtin_pattern("K6-"), BOOK2, BOOK3, PATH, ROTATION,
+    ], ids=lambda F: F.name)
+    def test_named_patterns(self, F):
+        sizes = range(6, 11) if F.t < 6 else range(6, 9)
+        densities = (0.05, 0.15, 0.3, 0.5, 0.8, 0.95) * 2
+        assert self.agree(F, Random(F.name), densities, sizes) == {False, True}
+
+    def test_seeded_random_patterns(self):
+        rng = Random(302)
+        outcomes = set()
+        for _ in range(200):
+            t = rng.randint(3, 5)
+            p = rng.choice((0.15, 0.4, 0.7, 0.9))
+            F = Pattern(t, frozenset(e for e in combinations(range(t), 3) if rng.random() < p), "random")
+            outcomes |= self.agree(F, rng, [rng.choice((0.05, 0.15, 0.3, 0.5, 0.8))], range(6, 11))
+        assert outcomes == {False, True}
+
+    def test_dead_vertices_are_never_candidates(self):
+        # a vertex outside every copy can be dropped without changing any
+        # other vertex's answer, and dropping a covered one can change it
+        rng = Random(303)
+        K5m = builtin_pattern("K5-")
+        for _ in range(20):
+            H = random_trigraph(rng, rng.randint(8, 10), 0.45)
+            bits = codegree_neighbourhoods(H)
+            covered = [patterns._exists(bits, H.n, v, K5m) for v in range(H.n)]
+            dead = sum(1 << v for v in range(H.n) if not covered[v])
+            for v in range(H.n):
+                if covered[v]:
+                    assert patterns._exists(bits, H.n, v, K5m, dead)
+        H = complete_trigraph(5)
+        assert not patterns._exists(codegree_neighbourhoods(H), 5, 0, K5m, 1 << 4)
+
+    def test_pattern_larger_than_host(self):
+        H = complete_trigraph(4)
+        assert not patterns._exists(codegree_neighbourhoods(H), 4, 0, builtin_pattern("K5"))
+
+    def test_edgeless_and_single_vertex_patterns(self):
+        H = TriGraph(3)
+        bits = codegree_neighbourhoods(H)
+        assert patterns._exists(bits, 3, 2, Pattern(3, frozenset(), "empty"))
+        assert patterns._exists(bits, 3, 1, Pattern(1, frozenset(), "point"))
+        assert not patterns._exists(bits, 3, 0, Pattern(4, frozenset(), "empty4"))
+
+
 class TestCountingDetector:
     def test_cross_validates_with_embedder(self):
         rng = Random(7)
@@ -369,21 +487,49 @@ class TestSharedRefutations:
         assert shared >= 5
 
     def test_refutation_prunes_later_searches(self, monkeypatch):
+        # the steps of both searches: refutations run in the existence
+        # search and witnesses in the completion step
         H, K5m = construct_h4(16), builtin_pattern("K5-")
         calls = 0
-        complete = patterns._complete
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return complete(*args)
+        def counted(step):
+            def call(*args):
+                nonlocal calls
+                calls += 1
+                return step(*args)
+            return call
 
-        monkeypatch.setattr(patterns, "_complete", counted)
+        monkeypatch.setattr(patterns, "_complete", counted(patterns._complete))
+        monkeypatch.setattr(patterns, "_extend", counted(patterns._extend))
         for v in range(H.n):
             covered_at(H, v, K5m)
         alone, calls = calls, 0
         covering_report(H, K5m)
         assert 0 < 2 * calls < alone
+
+    def test_refuted_vertex_never_reaches_the_witness_search(self, monkeypatch):
+        # x of H4 is refuted by the existence search alone, and later
+        # searches never place it
+        H, K5m = construct_h4(16), builtin_pattern("K5-")
+        placed, asked = [], []
+        complete, exists = patterns._complete, patterns._exists
+
+        def spy_complete(bits, n, steps, i, phi, free, bound):
+            placed.append(tuple(phi))
+            return complete(bits, n, steps, i, phi, free, bound)
+
+        def spy_exists(bits, n, v, F, dead=0):
+            found = exists(bits, n, v, F, dead)
+            asked.append((v, found))
+            return found
+
+        monkeypatch.setattr(patterns, "_complete", spy_complete)
+        monkeypatch.setattr(patterns, "_exists", spy_exists)
+        assert covering_report(H, K5m).uncovered == (0,)
+        assert placed and not any(0 in phi for phi in placed)
+        # x first; then only vertices outside every witness so far ask
+        assert asked[0] == (0, False) and all(found for _, found in asked[1:])
+        assert len(asked) < H.n
 
 
 class TestObstruction:
