@@ -52,15 +52,27 @@ def _kind(obj: GraphLike) -> tuple[int, Sequence[tuple[int, ...]], Optional[int]
 
 
 def _build(k: int, n: int, edges: list, distinguished: Optional[int], class_of: dict) -> GraphLike:
-    """The Graph (k=2) or TriGraph (k=3) a reader parsed; ValueError becomes FormatError."""
+    """The Graph (k=2) or TriGraph (k=3) a reader parsed; ValueError becomes
+    FormatError, and so does an edge given twice, in any vertex order."""
+    if k not in (2, 3):
+        raise FormatError(f"unsupported uniformity {k!r}")
+    labels = class_of or None
     try:
         if k == 3:
-            return TriGraph(n, edges, distinguished=distinguished, class_of=class_of or None)
-        if k == 2:
-            return Graph(n, edges, class_of=class_of or None)
+            G: GraphLike = TriGraph(n, edges, distinguished=distinguished, class_of=labels)
+        else:
+            G = Graph(n, edges, class_of=labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    raise FormatError(f"unsupported uniformity {k!r}")
+    # the graph keeps each edge once, so a repeated edge shows as a
+    # shortfall; only then is the first repeat looked up for the message
+    if G.edge_count < len(edges):
+        seen: set[tuple[int, ...]] = set()
+        for e in map(tuple, map(sorted, edges)):
+            if e in seen:
+                raise FormatError(f"duplicate edge {e}")
+            seen.add(e)
+    return G
 
 
 def write_edge_list(obj: GraphLike) -> str:
@@ -139,16 +151,7 @@ def parse_edge_list(text: str) -> GraphLike:
 
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    G = _build(k, n, edges, distinguished, class_of)
-    # the graph keeps each edge once, so a repeated edge line shows as a
-    # shortfall; only then is the first repeat looked up for the message
-    if G.edge_count < len(edges):
-        seen: set[tuple[int, ...]] = set()
-        for e in edges:
-            if e in seen:
-                raise FormatError(f"duplicate edge {e}")
-            seen.add(e)
-    return G
+    return _build(k, n, edges, distinguished, class_of)
 
 
 def to_json_dict(obj: GraphLike) -> dict:
@@ -174,20 +177,39 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _json_class_vertex(key: str) -> int:
+    # only the decimal string to_json_dict writes: "01", "+1" or " 1" would
+    # name vertex 1 a second time and silently replace its label
+    v = int(key)
+    if str(v) != key:
+        raise FormatError(f"bad class vertex: {key!r}")
+    return v
+
+
 def from_json_dict(doc: dict) -> GraphLike:
+    """The Graph or TriGraph of a ``to_json_dict`` document, held to the
+    rules ``parse_edge_list`` applies to the same graph as text."""
     try:
         k = _json_int(doc["uniformity"], "uniformity")
         n = _json_int(doc["n"], "vertex count")
         edges = [tuple(_json_int(v, "vertex index") for v in e) for e in doc["edges"]]
-        classes = {int(v): _check_label(lab) for v, lab in doc.get("classes", {}).items()}
+        classes = {
+            _json_class_vertex(v): _check_label(lab) for v, lab in doc.get("classes", {}).items()
+        }
         distinguished = doc.get("distinguished")
         if distinguished is not None:
             distinguished = _json_int(distinguished, "distinguished vertex")
+        m = doc.get("edge_count")
+        if m is not None:
+            m = _json_int(m, "edge count")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from None
     if distinguished is not None and k == 2:
         # as a 2-graph's X line is rejected by parse_edge_list
         raise FormatError("a distinguished vertex is for 3-graphs only")
+    if m is not None and m != len(edges):
+        # as a wrong header count is
+        raise FormatError(f"edge_count declares {m} edges, found {len(edges)}")
     _check_size(n)
     return _build(k, n, edges, distinguished, classes)
 

@@ -82,12 +82,9 @@ _Edges = list[tuple[int, int, int]]
 # triples avoiding vertex 0), the chosen triples None for the closed-form
 # t = 4 completion (``leaf_witness``)
 _Found = tuple[int, list[int], Optional[list[int]]]
-# the completion tables of ``_InnerSearch``: tri_pairs, pair_tri_mask,
-# set_pair_mask, set_tri_mask, tri_sets, tri_flips
-_Tables = tuple[
-    list[tuple[int, int, int]], list[int], list[int], list[int],
-    list[list[int]], list[tuple[tuple[int, int, int], ...]],
-]
+# the completion tables of ``_InnerSearch``: set_pair_mask, set_tri_mask,
+# tri_sets, tri_flips
+_Tables = tuple[list[int], list[int], list[list[int]], list[tuple[tuple[int, int, int], ...]]]
 
 
 class BudgetExhausted(Exception):
@@ -164,8 +161,7 @@ class _InnerSearch:
         self.n = n
         self.nv = n - 1
         self.F = F
-        self.pairs = list(combinations(range(self.nv), 2))
-        self.triples = list(combinations(range(self.nv), 3))
+        self.pairs, self.triples = _index_tables(self.nv)[:2]
         profile = clique_profile(F)
         self.theta: Optional[int] = profile[1] if profile is not None else None
         # K4- and K4: the leaves are completed in closed form
@@ -173,20 +169,13 @@ class _InnerSearch:
         self._tables: Optional[_Tables] = None
 
     def _completion_tables(self) -> _Tables:
-        """The tables that only ``decision_search`` reads, built on its first
-        call: the closed-form K4/K4- leaves never need them."""
-        # pidx[a][b]: the index of pair ab, a < b
-        pidx = [[0] * self.nv for _ in range(self.nv)]
-        for i, (a, b) in enumerate(self.pairs):
-            pidx[a][b] = i
-        tri_pairs = [(pidx[a][b], pidx[a][c], pidx[b][c]) for a, b, c in self.triples]
-        # pair_tri_mask[p]: bit i set iff triple i contains pair p
-        pair_tri_mask = [0] * len(self.pairs)
-        for i, ps in enumerate(tri_pairs):
-            for p in ps:
-                pair_tri_mask[p] |= 1 << i
-        # per (t-1)-set s of a clique pattern: the masks of its pairs and of
-        # its triples, and for each triple the sets holding it
+        """The tables that only ``decision_search`` reads and no shared table
+        holds, built on its first call: the closed-form K4/K4- leaves never
+        need them."""
+        tri_pairs = _index_tables(self.nv)[3]
+        # per (t-1)-set s of a clique pattern, as ``_tset_tables`` lists
+        # them: the masks of its pairs and of its triples, and for each
+        # triple the sets holding it
         set_pair_mask: list[int] = []
         set_tri_mask: list[int] = []
         tri_sets: list[list[int]] = [[] for _ in self.triples]
@@ -194,17 +183,20 @@ class _InnerSearch:
         # triple i in a host codegree table; clique patterns keep no table
         tri_flips: list[tuple[tuple[int, int, int], ...]] = [() for _ in self.triples]
         if self.theta is not None:
-            tidx = {tri: i for i, tri in enumerate(self.triples)}
-            for s_i, s in enumerate(combinations(range(self.nv), self.F.t - 1)):
+            for s, (m, _) in enumerate(_tset_tables(self.nv, self.F.t - 1)):
+                set_tri_mask.append(m)
+                # from t = 4 on every pair of a set lies in one of its triples
                 mask = 0
-                for a, b in combinations(s, 2):
-                    mask |= 1 << pidx[a][b]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    i = low.bit_length() - 1
+                    tri_sets[i].append(s)
+                    a, b, c = tri_pairs[i]
+                    mask |= 1 << a | 1 << b | 1 << c
                 set_pair_mask.append(mask)
-                mask = 0
-                for i in map(tidx.__getitem__, combinations(s, 3)):
-                    tri_sets[i].append(s_i)
-                    mask |= 1 << i
-                set_tri_mask.append(mask)
+            if self.F.t == 3:  # the sets are the pairs and hold no triple
+                set_pair_mask = [1 << p for p in range(len(self.pairs))]
         else:
             tri_flips = [
                 ((a + 1, b + 1, 2 << c), (b + 1, a + 1, 2 << c),
@@ -212,7 +204,7 @@ class _InnerSearch:
                  (b + 1, c + 1, 2 << a), (c + 1, b + 1, 2 << a))
                 for a, b, c in self.triples
             ]
-        return tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask, tri_sets, tri_flips
+        return set_pair_mask, set_tri_mask, tri_sets, tri_flips
 
     def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> _Edges:
         edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
@@ -316,7 +308,8 @@ class _InnerSearch:
             return None
         if self._tables is None:
             self._tables = self._completion_tables()
-        tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask, tri_sets, tri_flips = self._tables
+        set_pair_mask, set_tri_mask, tri_sets, tri_flips = self._tables
+        _, _, pair_tri_mask, tri_pairs, _ = _index_tables(nv)
         clique = self.theta is not None
         bits: list[list[int]] = []
         if not clique:
@@ -647,40 +640,43 @@ def _coin_flips(rng: Random, count: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sampler_tables(n: int) -> tuple[
-    tuple[tuple[int, int, int], ...], tuple[int, ...],
+def _index_tables(n: int) -> tuple[
+    tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...], tuple[int, ...],
     tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...],
 ]:
-    """The spot-check sampler's tables on n vertices (n <= 12, so few are
-    cached), triples and pairs in ``combinations`` order: the triples, per
-    pair the mask of its triples, per triple its three pair indices, and per
-    pair its triple indices in increasing order (which is increasing third
-    vertex)."""
+    """The pair and triple indexes on n vertices, which the completion
+    search and the spot-check share, pairs and triples in ``combinations``
+    order: the pairs, the triples, per pair the mask of its triples, per
+    triple its three pair indices, and per pair its triple indices in
+    increasing order (which is increasing third vertex)."""
+    pairs = tuple(combinations(range(n), 2))
     pair_index = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(combinations(range(n), 2)):
+    for i, (a, b) in enumerate(pairs):
         pair_index[a][b] = i
     triples = tuple(combinations(range(n), 3))
     tri_pairs = tuple((pair_index[a][b], pair_index[a][c], pair_index[b][c]) for a, b, c in triples)
-    pair_tris: list[list[int]] = [[] for _ in range(n * (n - 1) // 2)]
-    for i, pairs in enumerate(tri_pairs):
-        for p in pairs:
+    pair_tris: list[list[int]] = [[] for _ in pairs]
+    for i, ps in enumerate(tri_pairs):
+        for p in ps:
             pair_tris[p].append(i)
     pair_tri_mask = tuple(sum(1 << i for i in tris) for tris in pair_tris)
-    return triples, pair_tri_mask, tri_pairs, tuple(map(tuple, pair_tris))
+    return pairs, triples, pair_tri_mask, tri_pairs, tuple(map(tuple, pair_tris))
 
 
 @lru_cache(maxsize=None)
 def _tset_tables(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """Per t-set of n vertices, in ``combinations`` order: (the mask of the
-    triples inside it, in the triple order of ``_sampler_tables(n)``, its
-    vertex mask).  At most C(12, 6) = 924 sets.
+    triples inside it, in the triple order of ``_index_tables(n)``, its
+    vertex mask).  The spot-check asks for t-sets and the completion search
+    for (t-1)-sets; the oracle's largest CI shape, n = 19 and t = 4, has
+    C(19, 4) = 3 876 sets.
 
     A triple lies inside a t-set unless it meets one of the n - t vertices
     the set misses.  Complementing reverses the lexicographic order of sets
     of one size (the least element where two sets differ changes sides), so
     the missed sets, in ``combinations`` order, list the t-sets backwards.
     """
-    triples = _sampler_tables(n)[0]
+    triples = _index_tables(n)[1]
     through = [0] * n
     for i, tri in enumerate(triples):
         for v in tri:
@@ -719,7 +715,7 @@ def _mask_trigraph(n: int, inc: int) -> TriGraph:
     ``TriGraph``."""
     keep = bin(inc)[:1:-1].encode().translate(_DIGIT_BIT)
     # in combinations order the edges are sorted, so TriGraph keeps them
-    return TriGraph(n, compress(_sampler_tables(n)[0], keep))
+    return TriGraph(n, compress(_index_tables(n)[1], keep))
 
 
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, int]:
@@ -730,7 +726,7 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, i
     The sample is one int mask, bit i for triple i in ``combinations``
     order (``_mask_trigraph`` turns it into a ``TriGraph``), and the
     codegree of a pair is the popcount of the mask under the pair's triple
-    mask (``_sampler_tables``, built once per n).  The repair step takes the
+    mask (``_index_tables``, built once per n).  The repair step takes the
     lexicographically first pair of minimum codegree and a uniform choice
     among its absent triples in increasing order, which is increasing third
     vertex.  Codegrees only grow, so one pass over the pairs per minimum
@@ -746,7 +742,7 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, i
     ``bf_sample_above_threshold`` in the tests, one random() per triple, and
     leaves the generator in the same state.
     """
-    triples, pair_tri_mask, tri_pairs, pair_tris = _sampler_tables(n)
+    _, triples, pair_tri_mask, tri_pairs, pair_tris = _index_tables(n)
     inc = _coin_flips(rng, len(triples))
     counts = [(inc & m).bit_count() for m in pair_tri_mask]
     repairs = 0

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .hypergraphs import (
     TriGraph,
@@ -337,12 +337,11 @@ def _complete(
     return None
 
 
-def _improving_embeddings(
+def _lexmin_embedding(
     bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Embeddings of F with v in the image, each lexicographically below the
-    one before; the last is the lex-min one.  Callers run it only for a
-    vertex known to be covered, so it yields at least once.
+) -> tuple[int, ...]:
+    """The lex-min embedding of F with v in the image.  Callers run it only
+    for a vertex known to be covered, so there is one.
 
     Anchor p pins v at position p.  Anchors are tried in index order, each
     bounded by the best embedding so far, which holds v at an earlier
@@ -364,10 +363,9 @@ def _improving_embeddings(
             continue
         phi = [-1] * F.t
         phi[anchor] = v
-        res = _complete(bits, n, steps, 0, phi, free, best)
-        if res is not None:
-            best = res
-            yield res
+        best = _complete(bits, n, steps, 0, phi, free, best) or best
+    assert best is not None
+    return best
 
 
 def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -381,10 +379,7 @@ def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
     bits = codegree_neighbourhoods(H)
     if not _exists(bits, H.n, v, F):
         return None
-    best = None
-    for best in _improving_embeddings(bits, H.n, v, F):
-        pass
-    return best
+    return _lexmin_embedding(bits, H.n, v, F)
 
 
 def is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
@@ -480,10 +475,7 @@ def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
             uncovered.append(v)
             dead |= 1 << v
             continue
-        emb = ()
-        for emb in _improving_embeddings(nbhd, H.n, v, F, dead):
-            pass
-        witnesses[v] = emb
+        witnesses[v] = emb = _lexmin_embedding(nbhd, H.n, v, F, dead)
         for u in emb:
             seen |= 1 << u
     return CoverReport(pattern=F.name, n=H.n, uncovered=tuple(uncovered), witnesses=witnesses)

@@ -374,6 +374,44 @@ def bf_decision_search(n: int, F: Pattern, N: list[int], v: int, budget, force: 
     return None if chosen is None else host_edges(chosen)
 
 
+def bf_completion_tables(n: int, F: Pattern):
+    """The completion search's tables on the n - 1 link vertices, built
+    directly from dictionaries of pair and triple indices and the pairs and
+    triples of each (t-1)-set, as the search once built them itself:
+    (pairs, triples, tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask,
+    tri_sets, tri_flips), every one a list.  The set tables are filled for
+    K_t and K_t^- only, and ``tri_flips`` (the host codegree table updates
+    that add or remove a triple) for every other pattern."""
+    nv = n - 1
+    pairs = list(combinations(range(nv), 2))
+    triples = list(combinations(range(nv), 3))
+    pidx = {p: i for i, p in enumerate(pairs)}
+    tidx = {tri: i for i, tri in enumerate(triples)}
+    tri_pairs = [(pidx[(a, b)], pidx[(a, c)], pidx[(b, c)]) for a, b, c in triples]
+    pair_tri_mask = [
+        sum(1 << i for i, tri in enumerate(triples) if a in tri and b in tri) for a, b in pairs
+    ]
+    set_pair_mask: list[int] = []
+    set_tri_mask: list[int] = []
+    tri_sets: list[list[int]] = [[] for _ in triples]
+    tri_flips: list[tuple] = [() for _ in triples]
+    if F.edge_count >= comb(F.t, 3) - 1:
+        for s_i, s in enumerate(combinations(range(nv), F.t - 1)):
+            set_pair_mask.append(sum(1 << pidx[p] for p in combinations(s, 2)))
+            set_tri_mask.append(sum(1 << tidx[tri] for tri in combinations(s, 3)))
+            for tri in combinations(s, 3):
+                tri_sets[tidx[tri]].append(s_i)
+    else:
+        # row x + 1, column y + 1, bit z + 1 for each ordered pair xy of the
+        # triple and its third vertex z
+        tri_flips = [
+            tuple((x + 1, y + 1, 2 << z) for x, y, z in
+                  ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)))
+            for a, b, c in triples
+        ]
+    return pairs, triples, tri_pairs, pair_tri_mask, set_pair_mask, set_tri_mask, tri_sets, tri_flips
+
+
 def bf_blowup_edge_count(base: Graph, multiplicity: dict[int, int]) -> int:
     """Count blowup edges by enumerating every copy pair directly."""
     copies = []

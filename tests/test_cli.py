@@ -294,6 +294,21 @@ class TestErrorStreams:
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and "3-graphs only" in err
 
+    @pytest.mark.parametrize("fields, message", [
+        ({}, "bad class vertex: '01'"),
+        ({"classes": {"1": "a"}}, "edge_count declares 5 edges, found 2"),
+        ({"classes": {"1": "a"}, "edge_count": 2}, "duplicate edge (0, 1, 2)"),
+    ])
+    def test_json_reader_parity_exit_3(self, capsys, tmp_path, fields, message):
+        # the reader once exported each of these with exit 0, as one edge
+        # with vertex 1 labelled "b"
+        doc = {"uniformity": 3, "n": 4, "edges": [[0, 1, 2], [2, 1, 0]],
+               "classes": {"1": "a", "01": "b"}, "edge_count": 5, **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and message in err
+
     def test_loop_edge_in_json_exit_3(self, capsys, tmp_path):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps({"uniformity": 2, "n": 3, "edges": [[1, 1]]}))

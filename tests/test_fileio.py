@@ -1,6 +1,7 @@
 """Edge-list and JSON round-trip tests."""
 
 import json
+import re
 from random import Random
 
 import pytest
@@ -151,6 +152,42 @@ def test_json_distinguished_on_2_graph_rejected():
         from_json_dict(doc)
     with pytest.raises(FormatError, match="bad X line"):
         parse_edge_list("HG 2 3 1\nX 1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "k, edges, message",
+    [
+        (3, [[0, 1, 2], [0, 1, 2]], "duplicate edge (0, 1, 2)"),
+        (3, [[0, 1, 2], [1, 2, 3], [2, 1, 0]], "duplicate edge (0, 1, 2)"),
+        (2, [[0, 1], [1, 2], [1, 0]], "duplicate edge (0, 1)"),
+    ],
+    ids=["same-order", "reversed-3", "reversed-2"],
+)
+def test_json_repeated_edge_rejected(k, edges, message):
+    # the graph would keep the edge once; parse_edge_list rejects the same
+    # repeat as a line, so the JSON reader does too
+    with pytest.raises(FormatError) as exc:
+        from_json_dict({"uniformity": k, "n": 4, "edges": edges})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-0"])
+def test_json_class_key_must_be_written_form(key):
+    # int() reads each of these, as vertex 1 (or 10, or 0), but to_json_dict
+    # never writes them; "01" next to "1" would relabel vertex 1 silently
+    doc = {"uniformity": 3, "n": 12, "edges": [[0, 1, 2]], "classes": {"1": "a", key: "b"}}
+    with pytest.raises(FormatError, match=re.escape(f"bad class vertex: {key!r}")):
+        from_json_dict(doc)
+    assert from_json_dict({**doc, "classes": {"1": "a"}}).class_of == {1: "a"}
+
+
+@pytest.mark.parametrize("count", [0, 2, 5])
+def test_json_edge_count_mismatch_rejected(count):
+    doc = {"uniformity": 3, "n": 4, "edges": [[0, 1, 2]]}
+    with pytest.raises(FormatError, match=f"edge_count declares {count} edges, found 1"):
+        from_json_dict({**doc, "edge_count": count})
+    # absent, or equal to the number of edges, it is accepted
+    assert from_json_dict(doc) == from_json_dict({**doc, "edge_count": 1})
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from tricover.oracle import (
     _InnerSearch,
     _coin_flips,
     _covered_vertices,
+    _index_tables,
     _mask_trigraph,
     _sample_above_threshold,
     _tset_tables,
@@ -38,6 +39,7 @@ from tricover.oracle import (
 
 from _brute import (
     bf_certify_upper_behavior,
+    bf_completion_tables,
     bf_decision_search,
     bf_exact_c2,
     bf_greedy_value,
@@ -56,6 +58,8 @@ BOOK2 = Pattern(4, frozenset({(0, 1, 2), (0, 1, 3)}), "book2")
 BOOK3 = Pattern(5, frozenset({(0, 1, 2), (0, 1, 3), (0, 1, 4)}), "book3")
 # a tight path: its embedder reads codegree pairs in both host orders
 PATH = Pattern(5, frozenset({(0, 1, 2), (1, 2, 3), (2, 3, 4)}), "path")
+# one edge: its (t-1)-sets are single pairs and hold no triple
+EDGE = Pattern(3, frozenset({(0, 1, 2)}), "edge")
 
 # c2(n, F) for n = 6, 7, 8
 EXACT_TABLE = {"K4-": (2, 2, 2), "K5-": (3, 4, 4), "K4": (2, 3, 4), "K5": (3, 4, 5)}
@@ -401,6 +405,33 @@ class TestLexLeaders:
         assert self.leaves(n) == leaders and len(leaders) == count
 
 
+class TestCompletionTables:
+    """The completion search reads its pair and triple indexes from
+    ``_index_tables`` and its (t-1)-set triple masks from ``_tset_tables``,
+    and derives the rest from them; together they equal the tables that
+    ``bf_completion_tables`` builds directly, entry for entry."""
+
+    @staticmethod
+    def tables(n, F):
+        inner = _InnerSearch(n, F)
+        _, _, pair_tri_mask, tri_pairs, _ = _index_tables(n - 1)
+        return tuple(map(list, (inner.pairs, inner.triples, tri_pairs, pair_tri_mask,
+                                *inner._completion_tables())))
+
+    @pytest.mark.parametrize(
+        "F", [K5M, builtin_pattern("K5"), builtin_pattern("K6-"), BOOK2, BOOK3, PATH, EDGE],
+        ids=lambda F: F.name,
+    )
+    def test_match_direct_construction(self, F):
+        for n in range(F.t, 15):
+            assert self.tables(n, F) == bf_completion_tables(n, F), n
+
+    def test_match_direct_construction_at_20(self):
+        # 3 876 sets of four link vertices, the completion search's widest
+        # CI shape (``tricover oracle --n 20 --pattern K5-``)
+        assert self.tables(20, K5M) == bf_completion_tables(20, K5M)
+
+
 class TestIncrementalBound:
     """``decision_search`` against the rescanning search it replaced
     (``bf_decision_search``), which finds the sets to force by its own
@@ -552,7 +583,7 @@ class TestOneEdgePattern:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_value_and_witness(self, n):
-        res = exact_c2(n, Pattern(3, frozenset({(0, 1, 2)}), "edge"))
+        res = exact_c2(n, EDGE)
         assert res.exhaustive and res.value == 0
         assert res.witness == TriGraph(n, combinations(range(1, n), 3), distinguished=0)
 
@@ -721,7 +752,8 @@ class TestCertifyUpperBehavior:
 
 
 class TestMaskDetector:
-    @pytest.mark.parametrize("n, t", [(4, 4), (8, 5), (9, 3), (12, 4), (12, 8)])
+    # (19, 4): the (t-1)-sets of K5- at n = 20, the largest the oracle's CI runs
+    @pytest.mark.parametrize("n, t", [(4, 4), (8, 5), (9, 3), (12, 4), (12, 8), (19, 4)])
     def test_tables_list_tsets_in_combinations_order(self, n, t):
         index = {e: i for i, e in enumerate(combinations(range(n), 3))}
         assert _tset_tables(n, t) == tuple(
