@@ -25,11 +25,11 @@ import sys
 from typing import Optional
 
 from .constructions import FAMILIES, check_construction, construct, verify_claim
-from .fileio import FormatError, dumps_json, load, save, write_edge_list
+from .fileio import _DECIMAL, FormatError, dumps_json, load, save, write_edge_list
 from .hypergraphs import Graph, TriGraph, _check_vertex
 from .koenig import bipartite_edge_coloring
 from .oracle import DEFAULT_HARD_CAP, exact_c2
-from .patterns import builtin_pattern, covering_report
+from .patterns import builtin_pattern, covered_at, covering_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covering", help="per-vertex pattern covering report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--vertex", help="vertex index, or the literal 'x' for the file's X marker"
-                   " (default: exit 0 iff every vertex is covered)")
+    p.add_argument("--vertex", help="report on this vertex alone: an index, or the literal 'x'"
+                   " for the file's X marker (default: every vertex, exit 0 iff all are covered)")
     add_format(p)
 
     p = sub.add_parser("koenig", help="partition a bipartite graph's edges into Delta matchings")
@@ -114,10 +114,9 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
         if H.distinguished is None:
             raise FormatError("the input file marks no distinguished vertex (no X line)")
         return H.distinguished
-    try:
-        v = int(token)
-    except ValueError:
-        raise ValueError(f"bad vertex {token!r}: expected an index or 'x'") from None
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"bad vertex {token!r}: expected an index or 'x'")
+    v = int(token)
     _check_vertex(v, H.n)
     return v
 
@@ -127,10 +126,10 @@ def _parse_sides_file(path: str) -> tuple[list[int], list[int]]:
         rows = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) != 2:
         raise FormatError("sides file needs exactly two lines: side A indices, then side B")
-    try:
-        return [int(t) for t in rows[0].split()], [int(t) for t in rows[1].split()]
-    except ValueError:
-        raise FormatError("sides file lines must contain integers") from None
+    side_a, side_b = rows[0].split(), rows[1].split()
+    if not all(map(_DECIMAL.fullmatch, side_a + side_b)):
+        raise FormatError("sides file lines must contain integers")
+    return list(map(int, side_a)), list(map(int, side_b))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -154,12 +153,20 @@ def _cmd_covering(args: argparse.Namespace) -> int:
     if not isinstance(obj, TriGraph):
         raise FormatError("covering analysis needs a 3-graph input (HG 3 header)")
     pattern = builtin_pattern(args.pattern)
-    v = _resolve_vertex(args.vertex, obj) if args.vertex is not None else None
-    report = covering_report(obj, pattern)
-    _emit(report.to_dict(), args.format)
-    if v is not None:
-        return EXIT_OK if v not in report.uncovered else EXIT_FAIL
-    return EXIT_OK if report.fully_covered else EXIT_FAIL
+    if args.vertex is None:
+        report = covering_report(obj, pattern)
+        _emit(report.to_dict(), args.format)
+        return EXIT_OK if report.fully_covered else EXIT_FAIL
+    v = _resolve_vertex(args.vertex, obj)
+    witness = covered_at(obj, v, pattern)
+    _emit({
+        "pattern": pattern.name,
+        "n": obj.n,
+        "vertex": v,
+        "covered": witness is not None,
+        "witness": None if witness is None else list(witness),
+    }, args.format)
+    return EXIT_OK if witness is not None else EXIT_FAIL
 
 
 def _cmd_koenig(args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ The text format, shared by every tool in the package::
     CLASS <vertex> <label>       optional, repeated: vertex class labels
     a b c                        one edge per line, strictly increasing indices
 
+Every integer is ASCII decimal digits with an optional leading '-'.
 Lines use LF endings.  The writer is canonical (CLASS lines sorted by vertex,
 edges in lexicographic order, no comments), so write -> parse -> write is
 bit-exact.
@@ -20,6 +21,7 @@ could otherwise ask for gigabytes.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -88,11 +90,15 @@ def write_edge_list(obj: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
+# an integer token: int() alone would also read '+1', '0_0' and non-ASCII
+# digits, which the writer then turns into other text
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"bad {what}: {token!r}") from None
+    if not _DECIMAL.fullmatch(token):
+        raise FormatError(f"bad {what}: {token!r}")
+    return int(token)
 
 
 def _check_size(n: int) -> None:
@@ -148,6 +154,16 @@ def parse_edge_list(text: str) -> GraphLike:
             if not (e[0] < e[1] if k == 2 else e[0] < e[1] < e[2]):
                 raise FormatError(f"edge line {ln!r}: indices must be strictly increasing")
             edges.append(e)
+
+    # a token int() reads is _DECIMAL unless it holds '+', '_' or a
+    # non-ASCII digit, so the edge tokens are checked one by one only when
+    # the document holds one of those anywhere
+    if not text.isascii() or "+" in text or "_" in text:
+        for ln in lines[1:]:
+            parts = ln.split()
+            if parts[0] not in ("X", "CLASS"):
+                for p in parts:
+                    _parse_int(p, "vertex index")
 
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")

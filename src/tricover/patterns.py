@@ -7,24 +7,26 @@ lies in at least one copy.
 
 Two independent detectors are provided:
 
-* an embedder for any pattern, with two backtracking searches over the
-  codegree neighbourhoods of placed pairs.  Pattern vertices that some swap
-  of two vertices maps onto each other form a symmetry class, and both
-  searches only build embeddings whose images increase along a class, so
-  the labellings of a copy that such swaps give are never searched twice.
-  Neighbourhoods are int bitmasks, so a position's candidates are the AND of
-  a few masks with the mask of unused vertices, cut to the range its class
-  allows and walked lowest bit first.
+* an embedder for any pattern: one backtracking step function over the
+  codegree neighbourhoods of placed pairs, run on two kinds of plan, each
+  of which pins v at one position and gives every other position a step.
+  Pattern vertices that some swap of two vertices maps onto each other form
+  a symmetry class, and both plans only build embeddings whose images
+  increase along a class, so the labellings of a copy that such swaps give
+  are never searched twice.  Neighbourhoods are int bitmasks, so a
+  position's candidates are the AND of a few masks with the mask of unused
+  vertices, cut to the range its step allows and walked lowest bit first.
 
   - The existence search (``is_covered``) pins v at each class leader in
-    turn; a swap within a class is an automorphism, so any copy through v
-    has a labelling with v there.  It places the other positions most
-    constrained first, the one that closes the most edges with placed
-    positions, so a refutation prunes as early as the pattern allows.
+    turn, outside its class's order; a swap within a class is an
+    automorphism, so any copy through v has a labelling with v there.  It
+    places the other positions most constrained first, the one that closes
+    the most edges with placed positions, so a refutation prunes as early
+    as the pattern allows.
   - The witness search (``covered_at``) pins v at each pattern vertex in
-    turn and fills the other positions in index order, so it finds the
-    lexicographically smallest copy through v.  It runs only once the
-    existence search has found a copy.
+    turn, inside its class's order, and fills the other positions in index
+    order, so its first completion is the lexicographically smallest copy
+    through v.  It runs only once the existence search has found a copy.
 
   ``covering_report`` runs both for every vertex in turn and shares what it
   learns: a vertex found uncovered lies in no copy at all, so it leaves the
@@ -130,16 +132,13 @@ def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 Neighbourhoods = Sequence[Sequence[int]]
-# per free position, in index order: (position, placed pairs closing an edge,
-# the placed class member its image must exceed, the anchor when its image
-# must stay below v), -1 for an absent constraint
+# per free position: (position, placed pairs closing an edge, the placed
+# class-mate its image must exceed, the anchor when its image must stay
+# below v), -1 for an absent constraint
 _Step = tuple[int, tuple[tuple[int, ...], ...], int, int]
 # per anchor: (class members before it, class members after it, the steps
 # that fill every other position in index order)
 _Plan = tuple[int, int, tuple[_Step, ...]]
-# the existence search's step: (position, placed pairs closing an edge, the
-# placed class member its image must exceed or -1)
-_Probe = tuple[int, tuple[tuple[int, ...], ...], int]
 
 
 def _symmetry_classes(F: Pattern) -> tuple[int, ...]:
@@ -208,7 +207,7 @@ def _anchor_plans(F: Pattern) -> tuple[_Plan, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_plans(F: Pattern) -> tuple[tuple[int, tuple[_Probe, ...]], ...]:
+def _class_plans(F: Pattern) -> tuple[tuple[int, tuple[_Step, ...]], ...]:
     """The existence search's plan for each class leader, the position that
     v takes: (the leader, the steps that fill every other position).
 
@@ -243,35 +242,59 @@ def _class_plans(F: Pattern) -> tuple[tuple[int, tuple[_Probe, ...]], ...]:
             ))
             rest.remove(q)
             pairs = tuple([pair for m, pair in through[q] if not m & ~(done | 1 << q)])
-            steps.append((q, pairs, (placed & mates[q]).bit_length() - 1))
+            steps.append((q, pairs, (placed & mates[q]).bit_length() - 1, -1))
             placed |= 1 << q
         plans.append((leader, tuple(steps)))
     return tuple(plans)
 
 
-def _extend(bits: Neighbourhoods, steps: tuple[_Probe, ...], i: int, phi: list[int], free: int) -> bool:
-    """Whether ``phi`` has a completion from ``steps[i]`` on.  ``free`` is
-    the mask of vertices not in phi; a position's candidates are the free
-    vertices in the codegree neighbourhood of every placed pair closing an
-    edge through it, above the image of its class's last placed member."""
-    q, pairs, prev = steps[i]
+def _complete(
+    bits: Neighbourhoods,
+    steps: tuple[_Step, ...],
+    i: int,
+    phi: list[int],
+    free: int,
+    bound: Optional[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """The first completion of ``phi`` from ``steps[i]`` on, trying each
+    position's candidates lowest first, or None; when the steps go in index
+    order, it is the lex-min completion.  ``free`` is the mask of vertices
+    not in phi.  A position's candidates are the free vertices in the
+    codegree neighbourhood of every placed pair closing an edge through it,
+    within the limits its step sets: above the image of a placed
+    class-mate, below the image of the anchor.
+    ``bound``, when given, is an embedding that phi matches on every placed
+    position: only completions up to it are wanted, so larger candidates
+    are cut, and the bound is dropped once a candidate falls below it."""
+    q, pairs, prev, cap = steps[i]
     cands = free
     if prev >= 0:
         cands &= -(2 << phi[prev])
+    if cap >= 0:
+        cands &= (1 << phi[cap]) - 1
+    top = -1
+    if bound is not None:
+        top = bound[q]
+        cands &= (2 << top) - 1
     for a, b in pairs:
         cands &= bits[phi[a]][phi[b]]
         if not cands:
-            return False
+            return None
     i += 1
     if i == len(steps):
-        return cands != 0
+        if not cands:
+            return None
+        phi[q] = (cands & -cands).bit_length() - 1
+        return tuple(phi)
     while cands:
         low = cands & -cands
-        phi[q] = low.bit_length() - 1
-        if _extend(bits, steps, i, phi, free ^ low):
-            return True
+        c = low.bit_length() - 1
+        phi[q] = c
+        res = _complete(bits, steps, i, phi, free ^ low, bound if c == top else None)
+        if res is not None:
+            return res
         cands ^= low
-    return False
+    return None
 
 
 def _exists(bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0) -> bool:
@@ -288,53 +311,9 @@ def _exists(bits: Neighbourhoods, n: int, v: int, F: Pattern, dead: int = 0) -> 
             return True
         phi = [-1] * F.t
         phi[leader] = v
-        if _extend(bits, steps, 0, phi, free):
+        if _complete(bits, steps, 0, phi, free, None) is not None:
             return True
     return False
-
-
-def _complete(
-    bits: Neighbourhoods,
-    n: int,
-    steps: tuple[_Step, ...],
-    i: int,
-    phi: list[int],
-    free: int,
-    bound: Optional[tuple[int, ...]],
-) -> Optional[tuple[int, ...]]:
-    """The lex-min completion of ``phi`` (-1 marks an open position) from
-    ``steps[i]`` on, or None.  ``free`` is the mask of vertices not in phi.
-    A position's candidates are the free vertices in the codegree
-    neighbourhood of every placed pair closing an edge through it, within
-    the limits its symmetry class sets.
-    ``bound``, when given, is an embedding that phi matches on every placed
-    position: only smaller completions are wanted, so larger candidates are
-    cut, and the bound is dropped once a candidate falls below it."""
-    if i == len(steps):
-        return tuple(phi)
-    q, pairs, prev, cap = steps[i]
-    cands = free
-    if prev >= 0:
-        cands &= -(2 << phi[prev])
-    if cap >= 0:
-        cands &= (1 << phi[cap]) - 1
-    for a, b in pairs:
-        cands &= bits[phi[a]][phi[b]]
-        if not cands:
-            return None
-    top = n if bound is None else bound[q]
-    while cands:
-        low = cands & -cands
-        c = low.bit_length() - 1
-        if c > top:
-            break
-        phi[q] = c
-        res = _complete(bits, n, steps, i + 1, phi, free ^ low, bound if c == top else None)
-        if res is not None:
-            return res
-        cands ^= low
-    phi[q] = -1
-    return None
 
 
 def _lexmin_embedding(
@@ -363,7 +342,10 @@ def _lexmin_embedding(
             continue
         phi = [-1] * F.t
         phi[anchor] = v
-        best = _complete(bits, n, steps, 0, phi, free, best) or best
+        if not steps:
+            # a one-vertex pattern: v alone is the embedding
+            return tuple(phi)
+        best = _complete(bits, steps, 0, phi, free, best) or best
     assert best is not None
     return best
 
@@ -460,9 +442,9 @@ def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
     uncovered lies in no copy of F, so it is removed from the candidates of
     every later search, which pays when it comes before the vertices it
     would otherwise be tried for.  The constructions put x at 0: on H4(28)
-    and K5- the existence search refutes x in about 1 000 calls of its
-    extension step, and with x gone a covered vertex's witness takes about
-    35 calls of the completion step instead of about 420.
+    and K5- the existence search refutes x in about 1 000 calls of the step
+    function, and with x gone a covered vertex's witness takes about 30
+    calls of it instead of about 420.
     """
     nbhd = codegree_neighbourhoods(H)
     uncovered = []

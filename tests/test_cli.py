@@ -117,7 +117,10 @@ class TestCovering:
         assert run(capsys, "construct", "--family", "H4", "--n", "7", "--out", str(path))[0] == 0
         code, out, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K5-", "--vertex", "x")
         assert code == 1
-        assert "uncovered" in out
+        # x alone is reported, not the whole graph
+        assert out.splitlines() == [
+            "covered = false", "n = 7", 'pattern = "K5-"', "vertex = 0", "witness = null",
+        ]
 
     def test_fully_covered_exit_0(self, capsys, tmp_path):
         from itertools import combinations
@@ -126,8 +129,12 @@ class TestCovering:
         save(TriGraph(5, combinations(range(5), 3)), path)
         code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K5-")
         assert code == 0
-        code, _, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K4", "--vertex", "3")
+        code, out, _ = run(capsys, "covering", "--in", str(path), "--pattern", "K4", "--vertex", "3",
+                           "--format", "json")
         assert code == 0
+        assert json.loads(out) == {
+            "pattern": "K4", "n": 5, "vertex": 3, "covered": True, "witness": [0, 1, 2, 3],
+        }
         # the whole-graph report is the default, with no flag for it
         assert run(capsys, "covering", "--in", str(path), "--pattern", "K5-", "--all")[0] == 2
 
@@ -150,6 +157,10 @@ class TestCovering:
         assert code == 2 and out == "" and "out of range" in err
         code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", "1.5")
         assert code == 2 and out == "" and "bad vertex '1.5'" in err
+        # int() reads both as 1
+        for token in ("+1", "0_1"):
+            code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", token)
+            assert code == 2 and out == "" and f"bad vertex {token!r}" in err
 
     def test_mistyped_json_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "h.json"
@@ -195,6 +206,10 @@ class TestKoenig:
         spath.write_text("0 1\n")
         assert run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))[0] == 3
         spath.write_text("0\none\n")
+        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
+        assert code == 3 and out == "" and "integers" in err
+        # int() reads '+1' as 1
+        spath.write_text("0\n+1\n")
         code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
         assert code == 3 and out == "" and "integers" in err
 
@@ -314,6 +329,20 @@ class TestErrorStreams:
         path.write_text(json.dumps({"uniformity": 2, "n": 3, "edges": [[1, 1]]}))
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and "edge (1, 1) is not a 2-element vertex set" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("HG 3 +4 0\n", "bad vertex count: '+4'"),
+        ("HG 3 4 1\nX 0_0\n0 1 2\n", "bad distinguished vertex: '0_0'"),
+        ("HG 3 4 1\nCLASS +1 a\n0 1 2\n", "bad class vertex: '+1'"),
+        ("HG 3 5 2\n0 1 2\n1 2 \u0663\n", "bad vertex index: '\u0663'"),
+    ])
+    def test_non_decimal_integer_exit_3(self, capsys, tmp_path, text, message):
+        # each of these once exported with exit 0, as 'HG 3 4 ...', 'X 0',
+        # 'CLASS 1 a' or '1 2 3'
+        path = tmp_path / "bad.hg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and message in err
 
     def test_negative_header_count_exit_3(self, capsys, tmp_path):
         path = tmp_path / "neg.hg"

@@ -97,6 +97,32 @@ def test_parse_errors(bad):
         parse_edge_list(bad)
 
 
+# int() reads each of these tokens, and the writer would turn the graph
+# into other text ('HG 3 4 1', 'X 0', 'CLASS 1 a', '0 1 2')
+NON_DECIMAL = [
+    ("HG 3 +4 0\n", "bad vertex count: '+4'"),
+    ("HG 3 4 1\nX 0_0\n0 1 2\n", "bad distinguished vertex: '0_0'"),
+    ("HG 3 4 1\nCLASS +1 a\n0 1 2\n", "bad class vertex: '+1'"),
+    ("HG 3 5 2\n0 1 2\n1 2 \u0663\n", "bad vertex index: '\u0663'"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_DECIMAL + [
+    ("HG 3 5 2\n0 1 2\n+1 2 3\n", "bad vertex index: '+1'"),
+    ("HG 3 5 2\n0 1 2\n1 2 0_3\n", "bad vertex index: '0_3'"),
+])
+def test_non_decimal_integer_rejected(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+def test_plus_underscore_and_non_ascii_outside_integers():
+    # labels and comments may hold what no integer token may
+    G = parse_edge_list("# n+1 \u00e9\nHG 3 4 1\nCLASS 0 part_A\nCLASS 1 \u00e9\n0 1 2\n")
+    assert G.class_of == {0: "part_A", 1: "\u00e9"} and list(G.edges) == [(0, 1, 2)]
+
+
 REPEATED_EDGE = {
     2: ("HG 2 4 3\n0 1\n1 2\n0 1\n", "duplicate edge (0, 1)"),
     3: ("HG 3 5 3\n0 1 2\n1 2 3\n1 2 3\n", "duplicate edge (1, 2, 3)"),

@@ -267,14 +267,18 @@ class TestClassPlans:
     @staticmethod
     def agree(F):
         plans = patterns._class_plans(F)
-        assert plans == bf_class_plans(F)
+        # the existence search never caps a position below v
+        assert all(cap == -1 for _, steps in plans for *_, cap in steps)
+        assert tuple(
+            (leader, tuple(step[:3] for step in steps)) for leader, steps in plans
+        ) == bf_class_plans(F)
         classes = bf_symmetry_classes(F)
         assert [leader for leader, _ in plans] == sorted(set(classes))
         for leader, steps in plans:
             assert sorted(q for q, *_ in steps) == [q for q in range(F.t) if q != leader]
             placed = {leader}
             closed = []
-            for q, pairs, prev in steps:
+            for q, pairs, prev, _ in steps:
                 assert all(a in placed and b in placed for a, b in pairs)
                 closed += [tuple(sorted((a, b, q))) for a, b in pairs]
                 # each class goes in index order, so the one bound a step
@@ -421,6 +425,19 @@ class TestCoveringReport:
         rep = covering_report(TriGraph(6), builtin_pattern("K4-"))
         assert rep.uncovered == tuple(range(6)) and not rep.witnesses
 
+    @pytest.mark.parametrize("t, witnesses", [
+        (1, {0: (0,), 1: (1,), 2: (2,)}),
+        (2, {0: (0, 1), 1: (0, 1), 2: (0, 2)}),
+        (3, {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2)}),
+    ])
+    def test_edgeless_patterns(self, t, witnesses):
+        # the one-vertex pattern's plans have no steps, and the other
+        # patterns' steps close no edge
+        H, F = TriGraph(3, [(0, 1, 2)]), Pattern(t, frozenset(), f"empty{t}")
+        assert {v: covered_at(H, v, F) for v in range(3)} == witnesses
+        rep = covering_report(H, F)
+        assert rep.uncovered == () and rep.witnesses == witnesses
+
     def test_dict_shape(self):
         rep = covering_report(complete_trigraph(4), builtin_pattern("K4"))
         doc = rep.to_dict()
@@ -487,8 +504,7 @@ class TestSharedRefutations:
         assert shared >= 5
 
     def test_refutation_prunes_later_searches(self, monkeypatch):
-        # the steps of both searches: refutations run in the existence
-        # search and witnesses in the completion step
+        # the one step function serves refutations and witnesses alike
         H, K5m = construct_h4(16), builtin_pattern("K5-")
         calls = 0
 
@@ -500,7 +516,6 @@ class TestSharedRefutations:
             return call
 
         monkeypatch.setattr(patterns, "_complete", counted(patterns._complete))
-        monkeypatch.setattr(patterns, "_extend", counted(patterns._extend))
         for v in range(H.n):
             covered_at(H, v, K5m)
         alone, calls = calls, 0
@@ -511,25 +526,28 @@ class TestSharedRefutations:
         # x of H4 is refuted by the existence search alone, and later
         # searches never place it
         H, K5m = construct_h4(16), builtin_pattern("K5-")
-        placed, asked = [], []
-        complete, exists = patterns._complete, patterns._exists
+        witnessed, asked = [], []
+        lexmin, exists = patterns._lexmin_embedding, patterns._exists
 
-        def spy_complete(bits, n, steps, i, phi, free, bound):
-            placed.append(tuple(phi))
-            return complete(bits, n, steps, i, phi, free, bound)
+        def spy_lexmin(bits, n, v, F, dead=0):
+            witnessed.append((v, dead))
+            return lexmin(bits, n, v, F, dead)
 
         def spy_exists(bits, n, v, F, dead=0):
             found = exists(bits, n, v, F, dead)
-            asked.append((v, found))
+            asked.append((v, dead, found))
             return found
 
-        monkeypatch.setattr(patterns, "_complete", spy_complete)
+        monkeypatch.setattr(patterns, "_lexmin_embedding", spy_lexmin)
         monkeypatch.setattr(patterns, "_exists", spy_exists)
         assert covering_report(H, K5m).uncovered == (0,)
-        assert placed and not any(0 in phi for phi in placed)
         # x first; then only vertices outside every witness so far ask
-        assert asked[0] == (0, False) and all(found for _, found in asked[1:])
+        assert asked[0] == (0, 0, False) and all(found for *_, found in asked[1:])
         assert len(asked) < H.n
+        # every later search, of either kind, has x out of its candidates
+        assert [v for v, _ in witnessed] == list(range(1, H.n))
+        assert all(dead & 1 for _, dead, _ in asked[1:])
+        assert all(dead & 1 for _, dead in witnessed)
 
 
 class TestObstruction:
