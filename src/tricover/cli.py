@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 from .constructions import FAMILIES, check_construction, construct, verify_claim
-from .fileio import _DECIMAL, FormatError, dumps_json, load, save, write_edge_list
+from .fileio import FormatError, _parse_int, _read_text, dumps_json, load, save, write_edge_list
 from .hypergraphs import Graph, TriGraph, _check_vertex
 from .koenig import bipartite_edge_coloring
 from .oracle import DEFAULT_HARD_CAP, exact_c2
@@ -37,11 +37,17 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def integer(text: str) -> int:
+    """argparse type: an integer as the file formats spell it, so '+9', '09',
+    '1_000' and non-ASCII digits are rejected ("invalid integer value")."""
+    return _parse_int(text, "integer")
+
+
 def _sizes_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("sizes must be three comma-separated integers")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    return tuple(map(integer, parts))  # type: ignore[return-value]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,15 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a construction and write its edge-list file")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=int, help="parameter for H1/H2/H3")
-    p.add_argument("--n", type=int, help="vertex count for H4")
+    p.add_argument("--m", type=integer, help="parameter for H1/H2/H3")
+    p.add_argument("--n", type=integer, help="vertex count for H4")
     p.add_argument("--sizes", type=_sizes_arg, help="part sizes for T, e.g. 2,2,3")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify a construction's claims (exit 0 iff they pass)")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=integer)
+    p.add_argument("--n", type=integer)
     p.add_argument("--sizes", type=_sizes_arg)
     p.add_argument("--in", dest="infile", help="verify this file instead of a fresh construction")
     add_format(p)
@@ -82,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("oracle", help="exhaustively compute the covering threshold at small n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-nodes", type=integer)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--allow-large", action="store_true",
                    help=f"override the n <= {DEFAULT_HARD_CAP} hard cap (requires a budget)")
@@ -114,22 +120,23 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
         if H.distinguished is None:
             raise FormatError("the input file marks no distinguished vertex (no X line)")
         return H.distinguished
-    if not _DECIMAL.fullmatch(token):
-        raise ValueError(f"bad vertex {token!r}: expected an index or 'x'")
-    v = int(token)
+    try:
+        v = _parse_int(token, "vertex")
+    except FormatError:
+        raise ValueError(f"bad vertex {token!r}: expected an index or 'x'") from None
     _check_vertex(v, H.n)
     return v
 
 
 def _parse_sides_file(path: str) -> tuple[list[int], list[int]]:
-    with open(path, encoding="utf-8") as fh:
-        rows = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) != 2:
         raise FormatError("sides file needs exactly two lines: side A indices, then side B")
-    side_a, side_b = rows[0].split(), rows[1].split()
-    if not all(map(_DECIMAL.fullmatch, side_a + side_b)):
-        raise FormatError("sides file lines must contain integers")
-    return list(map(int, side_a)), list(map(int, side_b))
+    try:
+        side_a, side_b = ([_parse_int(p, "side index") for p in row.split()] for row in rows)
+    except FormatError:
+        raise FormatError("sides file lines must contain integers") from None
+    return side_a, side_b
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

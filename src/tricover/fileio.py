@@ -8,7 +8,8 @@ The text format, shared by every tool in the package::
     CLASS <vertex> <label>       optional, repeated: vertex class labels
     a b c                        one edge per line, strictly increasing indices
 
-Every integer is ASCII decimal digits with an optional leading '-'.
+Every integer is spelled as the writer spells it (``_DECIMAL``): ASCII
+digits with an optional leading '-', and no leading zero and no '-0'.
 Lines use LF endings.  The writer is canonical (CLASS lines sorted by vertex,
 edges in lexicographic order, no comments), so write -> parse -> write is
 bit-exact.
@@ -90,15 +91,27 @@ def write_edge_list(obj: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
-# an integer token: int() alone would also read '+1', '0_0' and non-ASCII
-# digits, which the writer then turns into other text
-_DECIMAL = re.compile(r"-?[0-9]+")
+# the writer's spelling of an integer: int() alone would also read '+1', '0_0',
+# '-0', '01' and non-ASCII digits, which the writer turns into other text
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+# a token-initial zero followed by a digit; the search keeps '0' as its prefix
+_LEADING_ZERO = re.compile(r"0(?<=\s0)[0-9]")
 
 
 def _parse_int(token: str, what: str) -> int:
-    if not _DECIMAL.fullmatch(token):
-        raise FormatError(f"bad {what}: {token!r}")
-    return int(token)
+    if _DECIMAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"bad {what}: {token!r}")
+
+
+def _read_text(path: Union[str, Path]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _check_size(n: int) -> None:
@@ -123,6 +136,11 @@ def parse_edge_list(text: str) -> GraphLike:
         raise FormatError("negative counts in header")
     _check_size(n)
 
+    # in a document with no '+', '_', '-0', non-ASCII character or leading zero
+    # anywhere, int() reads every edge token as _parse_int does
+    plain = text.isascii() and not ("+" in text or "_" in text or "-0" in text)
+    plain = plain and not _LEADING_ZERO.search(text)
+    read = int if plain else lambda p: _parse_int(p, "vertex index")
     distinguished = None
     class_of: dict[int, str] = {}
     edges: list[tuple[int, ...]] = []
@@ -145,25 +163,14 @@ def parse_edge_list(text: str) -> GraphLike:
             if len(parts) != k:
                 raise FormatError(f"edge line {ln!r}: expected {k} indices")
             try:
-                e = tuple(map(int, parts))
+                e = tuple(map(read, parts))
             except ValueError:
-                # the first bad token names itself in the message
-                for p in parts:
-                    _parse_int(p, "vertex index")
-                raise
+                # int() or the token check failed: the first bad token names
+                # itself in the message
+                e = tuple(_parse_int(p, "vertex index") for p in parts)
             if not (e[0] < e[1] if k == 2 else e[0] < e[1] < e[2]):
                 raise FormatError(f"edge line {ln!r}: indices must be strictly increasing")
             edges.append(e)
-
-    # a token int() reads is _DECIMAL unless it holds '+', '_' or a
-    # non-ASCII digit, so the edge tokens are checked one by one only when
-    # the document holds one of those anywhere
-    if not text.isascii() or "+" in text or "_" in text:
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] not in ("X", "CLASS"):
-                for p in parts:
-                    _parse_int(p, "vertex index")
 
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
@@ -193,15 +200,6 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-def _json_class_vertex(key: str) -> int:
-    # only the decimal string to_json_dict writes: "01", "+1" or " 1" would
-    # name vertex 1 a second time and silently replace its label
-    v = int(key)
-    if str(v) != key:
-        raise FormatError(f"bad class vertex: {key!r}")
-    return v
-
-
 def from_json_dict(doc: dict) -> GraphLike:
     """The Graph or TriGraph of a ``to_json_dict`` document, held to the
     rules ``parse_edge_list`` applies to the same graph as text."""
@@ -209,8 +207,9 @@ def from_json_dict(doc: dict) -> GraphLike:
         k = _json_int(doc["uniformity"], "uniformity")
         n = _json_int(doc["n"], "vertex count")
         edges = [tuple(_json_int(v, "vertex index") for v in e) for e in doc["edges"]]
+        # a key "01" or "+1" next to "1" would relabel vertex 1 silently
         classes = {
-            _json_class_vertex(v): _check_label(lab) for v, lab in doc.get("classes", {}).items()
+            _parse_int(v, "class vertex"): _check_label(lab) for v, lab in doc.get("classes", {}).items()
         }
         distinguished = doc.get("distinguished")
         if distinguished is not None:
@@ -240,14 +239,14 @@ def parse_any(text: str) -> GraphLike:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or past int()'s digit limit
             raise FormatError(f"bad JSON: {exc}") from None
         return from_json_dict(doc)
     return parse_edge_list(text)
 
 
 def load(path: Union[str, Path]) -> GraphLike:
-    return parse_any(Path(path).read_text(encoding="utf-8"))
+    return parse_any(_read_text(path))
 
 
 def save(obj: GraphLike, path: Union[str, Path]) -> None:

@@ -53,6 +53,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from .fileio import FormatError, _parse_int
 from .hypergraphs import (
     TriGraph,
     _canonical_edge,
@@ -87,7 +88,8 @@ class Pattern:
         return len(self.edges)
 
 
-_PATTERN_RE = re.compile(r"^K(\d+)(-?)$")
+# the name's shape; t is read by the file formats' integer rule
+_PATTERN_RE = re.compile(r"K([^-]*)(-?)")
 
 
 def builtin_pattern(name: str) -> Pattern:
@@ -103,10 +105,11 @@ def builtin_pattern(name: str) -> Pattern:
         canonical = f"K{name[4:]}-"
     elif name.startswith("Kt:"):
         canonical = f"K{name[3:]}"
-    m = _PATTERN_RE.match(canonical)
-    if not m:
-        raise ValueError(f"unknown pattern name {name!r}")
-    t = int(m.group(1))
+    m = _PATTERN_RE.fullmatch(canonical)
+    try:
+        t = _parse_int(m.group(1) if m else "", "pattern size")
+    except FormatError:
+        raise ValueError(f"unknown pattern name {name!r}") from None
     minus = m.group(2) == "-"
     if not 4 <= t <= 8:
         raise ValueError(f"built-in patterns require 4 <= t <= 8, got {t}")

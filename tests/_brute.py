@@ -12,7 +12,7 @@ from math import comb
 from random import Random
 from typing import Optional
 
-from tricover import Graph, Pattern, TriGraph, pair_degree_table
+from tricover import Graph, Pattern, TriGraph
 
 
 def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -170,11 +170,17 @@ def bf_exact_c2(n: int, F: Pattern) -> int:
     triples = list(combinations(range(n), 3))
     if len(triples) > 20:
         raise ValueError("naive enumeration is limited to n <= 6")
+    # the triples through each pair, as a mask over the triple indices: a
+    # pair's codegree in the graph `mask` is the popcount of their meet
+    through = [
+        sum(1 << i for i, e in enumerate(triples) if a in e and b in e)
+        for a, b in combinations(range(n), 2)
+    ]
     best = -1
     for mask in range(1 << len(triples)):
         H = TriGraph(n, [triples[i] for i in range(len(triples)) if (mask >> i) & 1])
         if not bf_is_covered(H, 0, F):
-            best = max(best, min(pair_degree_table(H).values()))
+            best = max(best, min((mask & pair).bit_count() for pair in through))
     return best
 
 

@@ -54,6 +54,19 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--family", "H1", "--out", str(tmp_path / "x"))
         assert code == 2 and "m" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "+9"), ("--n", "\u0669"), ("--n", "09"),
+        ("--m", "-0"), ("--m", "01"), ("--sizes", "+2,3,3"), ("--sizes", "2,03,3"),
+    ])
+    def test_integer_options_spelled_as_written(self, capsys, tmp_path, option, value):
+        # int() read each of these, and '+9' or an Arabic-Indic nine built H4(9)
+        family = {"--n": "H4", "--m": "H1", "--sizes": "T"}[option]
+        out_path = tmp_path / "g.hg"
+        code, out, err = run(capsys, "construct", "--family", family, option, value, "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        if option != "--sizes":
+            assert f"invalid integer value: {value!r}" in err
+
     def test_unknown_flag_rejected(self, capsys, tmp_path):
         code, _, _ = run(capsys, "construct", "--family", "G1", "--out", str(tmp_path / "x"), "--bogus")
         assert code == 2
@@ -157,8 +170,8 @@ class TestCovering:
         assert code == 2 and out == "" and "out of range" in err
         code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", "1.5")
         assert code == 2 and out == "" and "bad vertex '1.5'" in err
-        # int() reads both as 1
-        for token in ("+1", "0_1"):
+        # int() reads each as 1, or 0
+        for token in ("+1", "0_1", "01", "-0"):
             code, out, err = run(capsys, "covering", "--in", str(path), "--pattern", "K4-", "--vertex", token)
             assert code == 2 and out == "" and f"bad vertex {token!r}" in err
 
@@ -213,6 +226,17 @@ class TestKoenig:
         code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
         assert code == 3 and out == "" and "integers" in err
 
+    @pytest.mark.parametrize("data", [b"0\n01\n", b"-0\n1\n", b"0\n\xff1\n"],
+                             ids=["leading-zero", "minus-zero", "non-utf8"])
+    def test_sides_file_integers_as_written_exit_3(self, capsys, tmp_path, data):
+        gpath = tmp_path / "g.hg"
+        gpath.write_text("HG 2 2 1\n0 1\n")
+        spath = tmp_path / "sides"
+        spath.write_bytes(data)
+        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
+        assert code == 3 and out == ""
+        assert ("not UTF-8 text" if b"\xff" in data else "sides file lines must contain integers") in err
+
     def test_json_is_the_coloring_dict(self, capsys, tmp_path):
         gpath = tmp_path / "g.hg"
         spath = tmp_path / "sides"
@@ -256,6 +280,16 @@ class TestOracle:
     def test_removed_options_rejected(self, capsys):
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--threads", "2")[0] == 2
         assert run(capsys, "oracle", "--n", "6", "--pattern", "K4-", "--seed", "1")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "+9", "--pattern", "K4-"),
+        ("--n", "7", "--pattern", "K4-", "--budget-nodes", "1_000"),
+        ("--n", "7", "--pattern", "K04"),
+        ("--n", "7", "--pattern", "Kt:05"),
+    ])
+    def test_integers_spelled_as_written_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == 2 and out == "" and err
 
     def test_cap_violation_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--n", "11", "--pattern", "K4-")
@@ -355,6 +389,33 @@ class TestErrorStreams:
         path.write_text(f"HG 2 {MAX_VERTICES + 1} 0\n")
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "json")
         assert code == 3 and out == "" and "exceeds the limit" in err
+
+    @pytest.mark.parametrize("text", [
+        "HG 3 4 1\nX -0\n0 1 2\n",
+        "HG 3 4 1\nCLASS 01 a\n0 1 2\n",
+        "HG 3 4 1\n-0 1 2\n",
+        "HG 3 4 1\n0 01 2\n",
+        f"HG 3 {'9' * 5000} 0\n",
+        f"HG 3 4 1\n0 1 {'9' * 5000}\n",
+        '{"uniformity": 3, "n": %s, "edges": []}' % ("9" * 5000),
+    ], ids=["X", "CLASS", "edge-minus-zero", "edge-leading-zero", "header-digits", "edge-digits",
+            "json-digits"])
+    def test_integer_not_as_written_exit_3(self, capsys, tmp_path, text):
+        # int() read the first four as other integers and exported them with
+        # exit 0; the digit runs escaped as a ValueError (exit 2)
+        path = tmp_path / "bad.hg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and err.startswith("error: ")
+
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "latin1.hg"
+        path.write_bytes("HG 3 4 1\nCLASS 0 \u00e9\n0 1 2\n".encode("latin-1"))
+        for argv in (("export", "--in", str(path), "--format", "json"),
+                     ("verify", "--family", "H4", "--n", "4", "--in", str(path)),
+                     ("covering", "--in", str(path), "--pattern", "K4-")):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and "not UTF-8 text" in err
 
     def test_no_subcommand_exit_2(self, capsys):
         assert run(capsys)[0] == 2

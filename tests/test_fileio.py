@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from random import Random
 
 import pytest
@@ -48,6 +49,30 @@ def test_bit_exact_round_trip(family, kwargs):
     parsed = parse_edge_list(text)
     assert parsed == obj
     assert write_edge_list(parsed) == text
+
+
+CANONICAL = (
+    [(f, {"m": m}) for f in ("H1", "H2", "H3") for m in range(1, 8)]
+    + [("H4", {"n": n}) for n in range(5, 41)]
+    + [(f, {}) for f in ("G1", "G2", "G3")]
+    + [("T", {"sizes": s}) for s in ((1, 1, 1), (2, 3, 3), (4, 4, 5), (2, 7, 9))]
+)
+
+
+def test_canonical_documents_read_back_exactly(monkeypatch):
+    import tricover.fileio as fileio
+
+    checked = []
+    parse_int = fileio._parse_int
+    monkeypatch.setattr(fileio, "_parse_int", lambda token, what: checked.append(what) or parse_int(token, what))
+    for family, kwargs in CANONICAL:
+        obj = construct(family, **kwargs)
+        text, doc = write_edge_list(obj), dumps_json(obj)
+        from_text, from_json = parse_edge_list(text), parse_any(doc)
+        assert from_text == obj and write_edge_list(from_text) == text
+        assert from_json == obj and dumps_json(from_json) == doc
+    # the writer's edge lines take the int() path, token checks and all
+    assert checked and "vertex index" not in checked
 
 
 def test_random_trigraph_round_trip():
@@ -121,6 +146,51 @@ def test_plus_underscore_and_non_ascii_outside_integers():
     # labels and comments may hold what no integer token may
     G = parse_edge_list("# n+1 \u00e9\nHG 3 4 1\nCLASS 0 part_A\nCLASS 1 \u00e9\n0 1 2\n")
     assert G.class_of == {0: "part_A", 1: "\u00e9"} and list(G.edges) == [(0, 1, 2)]
+
+
+# more digits than int() converts, on a Python that limits them
+BIG = "9" * 5000
+DIGIT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(BIG)
+# where each kind of integer token sits in an edge list
+TOKEN_SITES = {
+    "vertex count": "HG 3 {} 0\n",
+    "edge count": "HG 3 4 {}\n0 1 2\n",
+    "distinguished vertex": "HG 3 4 1\nX {}\n0 1 2\n",
+    "class vertex": "HG 3 4 1\nCLASS {} a\n0 1 2\n",
+    "vertex index": "HG 3 4 1\n{} 1 2\n",
+}
+
+
+@pytest.mark.parametrize("what", sorted(TOKEN_SITES))
+@pytest.mark.parametrize("token", ["-0", "01", "00", "-01", BIG], ids=["-0", "01", "00", "-01", "big"])
+def test_only_the_writers_spelling(what, token):
+    # int() reads '-0' as 0 and '01' as 1, and the writer would turn each
+    # into other text; BIG raised a bare ValueError
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(TOKEN_SITES[what].format(token))
+    if token != BIG or DIGIT_LIMITED:
+        assert str(exc.value) == f"bad {what}: {token!r}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("HG 3 4 1\n0 01 2\n", "bad vertex index: '01'"),
+    ("HG 3 5 2\n0 1 2\n1 2 03\n", "bad vertex index: '03'"),
+    ("HG 3 5 2\n0 1 2\n1 2\t03\n", "bad vertex index: '03'"),
+    ("HG 3 4 1\n-0 1 2\n", "bad vertex index: '-0'"),
+])
+def test_zero_led_edge_token_rejected(text, message):
+    # nothing else in these documents leaves the int() path
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+def test_zeros_outside_integers():
+    # a label or comment with '-0' or a zero-led token sends the edge tokens
+    # through _parse_int, which reads them as int() would
+    text = "# 01 -0\nHG 3 11 2\nCLASS 0 a-0\nCLASS 10 01\n0 1 2\n1 2 10\n"
+    G = parse_edge_list(text)
+    assert G.class_of == {0: "a-0", 10: "01"} and list(G.edges) == [(0, 1, 2), (1, 2, 10)]
 
 
 REPEATED_EDGE = {
@@ -205,6 +275,35 @@ def test_json_class_key_must_be_written_form(key):
     with pytest.raises(FormatError, match=re.escape(f"bad class vertex: {key!r}")):
         from_json_dict(doc)
     assert from_json_dict({**doc, "classes": {"1": "a"}}).class_of == {1: "a"}
+
+
+@pytest.mark.parametrize("key", ["00", "-01", "\u0661", BIG], ids=["00", "-01", "non-ascii", "big"])
+def test_json_class_key_follows_the_edge_list_rule(key):
+    # the rule that CLASS lines follow, digit limit included
+    doc = {"uniformity": 3, "n": 4, "edges": [[0, 1, 2]], "classes": {key: "b"}}
+    with pytest.raises(FormatError) as exc:
+        from_json_dict(doc)
+    if key != BIG or DIGIT_LIMITED:
+        assert str(exc.value) == f"bad JSON graph document: bad class vertex: {key!r}"
+    with pytest.raises(FormatError):
+        parse_edge_list(f"HG 3 4 1\nCLASS {key} b\n0 1 2\n")
+
+
+@pytest.mark.parametrize("field", ["n", "edges"])
+def test_json_number_past_digit_limit_rejected(field):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on a
+    # Python that limits the digits int() converts
+    doc = {"uniformity": 3, "n": 4, "edges": [[0, 1, 2]]}
+    text = json.dumps({**doc, field: 0}).replace(f'"{field}": 0', f'"{field}": {BIG}')
+    with pytest.raises(FormatError):
+        parse_any(text)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "latin1.hg"
+    path.write_bytes("HG 3 4 1\nCLASS 0 \u00e9\n0 1 2\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load(path)
 
 
 @pytest.mark.parametrize("count", [0, 2, 5])
