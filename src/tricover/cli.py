@@ -43,7 +43,10 @@ def integer(text: str) -> int:
     return _parse_int(text, "integer")
 
 
-def _sizes_arg(text: str) -> tuple[int, int, int]:
+def sizes(text: str) -> tuple[int, int, int]:
+    """argparse type: three comma-separated integers, each read as
+    ``integer`` reads one; argparse names this function in its error
+    ("invalid sizes value")."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("sizes must be three comma-separated integers")
@@ -64,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=integer, help="parameter for H1/H2/H3")
     p.add_argument("--n", type=integer, help="vertex count for H4")
-    p.add_argument("--sizes", type=_sizes_arg, help="part sizes for T, e.g. 2,2,3")
+    p.add_argument("--sizes", type=sizes, help="part sizes for T, e.g. 2,2,3")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify a construction's claims (exit 0 iff they pass)")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=integer)
     p.add_argument("--n", type=integer)
-    p.add_argument("--sizes", type=_sizes_arg)
+    p.add_argument("--sizes", type=sizes)
     p.add_argument("--in", dest="infile", help="verify this file instead of a fresh construction")
     add_format(p)
 

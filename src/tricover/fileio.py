@@ -14,6 +14,12 @@ Lines use LF endings.  The writer is canonical (CLASS lines sorted by vertex,
 edges in lexicographic order, no comments), so write -> parse -> write is
 bit-exact.
 
+The reader takes the edge lines in bulk when they are all in the writer's
+form (``_edge_block``), converting each distinct token once.  Any other
+document, such as one with comments, tabs or X/CLASS lines among or after
+the edges, is read one line at a time, and that loop alone decides every
+error and its message.
+
 Both readers reject a vertex count above ``MAX_VERTICES`` before anything is
 allocated: a graph of n vertices holds n adjacency sets, so a 20-byte header
 could otherwise ask for gigabytes.
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
+from operator import lt
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -94,8 +102,6 @@ def write_edge_list(obj: GraphLike) -> str:
 # the writer's spelling of an integer: int() alone would also read '+1', '0_0',
 # '-0', '01' and non-ASCII digits, which the writer turns into other text
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-# a token-initial zero followed by a digit; the search keeps '0' as its prefix
-_LEADING_ZERO = re.compile(r"0(?<=\s0)[0-9]")
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -119,14 +125,40 @@ def _check_size(n: int) -> None:
         raise FormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
 
 
+def _edge_block(lines: list[str], k: int) -> Optional[list[tuple[int, ...]]]:
+    """The edges of ``lines`` when every line is an edge line as the writer
+    spells it: k ``_DECIMAL`` tokens separated by single spaces, in strictly
+    increasing order.  Each distinct token is converted once.  None when any
+    line is otherwise (a comment, a blank, an X or CLASS line, a tab, a bad
+    token), and the caller then reads the lines one at a time."""
+    rows = [ln.split(" ") for ln in lines]
+    if set(map(len, rows)) != {k}:
+        return None
+    tokens = list(chain.from_iterable(rows))
+    try:
+        value = {t: int(t) for t in set(tokens) if _DECIMAL.fullmatch(t)}
+    except ValueError:  # more digits than int() converts
+        return None
+    try:
+        flat = list(map(value.__getitem__, tokens))
+    except KeyError:  # a token not spelled as _DECIMAL
+        return None
+    columns = [flat[j::k] for j in range(k)]
+    if not all(all(map(lt, u, v)) for u, v in zip(columns, columns[1:])):
+        return None
+    return list(zip(*columns))
+
+
 def parse_edge_list(text: str) -> GraphLike:
     """Parse the edge-list format; returns a Graph or TriGraph per the header."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+    lines = text.splitlines()
+    # (index, tokens) of each line that is neither blank nor a comment
+    rows = ((i, parts) for i, parts in enumerate(map(str.split, lines)) if parts and parts[0][0] != "#")
+    i, head = next(rows, (None, None))
+    if head is None:
         raise FormatError("empty document")
-    head = lines[0].split()
     if len(head) != 4 or head[0] != "HG":
-        raise FormatError(f"bad header line: {lines[0]!r}")
+        raise FormatError(f"bad header line: {lines[i]!r}")
     k = _parse_int(head[1], "uniformity")
     n = _parse_int(head[2], "vertex count")
     m = _parse_int(head[3], "edge count")
@@ -136,40 +168,37 @@ def parse_edge_list(text: str) -> GraphLike:
         raise FormatError("negative counts in header")
     _check_size(n)
 
-    # in a document with no '+', '_', '-0', non-ASCII character or leading zero
-    # anywhere, int() reads every edge token as _parse_int does
-    plain = text.isascii() and not ("+" in text or "_" in text or "-0" in text)
-    plain = plain and not _LEADING_ZERO.search(text)
-    read = int if plain else lambda p: _parse_int(p, "vertex index")
     distinguished = None
     class_of: dict[int, str] = {}
     edges: list[tuple[int, ...]] = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for i, parts in rows:
         if parts[0] == "X":
             if k != 3 or len(parts) != 2:
-                raise FormatError(f"bad X line: {ln!r}")
+                raise FormatError(f"bad X line: {lines[i]!r}")
             if distinguished is not None:
                 raise FormatError("duplicate X line")
             distinguished = _parse_int(parts[1], "distinguished vertex")
         elif parts[0] == "CLASS":
             if len(parts) != 3:
-                raise FormatError(f"bad CLASS line: {ln!r}")
+                raise FormatError(f"bad CLASS line: {lines[i]!r}")
             v = _parse_int(parts[1], "class vertex")
             if v in class_of:
                 raise FormatError(f"duplicate CLASS line for vertex {v}")
             class_of[v] = _check_label(parts[2])
         else:
+            if not edges:
+                # the first edge line, as each one is appended or raises: the
+                # rest of the document is read in bulk if it is all edge lines
+                # in the writer's form
+                block = _edge_block(lines[i:], k)
+                if block is not None:
+                    edges = block
+                    break
             if len(parts) != k:
-                raise FormatError(f"edge line {ln!r}: expected {k} indices")
-            try:
-                e = tuple(map(read, parts))
-            except ValueError:
-                # int() or the token check failed: the first bad token names
-                # itself in the message
-                e = tuple(_parse_int(p, "vertex index") for p in parts)
+                raise FormatError(f"edge line {lines[i]!r}: expected {k} indices")
+            e = tuple(_parse_int(p, "vertex index") for p in parts)
             if not (e[0] < e[1] if k == 2 else e[0] < e[1] < e[2]):
-                raise FormatError(f"edge line {ln!r}: indices must be strictly increasing")
+                raise FormatError(f"edge line {lines[i]!r}: indices must be strictly increasing")
             edges.append(e)
 
     if len(edges) != m:

@@ -1,8 +1,9 @@
 """Core types for 2-graphs and 3-uniform hypergraphs.
 
 Vertices are the integers 0..n-1 throughout.  Both graph types are immutable
-after construction and every operation in this module is a pure function, so
-values may be shared freely across threads.
+after construction, apart from a ``TriGraph``'s edge-set memo, which is built
+on first use from the immutable edge tuple; every operation in this module is
+a pure function, so values may be shared freely across threads.
 
 For a 3-graph H, the codegree of a vertex pair {a, b} is the number of
 vertices c with {a, b, c} an edge; delta2(H) is the minimum codegree over all
@@ -135,8 +136,12 @@ class Graph:
 class TriGraph:
     """Simple 3-uniform hypergraph.
 
-    Edges are stored both as a lexicographically sorted tuple of canonical
-    triples (deterministic iteration) and as a frozenset (O(1) membership).
+    Edges are stored as a lexicographically sorted tuple of canonical
+    triples, which fixes iteration order and, being duplicate-free, serves
+    equality and hashing.  ``edge_set``, the frozenset behind O(1)
+    membership, is built from that tuple on first use and kept.  Two threads
+    that first read it at once each build an equal frozenset and either may
+    be kept, so the memo is benign for graphs shared across threads.
     ``distinguished`` optionally marks one vertex; the extremal constructions
     use it for the vertex certified to be uncoverable.
     """
@@ -161,26 +166,27 @@ class TriGraph:
                     add(e)
                     continue
             add(_canonical_edge(e, n, 3))
-        # a frozenset copied from a set is sized once for its final count; one
-        # grown edge by edge from a list can take twice the memory
-        unique = set(canon)
         # strictly increasing input (every canonical file, most constructions)
         # is already sorted and duplicate-free
         if not all(map(lt, canon, islice(canon, 1, None))):
-            canon = sorted(unique)
+            canon = sorted(set(canon))
         self.n = n
         self.edges = tuple(canon)
-        self._edge_set = frozenset(unique)
+        self._edge_set: Optional[frozenset[tuple[int, int, int]]] = None
         if distinguished is not None:
             _check_vertex(distinguished, n)
         self.distinguished = distinguished
         self.class_of = _check_labels(class_of, n)
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._edge_set
+        return tuple(sorted((a, b, c))) in self.edge_set
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int, int]]:
+        """The edges as a frozenset, built on first use and kept (a benign
+        memo across threads: every build is equal to every other)."""
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
         return self._edge_set
 
     @property
@@ -192,13 +198,13 @@ class TriGraph:
             return NotImplemented
         return (
             self.n == other.n
-            and self._edge_set == other._edge_set
+            and self.edges == other.edges
             and self.distinguished == other.distinguished
             and self.class_of == other.class_of
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_set, self.distinguished))
+        return hash((self.n, self.edges, self.distinguished))
 
     def __repr__(self) -> str:
         x = f", x={self.distinguished}" if self.distinguished is not None else ""
@@ -226,13 +232,10 @@ def codegree(H: TriGraph, a: int, b: int) -> int:
 
 
 def pair_degree_table(H: TriGraph) -> dict[tuple[int, int], int]:
-    """Codegree of every unordered pair, computed in one pass over the edges."""
-    table = {p: 0 for p in combinations(range(H.n), 2)}
-    for a, b, c in H.edges:
-        table[(a, b)] += 1
-        table[(a, c)] += 1
-        table[(b, c)] += 1
-    return table
+    """Codegree of every unordered pair, keyed in ``combinations`` order: the
+    popcount of the pair's codegree neighbourhood."""
+    bits = codegree_neighbourhoods(H)
+    return {(a, b): bits[a][b].bit_count() for a, b in combinations(range(H.n), 2)}
 
 
 def codegree_neighbourhoods(H: TriGraph) -> list[list[int]]:

@@ -100,17 +100,17 @@ def builtin_pattern(name: str) -> Pattern:
     ``K<t>-`` is the complete 3-graph on t vertices minus the single edge
     {0, 1, 2}.
     """
-    canonical = name
     if name.startswith("Kt-:"):
-        canonical = f"K{name[4:]}-"
+        size, minus = name[4:], True
     elif name.startswith("Kt:"):
-        canonical = f"K{name[3:]}"
-    m = _PATTERN_RE.fullmatch(canonical)
+        size, minus = name[3:], False
+    else:
+        m = _PATTERN_RE.fullmatch(name)
+        size, minus = (m.group(1), m.group(2) == "-") if m else ("", False)
     try:
-        t = _parse_int(m.group(1) if m else "", "pattern size")
+        t = _parse_int(size, "pattern size")
     except FormatError:
         raise ValueError(f"unknown pattern name {name!r}") from None
-    minus = m.group(2) == "-"
     if not 4 <= t <= 8:
         raise ValueError(f"built-in patterns require 4 <= t <= 8, got {t}")
     edges = set(combinations(range(t), 3))

@@ -64,8 +64,8 @@ class TestConstruct:
         out_path = tmp_path / "g.hg"
         code, out, err = run(capsys, "construct", "--family", family, option, value, "--out", str(out_path))
         assert code == 2 and out == "" and not out_path.exists()
-        if option != "--sizes":
-            assert f"invalid integer value: {value!r}" in err
+        kind = "sizes" if option == "--sizes" else "integer"
+        assert f"invalid {kind} value: {value!r}" in err
 
     def test_unknown_flag_rejected(self, capsys, tmp_path):
         code, _, _ = run(capsys, "construct", "--family", "G1", "--out", str(tmp_path / "x"), "--bogus")

@@ -193,6 +193,92 @@ def test_zeros_outside_integers():
     assert G.class_of == {0: "a-0", 10: "01"} and list(G.edges) == [(0, 1, 2), (1, 2, 10)]
 
 
+# canonical texts with an X line, CLASS lines and hundreds of edge lines
+ROUTE_GRAPHS = [("H4", {"n": 20}), ("H1", {"m": 3})]
+
+
+def _edge_line_indices(lines):
+    return [i for i, ln in enumerate(lines) if ln[0].isdigit()]
+
+
+def _moved_sections_below_edges(lines):
+    # the header stays first; X and CLASS lines go after the edges
+    body = lines[1:]
+    return lines[:1] + [ln for ln in body if ln[0].isdigit()] + [ln for ln in body if not ln[0].isdigit()]
+
+
+def _edit_line(at, edit):
+    """A rewrite of a document's lines that applies ``edit`` to the edge
+    line at position ``at`` among its edge lines."""
+    def rewrite(lines):
+        i = _edge_line_indices(lines)[at - 1]
+        return lines[:i] + edit(lines[i]) + lines[i + 1:]
+    return rewrite
+
+
+# each keeps the graph and makes the bulk edge block refuse the document
+OFF_FORM = {
+    "comment between edges": _edit_line(100, lambda ln: ["# a comment", ln]),
+    "blank line between edges": _edit_line(100, lambda ln: ["", ln]),
+    "sections after edges": _moved_sections_below_edges,
+    "tab": _edit_line(100, lambda ln: [ln.replace(" ", "\t", 1)]),
+    "doubled space": _edit_line(100, lambda ln: [ln.replace(" ", "  ")]),
+}
+
+
+@pytest.mark.parametrize("family, kwargs", ROUTE_GRAPHS)
+@pytest.mark.parametrize("variant", sorted(OFF_FORM))
+def test_off_form_documents_read_line_by_line(monkeypatch, family, kwargs, variant):
+    import tricover.fileio as fileio
+
+    blocks = []
+    edge_block = fileio._edge_block
+    monkeypatch.setattr(fileio, "_edge_block", lambda lines, k: blocks.append(edge_block(lines, k)) or blocks[-1])
+    obj = construct(family, **kwargs)
+    text = write_edge_list(obj)
+    edited = "\n".join(OFF_FORM[variant](text.splitlines())) + "\n"
+    G = parse_edge_list(edited)
+    assert G == obj and write_edge_list(G) == text
+    assert blocks == [None]
+
+
+@pytest.mark.parametrize("family, kwargs", ROUTE_GRAPHS)
+def test_crlf_document_reads_back_exactly(family, kwargs):
+    # splitlines() ends a line at CR LF as at LF, so the block takes it
+    obj = construct(family, **kwargs)
+    text = write_edge_list(obj)
+    G = parse_edge_list(text.replace("\n", "\r\n"))
+    assert G == obj and write_edge_list(G) == text
+
+
+def _reversed_line(ln):
+    return " ".join(reversed(ln.split(" ")))
+
+
+# a fault in the 500th edge line of H4(20), whose 873 edge lines the block
+# refuses as a whole; the loop then names the line or token in its message
+BROKEN_500TH = {
+    "extra token": (lambda ln: ln + " 7", lambda ln: f"edge line {ln + ' 7'!r}: expected 3 indices"),
+    "zero-led token": (lambda ln: "01 " + ln.split(" ", 1)[1], lambda ln: "bad vertex index: '01'"),
+    "5000 digits": (lambda ln: ln.rsplit(" ", 1)[0] + " " + BIG, lambda ln: f"bad vertex index: {BIG!r}"),
+    "decreasing": (_reversed_line,
+                   lambda ln: f"edge line {_reversed_line(ln)!r}: indices must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_500TH))
+def test_fault_deep_in_a_long_block_is_named(fault):
+    edit, message = BROKEN_500TH[fault]
+    lines = write_edge_list(construct("H4", n=20)).splitlines()
+    i = _edge_line_indices(lines)[499]
+    line = lines[i]
+    lines[i] = edit(line)
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list("\n".join(lines) + "\n")
+    if fault != "5000 digits" or DIGIT_LIMITED:
+        assert str(exc.value) == message(line)
+
+
 REPEATED_EDGE = {
     2: ("HG 2 4 3\n0 1\n1 2\n0 1\n", "duplicate edge (0, 1)"),
     3: ("HG 3 5 3\n0 1 2\n1 2 3\n1 2 3\n", "duplicate edge (1, 2, 3)"),

@@ -142,6 +142,24 @@ class TestTriGraph:
         h = TriGraph(4, [(0, 1, 2), (2, 1, 0)])
         assert h.edge_count == 1
 
+    def test_has_edge_before_edge_set_is_read(self):
+        # the edge set is built on first use, by has_edge as by edge_set
+        for edges in ([(0, 1, 2), (1, 3, 4)], [(4, 3, 1), (2, 0, 1), (1, 2, 0)]):
+            h = TriGraph(5, edges)
+            assert h.has_edge(3, 1, 4) and h.has_edge(1, 0, 2) and not h.has_edge(0, 1, 3)
+            assert h.edge_set == frozenset(h.edges) == {(0, 1, 2), (1, 3, 4)}
+            assert h.edge_set is h.edge_set
+
+    def test_same_edges_other_marks_are_unequal(self):
+        edges = [(0, 1, 2), (1, 2, 3)]
+        plain = TriGraph(4, edges)
+        marked = [TriGraph(4, edges, distinguished=0), TriGraph(4, edges, distinguished=3),
+                  TriGraph(4, edges, class_of={0: "a"}), TriGraph(4, edges, class_of={0: "b"})]
+        for i, H in enumerate(marked):
+            assert H != plain and plain != H
+            assert all(H != other for other in marked[i + 1:])
+            assert H == TriGraph(4, reversed(edges), distinguished=H.distinguished, class_of=H.class_of)
+
 
 class TestEdgeForms:
     """A sorted, duplicate-free list of canonical tuples is kept as given;
@@ -316,6 +334,18 @@ class TestLinkGraph:
                 assert bits[a][b] is bits[b][a]
                 assert bits[a][b].bit_count() == d
                 assert bits[a][b] == sum(1 << c for c in range(n) if tuple(sorted((a, b, c))) in H.edge_set)
+
+    def test_pair_degree_table_matches_codegree_on_seeded_graphs(self):
+        # codegree counts through has_edge, which shares no code with the
+        # neighbourhood masks that pair_degree_table counts
+        rng = Random(21)
+        for n in range(1, 21):
+            for p in (0.05, 0.2, 0.5, 0.9):
+                H = random_trigraph(rng, n, p)
+                table = pair_degree_table(H)
+                assert list(table) == list(combinations(range(n), 2))
+                for (a, b), d in table.items():
+                    assert d == codegree(H, a, b)
 
 
 class TestTriangleFree:

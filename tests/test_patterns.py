@@ -58,10 +58,11 @@ class TestBuiltinPatterns:
             with pytest.raises(ValueError):
                 builtin_pattern(bad)
 
-    @pytest.mark.parametrize("bad", ["K04", "K04-", "K\u0664", "Kt:05", "Kt-:04", "K00", "K4\n", "K-5"])
+    @pytest.mark.parametrize("bad", ["K04", "K04-", "K\u0664", "Kt:05", "Kt-:04", "K00", "K4\n", "K-5", "Kt:5-"])
     def test_t_is_spelled_as_in_the_file_formats(self, bad):
         # int() reads the digits of each of the first seven as 4, 5 or 0;
-        # t follows the rule of the edge-list readers
+        # t follows the rule of the edge-list readers, and K<t>- is spelled
+        # K<t>- or Kt-:<t>, never Kt:<t>-
         with pytest.raises(ValueError, match="unknown pattern name"):
             builtin_pattern(bad)
 
