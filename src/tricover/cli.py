@@ -132,7 +132,8 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
 
 
 def _parse_sides_file(path: str) -> tuple[list[int], list[int]]:
-    rows = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    # lines end at LF only, as in the edge-list format
+    rows = [ln for ln in _read_text(path).split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) != 2:
         raise FormatError("sides file needs exactly two lines: side A indices, then side B")
     try:

@@ -10,9 +10,12 @@ The text format, shared by every tool in the package::
 
 Every integer is spelled as the writer spells it (``_DECIMAL``): ASCII
 digits with an optional leading '-', and no leading zero and no '-0'.
-Lines use LF endings.  The writer is canonical (CLASS lines sorted by vertex,
-edges in lexicographic order, no comments), so write -> parse -> write is
-bit-exact.
+Lines use LF endings, and only LF ends a line: the other breaks of
+``str.splitlines`` (CR, VT, FF, U+001C-U+001E, U+0085, U+2028, U+2029)
+stay inside their line, where the line loop reads them as whitespace, as
+it reads a tab; so a CR LF ending reads as LF.  The writer is canonical
+(CLASS lines sorted by vertex, edges in lexicographic order, no comments),
+so write -> parse -> write is bit-exact.
 
 The reader takes the edge lines in bulk when they are all in the writer's
 form (``_edge_block``), converting each distinct token once.  Any other
@@ -114,8 +117,9 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def _read_text(path: Union[str, Path]) -> str:
+    # bytes decoded as they are: text mode would turn a lone CR into LF
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -151,7 +155,11 @@ def _edge_block(lines: list[str], k: int) -> Optional[list[tuple[int, ...]]]:
 
 def parse_edge_list(text: str) -> GraphLike:
     """Parse the edge-list format; returns a Graph or TriGraph per the header."""
-    lines = text.splitlines()
+    # the empty piece after a final LF is no line, so a canonical document
+    # reaches the bulk reader with edge lines alone
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     # (index, tokens) of each line that is neither blank nor a comment
     rows = ((i, parts) for i, parts in enumerate(map(str.split, lines)) if parts and parts[0][0] != "#")
     i, head = next(rows, (None, None))

@@ -309,7 +309,7 @@ class _InnerSearch:
         if self._tables is None:
             self._tables = self._completion_tables()
         set_pair_mask, set_tri_mask, tri_sets, tri_flips = self._tables
-        _, _, pair_tri_mask, tri_pairs, _ = _index_tables(nv)
+        _, _, pair_tri_mask, tri_pairs = _index_tables(nv)
         clique = self.theta is not None
         bits: list[list[int]] = []
         if not clique:
@@ -588,7 +588,9 @@ class CertifyReport:
     vertex are counterexamples to "delta2 > threshold forces a covering" and
     double as lower-bound witnesses.  Above the true threshold none should
     appear.  ``repairs`` is the number of repair steps the sampler took over
-    all samples, one ``rng.choice`` each, so it is fixed by the seed.
+    all samples, each one bounded draw that consumes the stream as one
+    ``rng.choice`` over the pair's absent triples would, so it is fixed by
+    the seed.
     """
 
     n: int
@@ -642,25 +644,23 @@ def _coin_flips(rng: Random, count: int) -> int:
 @lru_cache(maxsize=None)
 def _index_tables(n: int) -> tuple[
     tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...], tuple[int, ...],
-    tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...],
+    tuple[tuple[int, int, int], ...],
 ]:
     """The pair and triple indexes on n vertices, which the completion
     search and the spot-check share, pairs and triples in ``combinations``
-    order: the pairs, the triples, per pair the mask of its triples, per
-    triple its three pair indices, and per pair its triple indices in
-    increasing order (which is increasing third vertex)."""
+    order: the pairs, the triples, per pair the mask of its triples, and
+    per triple its three pair indices."""
     pairs = tuple(combinations(range(n), 2))
     pair_index = [[0] * n for _ in range(n)]
     for i, (a, b) in enumerate(pairs):
         pair_index[a][b] = i
     triples = tuple(combinations(range(n), 3))
     tri_pairs = tuple((pair_index[a][b], pair_index[a][c], pair_index[b][c]) for a, b, c in triples)
-    pair_tris: list[list[int]] = [[] for _ in pairs]
+    pair_tri_mask = [0] * len(pairs)
     for i, ps in enumerate(tri_pairs):
         for p in ps:
-            pair_tris[p].append(i)
-    pair_tri_mask = tuple(sum(1 << i for i in tris) for tris in pair_tris)
-    return pairs, triples, pair_tri_mask, tri_pairs, tuple(map(tuple, pair_tris))
+            pair_tri_mask[p] |= 1 << i
+    return pairs, triples, tuple(pair_tri_mask), tri_pairs
 
 
 @lru_cache(maxsize=None)
@@ -718,6 +718,27 @@ def _mask_trigraph(n: int, inc: int) -> TriGraph:
     return TriGraph(n, compress(_index_tables(n)[1], keep))
 
 
+def _choice_bit(rng: Random, mask: int) -> int:
+    """The index of the set bit of ``mask`` (not 0) that ``rng.choice`` picks
+    from the list of its set bits' indices in increasing order, leaving
+    ``rng`` in the same state.
+
+    CPython's ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and for a
+    ``Random`` ``_randbelow(k)`` is ``_randbelow_with_getrandbits``: draw
+    ``getrandbits(k.bit_length())`` until the value is below k.  Here k is
+    the popcount, and the r-th set bit is the lowest one left after the
+    lowest r are cleared.
+    """
+    k = mask.bit_count()
+    b = k.bit_length()
+    r = rng.getrandbits(b)
+    while r >= k:
+        r = rng.getrandbits(b)
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, int]:
     """A random 3-graph with delta2 > threshold, as (its triple mask, the
     number of repair steps): start from density 1/2 and repair by adding
@@ -728,36 +749,43 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, i
     codegree of a pair is the popcount of the mask under the pair's triple
     mask (``_index_tables``, built once per n).  The repair step takes the
     lexicographically first pair of minimum codegree and a uniform choice
-    among its absent triples in increasing order, which is increasing third
-    vertex.  Codegrees only grow, so one pass over the pairs per minimum
-    value meets those pairs in that order.
+    among its absent triples, ``pair_tri_mask[p] & ~inc``, in increasing
+    order, which is increasing third vertex.  Codegrees only grow, so the
+    pairs at one minimum value are met in that order by ``counts.index``
+    from just past the last one repaired; a sentinel at the end of
+    ``counts`` ends each value's pass.
 
     The random stream is that of one rng.random() per triple in
     ``combinations`` order, then one rng.choice per repair step.  The
     random() calls are drawn at once by ``_coin_flips``: triple i is kept
     exactly when bit 31 of the first of its two Mersenne Twister words is
     clear, which is the top bit of byte 8i + 3 of
-    ``getrandbits(64 * T).to_bytes(8 * T, "little")`` for T triples.  So a
-    seed draws the same graphs as the dictionary-based reference
-    ``bf_sample_above_threshold`` in the tests, one random() per triple, and
+    ``getrandbits(64 * T).to_bytes(8 * T, "little")`` for T triples.  Each
+    choice is drawn on the absent mask by ``_choice_bit``, with the
+    ``getrandbits`` calls that ``choice`` makes.  So a seed draws the same
+    graphs as the dictionary-based reference ``bf_sample_above_threshold``
+    in the tests, one random() per triple and one choice per repair, and
     leaves the generator in the same state.
     """
-    _, triples, pair_tri_mask, tri_pairs, pair_tris = _index_tables(n)
+    _, triples, pair_tri_mask, tri_pairs = _index_tables(n)
     inc = _coin_flips(rng, len(triples))
     counts = [(inc & m).bit_count() for m in pair_tri_mask]
+    end = len(counts)
+    start = min(counts)
+    counts.append(start)
     repairs = 0
-    lo = min(counts)
-    while lo <= threshold:
-        # counts only grow, so the pairs left at codegree lo after a repair
-        # all come later in the list: one pass repairs them in order
-        for p, c in enumerate(counts):
-            if c == lo:
-                i = rng.choice([j for j in pair_tris[p] if not inc >> j & 1])
-                inc |= 1 << i
-                repairs += 1
-                for q in tri_pairs[i]:
-                    counts[q] += 1
-        lo = min(counts)
+    for lo in range(start, threshold + 1):
+        # every pair is at lo or above, and a repair moves later pairs at lo
+        # up, never earlier ones down: the next pair at lo is past p
+        counts[end] = lo
+        p = counts.index(lo)
+        while p < end:
+            i = _choice_bit(rng, pair_tri_mask[p] & ~inc)
+            inc |= 1 << i
+            repairs += 1
+            for q in tri_pairs[i]:
+                counts[q] += 1
+            p = counts.index(lo, p + 1)
     return inc, repairs
 
 

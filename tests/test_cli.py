@@ -237,6 +237,19 @@ class TestKoenig:
         assert code == 3 and out == ""
         assert ("not UTF-8 text" if b"\xff" in data else "sides file lines must contain integers") in err
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\r"],
+                             ids=lambda sep: f"U+{ord(sep):04X}")
+    def test_sides_file_one_line_exit_3(self, capsys, tmp_path, sep):
+        # only LF ends a line, so this is one line, not sides 0 1 and 2 3
+        gpath = tmp_path / "g.hg"
+        gpath.write_text("HG 2 4 4\n0 2\n0 3\n1 2\n1 3\n")
+        spath = tmp_path / "sides"
+        spath.write_bytes(f"0 1{sep}2 3\n".encode("utf-8"))
+        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
+        assert code == 3 and out == "" and "exactly two lines" in err
+        spath.write_bytes(b"0 1\r\n2 3\r\n")
+        assert run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))[0] == 0
+
     def test_json_is_the_coloring_dict(self, capsys, tmp_path):
         gpath = tmp_path / "g.hg"
         spath = tmp_path / "sides"
@@ -407,6 +420,16 @@ class TestErrorStreams:
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\r"],
+                             ids=lambda sep: f"U+{ord(sep):04X}")
+    def test_line_break_other_than_lf_exit_3(self, capsys, tmp_path, sep):
+        # the file is read without newline translation, so a lone CR too
+        # stays inside its line; each of these once exported as 2 edges
+        path = tmp_path / "bad.hg"
+        path.write_bytes(f"HG 3 4 2{sep}0 1 2{sep}1 2 3\n".encode("utf-8"))
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and "bad header line" in err
 
     def test_non_utf8_file_exit_3(self, capsys, tmp_path):
         path = tmp_path / "latin1.hg"

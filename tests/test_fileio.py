@@ -244,11 +244,28 @@ def test_off_form_documents_read_line_by_line(monkeypatch, family, kwargs, varia
 
 @pytest.mark.parametrize("family, kwargs", ROUTE_GRAPHS)
 def test_crlf_document_reads_back_exactly(family, kwargs):
-    # splitlines() ends a line at CR LF as at LF, so the block takes it
+    # lines end at LF, and the line loop reads the CR before it as whitespace
     obj = construct(family, **kwargs)
     text = write_edge_list(obj)
     G = parse_edge_list(text.replace("\n", "\r\n"))
     assert G == obj and write_edge_list(G) == text
+
+
+# str.splitlines() ends a line at each of these as at LF
+LINE_BREAKS_BUT_LF = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_LF, ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize("doc, message", [
+    ("HG 3 4 2{}0 1 2{}1 2 3\n", "bad header line"),
+    ("HG 3 4 2\n0 1 2{}1 2 3\n", "expected 3 indices"),
+    ("HG 3 4 2\nX 0{}0 1 2\n1 2 3\n", "bad X line"),
+    ("HG 2 3 2\n0 1{}1 2{}\n", "expected 2 indices"),
+])
+def test_only_lf_ends_a_line(sep, doc, message):
+    # each document once read as a 2-edge graph, one line per separator
+    with pytest.raises(FormatError, match=message):
+        parse_edge_list(doc.format(sep, sep))
 
 
 def _reversed_line(ln):

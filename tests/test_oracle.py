@@ -29,6 +29,7 @@ from tricover import (
 from tricover.oracle import (
     _Budget,
     _InnerSearch,
+    _choice_bit,
     _coin_flips,
     _covered_vertices,
     _index_tables,
@@ -414,7 +415,7 @@ class TestCompletionTables:
     @staticmethod
     def tables(n, F):
         inner = _InnerSearch(n, F)
-        _, _, pair_tri_mask, tri_pairs, _ = _index_tables(n - 1)
+        _, _, pair_tri_mask, tri_pairs = _index_tables(n - 1)
         return tuple(map(list, (inner.pairs, inner.triples, tri_pairs, pair_tri_mask,
                                 *inner._completion_tables())))
 
@@ -630,15 +631,29 @@ class TestCertifyUpperBehavior:
                 assert keep >> count == 0
             assert ours.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_choice_bit_matches_choice(self, k):
+        # each repair step's bounded draw must pick what rng.choice picks
+        # from the set bits' indices in increasing order, with the same
+        # getrandbits calls; k = 1 .. 10 covers every absent count up to n = 12
+        for seed in (0, 1, 7, 2016, 20160901):
+            ours, ref, spots = Random(seed), Random(seed), Random(seed + 1)
+            for _ in range(40):
+                indices = sorted(spots.sample(range(220), k))
+                mask = sum(1 << i for i in indices)
+                assert _choice_bit(ours, mask) == ref.choice(indices)
+            assert ours.getstate() == ref.getstate()
+
     @pytest.mark.parametrize(
         "n, threshold",
         # (12, 9) is the top threshold, where every pair gets repaired
         [(5, 0), (6, 1), (7, 3), (8, 4), (9, 3), (10, 3), (11, 3), (12, 4), (12, 9)],
     )
     def test_draws_match_reference_sampler(self, n, threshold):
-        # one stream per side, so the random state after each draw must agree too
+        # one stream per side, so the random state after each draw must agree
+        # too; the benchmark's shapes, (12, 4) and (8, 4), get more draws
         ours, ref = Random(n * 100 + threshold), Random(n * 100 + threshold)
-        for _ in range(50):
+        for _ in range(200 if (n, threshold) in ((12, 4), (8, 4)) else 50):
             inc, _ = _sample_above_threshold(n, threshold, ours)
             assert _mask_trigraph(n, inc) == bf_sample_above_threshold(n, threshold, ref)
         assert ours.getstate() == ref.getstate()
