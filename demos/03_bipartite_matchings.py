@@ -31,7 +31,7 @@ def show(coloring):
 def main():
     banner("K(3,3): three perfect matchings")
     g = Graph(6, [(u, 3 + w) for u in range(3) for w in range(3)])
-    coloring = bipartite_edge_coloring(g, range(3), range(3, 6))
+    coloring = bipartite_edge_coloring(g)
     show(coloring)
     print("  valid:", coloring_is_valid(g, coloring))
 
@@ -40,7 +40,7 @@ def main():
 
     banner("An irregular instance")
     g = Graph(7, [(0, 4), (0, 5), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (0, 6)])
-    coloring = bipartite_edge_coloring(g, range(4), range(4, 7))
+    coloring = bipartite_edge_coloring(g)
     print(f"  max degree {coloring.delta} -> {len(coloring.classes)} classes")
     show(coloring)
     print("  valid:", coloring_is_valid(g, coloring))
@@ -52,7 +52,7 @@ def main():
     rng.shuffle(pi)
     edges = [(j, s + pi[(j + i) % s]) for i in range(d) for j in range(s)]
     g = Graph(2 * s, edges)
-    coloring = bipartite_edge_coloring(g, range(s), range(s, 2 * s))
+    coloring = bipartite_edge_coloring(g)
     sizes = [len(c) for c in coloring.classes]
     print(f"  class sizes: {sizes} (all {s} -> perfect matchings)")
     print("  valid:", coloring_is_valid(g, coloring))

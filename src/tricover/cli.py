@@ -5,7 +5,7 @@ Subcommands::
     construct  --family {G1|G2|G3|H1|H2|H3|T|H4} [--m M | --n N | --sizes a,b,c] --out PATH
     verify     --family ... [params] [--in PATH] [--format text|json]
     covering   --in PATH --pattern {K4-|K5-|K4|Kt:T|Kt-:T} [--vertex V] [--format ...]
-    koenig     --in PATH --sides PATH [--format ...]
+    koenig     --in PATH [--format ...]
     oracle     --n N --pattern P [--budget-nodes K] [--budget-seconds S] [--allow-large] [--format ...]
     export     --in PATH --format {json|hg} [--out PATH]
 
@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 from .constructions import FAMILIES, check_construction, construct, verify_claim
-from .fileio import FormatError, _parse_int, _read_text, dumps_json, load, save, write_edge_list
+from .fileio import FormatError, _parse_int, dumps_json, load, save, write_edge_list
 from .hypergraphs import Graph, TriGraph, _check_vertex
 from .koenig import bipartite_edge_coloring
 from .oracle import DEFAULT_HARD_CAP, exact_c2
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("koenig", help="partition a bipartite graph's edges into Delta matchings")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sides", required=True, help="file with two lines: side A indices, side B indices")
     add_format(p)
 
     p = sub.add_parser("oracle", help="exhaustively compute the covering threshold at small n")
@@ -131,18 +130,6 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
     return v
 
 
-def _parse_sides_file(path: str) -> tuple[list[int], list[int]]:
-    # lines end at LF only, as in the edge-list format
-    rows = [ln for ln in _read_text(path).split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(rows) != 2:
-        raise FormatError("sides file needs exactly two lines: side A indices, then side B")
-    try:
-        side_a, side_b = ([_parse_int(p, "side index") for p in row.split()] for row in rows)
-    except FormatError:
-        raise FormatError("sides file lines must contain integers") from None
-    return side_a, side_b
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     obj = construct(args.family, m=args.m, n=args.n, sizes=args.sizes)
     save(obj, args.out)
@@ -184,8 +171,7 @@ def _cmd_koenig(args: argparse.Namespace) -> int:
     obj = load(args.infile)
     if not isinstance(obj, Graph):
         raise FormatError("edge coloring needs a 2-graph input (HG 2 header)")
-    side_a, side_b = _parse_sides_file(args.sides)
-    coloring = bipartite_edge_coloring(obj, side_a, side_b)
+    coloring = bipartite_edge_coloring(obj)
     if args.format == "json":
         _emit(coloring.to_dict(), "json")
     else:

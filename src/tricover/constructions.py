@@ -34,7 +34,12 @@ class UnsupportedResidueError(ValueError):
     """No construction is provided for this (n, pattern) combination."""
 
 
-FAMILIES = ("G1", "G2", "G3", "H1", "H2", "H3", "T", "H4")
+# the one parameter each family takes (None: none), by its keyword in
+# construct and check_construction
+_PARAMETER = {
+    "G1": None, "G2": None, "G3": None, "H1": "m", "H2": "m", "H3": "m", "T": "sizes", "H4": "n",
+}
+FAMILIES = tuple(_PARAMETER)
 
 # Base graphs: a hexagon v1..v6, an outer cycle on numbered vertices, and a
 # fixed set of cross edges.  Outer vertices take indices 0..r-1 (label i at
@@ -226,6 +231,13 @@ def construct_h4(n: int) -> TriGraph:
     return TriGraph(n, edges, distinguished=0, class_of=class_of)
 
 
+def _check_parameters(family: str, **given: object) -> None:
+    """ValueError for a parameter given that the family does not take."""
+    for name, value in given.items():
+        if value is not None and family in _PARAMETER and name != _PARAMETER[family]:
+            raise ValueError(f"{family} takes no parameter {name}")
+
+
 def construct(
     family: str,
     *,
@@ -234,6 +246,7 @@ def construct(
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> Union[Graph, TriGraph]:
     """Dispatch on family name; the parameter kinds are family-specific."""
+    _check_parameters(family, m=m, n=n, sizes=sizes)
     if family in _BASE_SPECS:
         return base_graph(family)
     if family in _H_SPECS:
@@ -473,6 +486,7 @@ def check_construction(
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> ClaimReport:
     """Verify a given object against the named family's claims."""
+    _check_parameters(family, m=m, n=n, sizes=sizes)
     if family in _BASE_SPECS:
         if not isinstance(H, Graph):
             raise ValueError(f"{family} is a 2-graph family")

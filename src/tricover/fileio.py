@@ -10,12 +10,13 @@ The text format, shared by every tool in the package::
 
 Every integer is spelled as the writer spells it (``_DECIMAL``): ASCII
 digits with an optional leading '-', and no leading zero and no '-0'.
-Lines use LF endings, and only LF ends a line: the other breaks of
-``str.splitlines`` (CR, VT, FF, U+001C-U+001E, U+0085, U+2028, U+2029)
-stay inside their line, where the line loop reads them as whitespace, as
-it reads a tab; so a CR LF ending reads as LF.  The writer is canonical
-(CLASS lines sorted by vertex, edges in lexicographic order, no comments),
-so write -> parse -> write is bit-exact.
+Lines use LF endings, and only LF ends a line; a CR right before the LF
+belongs to the line ending, so a CR LF ending reads as LF.  A token is a
+run of characters other than space and tab (``_tokens``): any other
+character, such as U+00A0, VT, FF, U+2028 or a CR elsewhere in the line,
+stays inside its token, where the integer or label rule rejects it.  The
+writer is canonical (CLASS lines sorted by vertex, edges in lexicographic
+order, no comments), so write -> parse -> write is bit-exact.
 
 The reader takes the edge lines in bulk when they are all in the writer's
 form (``_edge_block``), converting each distinct token once.  Any other
@@ -153,6 +154,15 @@ def _edge_block(lines: list[str], k: int) -> Optional[list[tuple[int, ...]]]:
     return list(zip(*columns))
 
 
+_TOKEN = re.compile(r"[^ \t]+")
+
+
+def _tokens(line: str) -> list[str]:
+    # not str.split(), which also splits at U+00A0, U+3000, VT, FF,
+    # U+001C-U+001F, U+0085, U+2028, U+2029 and a CR inside the line
+    return _TOKEN.findall(line.removesuffix("\r"))
+
+
 def parse_edge_list(text: str) -> GraphLike:
     """Parse the edge-list format; returns a Graph or TriGraph per the header."""
     # the empty piece after a final LF is no line, so a canonical document
@@ -161,7 +171,7 @@ def parse_edge_list(text: str) -> GraphLike:
     if not lines[-1]:
         lines.pop()
     # (index, tokens) of each line that is neither blank nor a comment
-    rows = ((i, parts) for i, parts in enumerate(map(str.split, lines)) if parts and parts[0][0] != "#")
+    rows = ((i, parts) for i, parts in enumerate(map(_tokens, lines)) if parts and parts[0][0] != "#")
     i, head = next(rows, (None, None))
     if head is None:
         raise FormatError("empty document")

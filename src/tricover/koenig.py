@@ -2,17 +2,16 @@
 
 Every bipartite graph with maximum degree Delta admits such a partition
 (Koenig's edge-coloring theorem); for Delta-regular graphs each class is a
-perfect matching.  The general routine inserts edges one at a time, giving
-each a color free at both endpoints after at most one alternating-path
-recolor.  A closed-form round-robin fast path covers complete bipartite
-graphs, where bit-reproducible output matters for the constructions built on
-top of it.
+perfect matching.  The general routine finds the bipartition itself, then
+inserts edges one at a time, giving each a color free at both endpoints
+after at most one alternating-path recolor.  A closed-form round-robin fast
+path covers complete bipartite graphs, where bit-reproducible output
+matters for the constructions built on top of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .hypergraphs import Graph, _is_int
 
@@ -43,18 +42,28 @@ def _first_free(used: dict[int, int], delta: int) -> int:
     raise AssertionError("no free color at a vertex of degree < delta")
 
 
-def bipartite_edge_coloring(G: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> EdgeColoring:
+def bipartite_edge_coloring(G: Graph) -> EdgeColoring:
     """Color E(G) with exactly Delta(G) colors, each class a matching.
 
-    ``side_a`` and ``side_b`` must partition the vertex set with every edge
-    crossing between them; a violating edge is reported in the error.
+    ``G`` must be bipartite.  Each component is 2-colored by the parity of
+    the distance from its least vertex, and the first edge of ``G.edges()``
+    with both ends in one color, which closes an odd cycle, is reported in
+    the error.
     """
-    sa, sb = set(side_a), set(side_b)
-    if sa & sb or sa | sb != set(range(G.n)):
-        raise ValueError("sides must partition the vertex set")
-    for u, v in G.edges():
-        if (u in sa) == (v in sa):
-            raise ValueError(f"edge ({u}, {v}) does not cross the given sides")
+    side = [-1] * G.n
+    for root in range(G.n):
+        if side[root] < 0:
+            side[root] = 0
+            queue = [root]
+            for u in queue:  # breadth-first: the loop reads what it appends
+                for w in G.adj[u]:
+                    if side[w] < 0:
+                        side[w] = side[u] ^ 1
+                        queue.append(w)
+    edges = G.edges()
+    for u, w in edges:
+        if side[u] == side[w]:
+            raise ValueError(f"edge ({u}, {w}) closes an odd cycle: the graph is not bipartite")
 
     delta = G.max_degree()
     if delta == 0:
@@ -68,7 +77,7 @@ def bipartite_edge_coloring(G: Graph, side_a: Iterable[int], side_b: Iterable[in
         used[w][c] = u
         color_of[(u, w)] = c
 
-    for u, w in G.edges():
+    for u, w in edges:
         a = _first_free(used[u], delta)
         if a not in used[w]:
             assign(u, w, a)

@@ -435,14 +435,12 @@ def random_trigraph(rng: Random, n: int, p: float) -> TriGraph:
     return TriGraph(n, edges)
 
 
-def random_bipartite(rng: Random, n: int, max_degree: int) -> tuple[Graph, list[int], list[int]]:
+def random_bipartite(rng: Random, n: int, max_degree: int) -> Graph:
     """Random bipartite graph with maximum degree at most ``max_degree``."""
     split = rng.randint(1, n - 1)
-    side_a = list(range(split))
-    side_b = list(range(split, n))
     edges = []
     deg = [0] * n
-    candidates = [(u, w) for u in side_a for w in side_b]
+    candidates = [(u, w) for u in range(split) for w in range(split, n)]
     rng.shuffle(candidates)
     target = rng.randint(0, len(candidates))
     for u, w in candidates[:target]:
@@ -450,10 +448,10 @@ def random_bipartite(rng: Random, n: int, max_degree: int) -> tuple[Graph, list[
             edges.append((u, w))
             deg[u] += 1
             deg[w] += 1
-    return Graph(n, edges), side_a, side_b
+    return Graph(n, edges)
 
 
-def random_regular_bipartite(rng: Random, s: int, d: int) -> tuple[Graph, list[int], list[int]]:
+def random_regular_bipartite(rng: Random, s: int, d: int) -> Graph:
     """d-regular bipartite graph on sides of size s (d <= s): the union of d
     cyclic shifts of one random permutation matching."""
     pi = list(range(s))
@@ -462,7 +460,7 @@ def random_regular_bipartite(rng: Random, s: int, d: int) -> tuple[Graph, list[i
     for i in range(d):
         for j in range(s):
             edges.append((j, s + pi[(j + i) % s]))
-    return Graph(2 * s, edges), list(range(s)), list(range(s, 2 * s))
+    return Graph(2 * s, edges)
 
 
 def bf_sample_above_threshold(n: int, threshold: int, rng: Random) -> TriGraph:

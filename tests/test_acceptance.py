@@ -110,14 +110,14 @@ def test_criterion_5_koenig_properties():
     start = time.monotonic()
     bad = 0
     for i in range(450):
-        g, sa, sb = random_bipartite(rng, rng.randint(4, 60), rng.randint(1, 8))
-        if not coloring_is_valid(g, bipartite_edge_coloring(g, sa, sb)):
+        g = random_bipartite(rng, rng.randint(4, 60), rng.randint(1, 8))
+        if not coloring_is_valid(g, bipartite_edge_coloring(g)):
             bad += 1
     for i in range(50):
         s = rng.randint(2, 30)
         d = rng.randint(1, min(8, s))
-        g, sa, sb = random_regular_bipartite(rng, s, d)
-        col = bipartite_edge_coloring(g, sa, sb)
+        g = random_regular_bipartite(rng, s, d)
+        col = bipartite_edge_coloring(g)
         if not coloring_is_valid(g, col) or any(len(c) != s for c in col.classes):
             bad += 1
     elapsed = time.monotonic() - start

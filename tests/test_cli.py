@@ -19,6 +19,7 @@ from tricover import (
     load,
     parse_edge_list,
     save,
+    write_edge_list,
 )
 from tricover.cli import main
 from tricover.constructions import FAMILIES
@@ -112,10 +113,27 @@ class TestVerify:
     def test_bad_parameter_with_input_file_is_usage_error(self, capsys, tmp_path, family, args):
         # the same rule as without --in, where the construction rejects it
         path = tmp_path / "g.hg"
-        save(construct(family, m=1, sizes=(2, 3, 3)), path)
+        save(construct("T", sizes=(2, 3, 3)) if family == "T" else construct(family, m=1), path)
         assert run(capsys, "verify", "--family", family, *args)[0] == 2
         code, out, err = run(capsys, "verify", "--family", family, *args, "--in", str(path))
         assert code == 2 and out == "" and err
+
+    @pytest.mark.parametrize("family, own, foreign", [
+        ("H4", ["--n", "9"], ["--m", "3"]),
+        ("H1", ["--m", "1"], ["--n", "99"]),
+        ("T", ["--sizes", "2,3,3"], ["--m", "1"]),
+        ("G1", [], ["--sizes", "2,3,3"]),
+    ], ids=["H4-m", "H1-n", "T-m", "G1-sizes"])
+    def test_parameter_the_family_does_not_take_is_usage_error(self, capsys, tmp_path, family, own, foreign):
+        # each of these once built or verified the family, ignoring the parameter
+        message = f"{family} takes no parameter {foreign[0][2:]}"
+        path = tmp_path / "g.hg"
+        code, out, err = run(capsys, "construct", "--family", family, *own, *foreign, "--out", str(path))
+        assert code == 2 and not path.exists() and message in err
+        assert run(capsys, "construct", "--family", family, *own, "--out", str(path))[0] == 0
+        for extra in ([], ["--in", str(path)]):
+            code, out, err = run(capsys, "verify", "--family", family, *own, *foreign, *extra)
+            assert code == 2 and out == "" and message in err
 
     def test_3_graph_family_on_2_graph_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.hg"
@@ -193,11 +211,9 @@ class TestCovering:
 class TestKoenig:
     def test_text_sections_form_valid_coloring(self, capsys, tmp_path):
         gpath = tmp_path / "g.hg"
-        spath = tmp_path / "sides"
         g_lines = ["HG 2 6 9"] + [f"{u} {v}" for u in range(3) for v in range(3, 6)]
         gpath.write_text("\n".join(g_lines) + "\n")
-        spath.write_text("0 1 2\n3 4 5\n")
-        code, out, _ = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
+        code, out, _ = run(capsys, "koenig", "--in", str(gpath))
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "DELTA 3"
@@ -212,53 +228,24 @@ class TestKoenig:
         coloring = EdgeColoring(tuple(tuple(c) for c in classes), delta=3)
         assert coloring_is_valid(parse_edge_list(gpath.read_text()), coloring)
 
-    def test_bad_sides_file(self, capsys, tmp_path):
-        gpath = tmp_path / "g.hg"
-        gpath.write_text("HG 2 2 1\n0 1\n")
-        spath = tmp_path / "sides"
-        spath.write_text("0 1\n")
-        assert run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))[0] == 3
-        spath.write_text("0\none\n")
-        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
-        assert code == 3 and out == "" and "integers" in err
-        # int() reads '+1' as 1
-        spath.write_text("0\n+1\n")
-        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
-        assert code == 3 and out == "" and "integers" in err
-
-    @pytest.mark.parametrize("data", [b"0\n01\n", b"-0\n1\n", b"0\n\xff1\n"],
-                             ids=["leading-zero", "minus-zero", "non-utf8"])
-    def test_sides_file_integers_as_written_exit_3(self, capsys, tmp_path, data):
-        gpath = tmp_path / "g.hg"
-        gpath.write_text("HG 2 2 1\n0 1\n")
-        spath = tmp_path / "sides"
-        spath.write_bytes(data)
-        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
-        assert code == 3 and out == ""
-        assert ("not UTF-8 text" if b"\xff" in data else "sides file lines must contain integers") in err
-
-    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\r"],
-                             ids=lambda sep: f"U+{ord(sep):04X}")
-    def test_sides_file_one_line_exit_3(self, capsys, tmp_path, sep):
-        # only LF ends a line, so this is one line, not sides 0 1 and 2 3
-        gpath = tmp_path / "g.hg"
-        gpath.write_text("HG 2 4 4\n0 2\n0 3\n1 2\n1 3\n")
-        spath = tmp_path / "sides"
-        spath.write_bytes(f"0 1{sep}2 3\n".encode("utf-8"))
-        code, out, err = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))
-        assert code == 3 and out == "" and "exactly two lines" in err
-        spath.write_bytes(b"0 1\r\n2 3\r\n")
-        assert run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath))[0] == 0
-
     def test_json_is_the_coloring_dict(self, capsys, tmp_path):
         gpath = tmp_path / "g.hg"
-        spath = tmp_path / "sides"
         gpath.write_text("HG 2 5 4\n0 3\n0 4\n1 3\n2 4\n")
-        spath.write_text("0 1 2\n3 4\n")
-        code, out, _ = run(capsys, "koenig", "--in", str(gpath), "--sides", str(spath),
-                           "--format", "json")
-        expected = bipartite_edge_coloring(load(gpath), [0, 1, 2], [3, 4]).to_dict()
+        code, out, _ = run(capsys, "koenig", "--in", str(gpath), "--format", "json")
+        expected = bipartite_edge_coloring(load(gpath)).to_dict()
         assert code == 0 and json.loads(out) == expected and expected["delta"] == 2
+
+    def test_odd_cycle_is_usage_error(self, capsys, tmp_path):
+        gpath = tmp_path / "g.hg"
+        gpath.write_text("HG 2 4 3\n0 1\n0 2\n1 2\n")
+        code, out, err = run(capsys, "koenig", "--in", str(gpath))
+        assert code == 2 and out == "" and "edge (1, 2) closes an odd cycle" in err
+
+    def test_3_graph_input_is_io_error(self, capsys, tmp_path):
+        gpath = tmp_path / "h.hg"
+        save(construct_h4(9), gpath)
+        code, out, err = run(capsys, "koenig", "--in", str(gpath))
+        assert code == 3 and out == "" and "2-graph input" in err
 
 
 class TestOracle:
@@ -431,6 +418,16 @@ class TestErrorStreams:
         code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
         assert code == 3 and out == "" and "bad header line" in err
 
+    @pytest.mark.parametrize("sep", ["\xa0", "\u3000", "\x0b"], ids=lambda sep: f"U+{ord(sep):04X}")
+    def test_whitespace_other_than_space_and_tab_exit_3(self, capsys, tmp_path, sep):
+        # such a character once separated tokens, so this exported with exit 0
+        lines = write_edge_list(construct_h4(9)).splitlines()
+        lines[-1] = lines[-1].replace(" ", sep, 1)
+        path = tmp_path / "bad.hg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "export", "--in", str(path), "--format", "hg")
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_non_utf8_file_exit_3(self, capsys, tmp_path):
         path = tmp_path / "latin1.hg"
         path.write_bytes("HG 3 4 1\nCLASS 0 \u00e9\n0 1 2\n".encode("latin-1"))
@@ -455,12 +452,12 @@ _OPTIONS = {
     "construct": ("--family", "--m", "--n", "--sizes", "--out"),
     "verify": ("--family", "--m", "--n", "--sizes", "--in", "--format"),
     "covering": ("--in", "--pattern", "--vertex", "--format"),
-    "koenig": ("--in", "--sides", "--format"),
+    "koenig": ("--in", "--format"),
     "oracle": ("--n", "--pattern", "--budget-nodes", "--budget-seconds", "--allow-large", "--format"),
     "export": ("--in", "--format", "--out"),
 }
 _FLAGS = ("--allow-large", "--help")
-_REQUIRED = ("--family", "--in", "--out", "--pattern", "--sides")
+_REQUIRED = ("--family", "--in", "--out", "--pattern")
 _ANY = st.sampled_from(
     tuple(_OPTIONS) + tuple(dict.fromkeys(o for opts in _OPTIONS.values() for o in opts))
     + _FLAGS + _VALUES + _PATHS
@@ -471,7 +468,7 @@ _KIND = {
     "--family": st.sampled_from(FAMILIES),
     "--format": st.sampled_from(("text", "json", "hg")),
     "--pattern": st.sampled_from(("K4-", "K5-", "K4", "Kt:5", "Kt-:6", "Kt:9")),
-    "--in": st.sampled_from(_PATHS), "--out": st.sampled_from(_PATHS), "--sides": st.sampled_from(_PATHS),
+    "--in": st.sampled_from(_PATHS), "--out": st.sampled_from(_PATHS),
     "--m": st.sampled_from(("-1", "0", "1", "3", "8")),
     "--n": st.sampled_from(("-1", "0", "1", "3", "8")),
     "--sizes": st.sampled_from(("2,3,3", "1,1,1", "3")),

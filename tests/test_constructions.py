@@ -26,6 +26,7 @@ from tricover import (
     pair_degree_table,
     verify_claim,
 )
+from tricover.constructions import check_h_construction
 
 
 def _by_label(obj):
@@ -278,6 +279,21 @@ class TestLowerBoundCertificate:
             lower_bound_certificate(9, "K4")
 
 
+def test_link_graph_for_unknown_family():
+    with pytest.raises(ValueError, match="unknown construction family 'H4'"):
+        link_graph_for("H4", 1)
+
+
+def test_h_check_refuses_other_families():
+    with pytest.raises(ValueError, match="not one of the blowup-link families"):
+        check_h_construction(construct_h4(9), "H4")
+
+
+def test_h_check_needs_two_vertices():
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        check_h_construction(TriGraph(1, distinguished=0), "H1", m=1)
+
+
 def test_construct_dispatcher_requires_params():
     with pytest.raises(ValueError):
         construct("H1")
@@ -320,6 +336,25 @@ class TestParameterRules:
     def test_h_check_rejects_a_bad_m(self, m):
         with pytest.raises(ValueError, match="m must be a positive integer"):
             check_construction(construct_h("H1", 1), "H1", m=m)
+
+    @pytest.mark.parametrize("family, own, foreign", [
+        ("H4", {"n": 9}, {"m": 3}),
+        ("H1", {"m": 1}, {"n": 99}),
+        ("T", {"sizes": (2, 3, 3)}, {"m": 1}),
+        ("G1", {}, {"sizes": (2, 3, 3)}),
+    ], ids=["H4-m", "H1-n", "T-m", "G1-sizes"])
+    def test_parameter_the_family_does_not_take(self, family, own, foreign):
+        message = f"{family} takes no parameter {next(iter(foreign))}"
+        with pytest.raises(ValueError, match=message):
+            construct(family, **own, **foreign)
+        with pytest.raises(ValueError, match=message):
+            check_construction(construct(family, **own), family, **own, **foreign)
+        with pytest.raises(ValueError, match=message):
+            verify_claim(family, **own, **foreign)
+
+    def test_h4_check_reads_n_from_the_graph(self):
+        report = check_construction(construct_h4(9), "H4")
+        assert report.passed and report.parameter["n"] == 9
 
     @pytest.mark.parametrize("pattern", ["K4-", "K5-"])
     def test_certificate_needs_an_int_n(self, pattern):

@@ -268,6 +268,31 @@ def test_only_lf_ends_a_line(sep, doc, message):
         parse_edge_list(doc.format(sep, sep))
 
 
+# str.split() splits at each of these, and the line loop once did; only a
+# space or a tab separates tokens, and a CR only ends a line before its LF
+WHITESPACE_BUT_SPACE_AND_TAB = [
+    "\xa0", "\u3000", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\r",
+]
+
+
+@pytest.mark.parametrize("sep", WHITESPACE_BUT_SPACE_AND_TAB, ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize("doc, message", [
+    ("HG{}3 4 1\n0 1 2\n", "bad header line"),
+    # 'HG 3 4 1\n0\xa01\u30002\n' once read as the edge (0, 1, 2)
+    ("HG 3 4 1\n0{}1\u30002\n", "expected 3 indices"),
+    ("HG 3 4 1\n0 1{}2 3\n", "bad vertex index"),
+    ("HG 3 4 1\nCLASS 0 a{}b\n0 1 2\n", "class label"),
+])
+def test_only_space_and_tab_separate_tokens(sep, doc, message):
+    with pytest.raises(FormatError, match=message):
+        parse_edge_list(doc.format(sep))
+
+
+def test_write_refuses_a_non_graph():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        write_edge_list(object())
+
+
 def _reversed_line(ln):
     return " ".join(reversed(ln.split(" ")))
 

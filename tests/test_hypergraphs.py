@@ -78,6 +78,11 @@ class TestGraph:
         assert g.edges() == [(0, 1), (1, 3), (2, 3)]
         assert g.edge_count == 3
 
+    def test_unequal_to_a_non_graph_and_repr(self):
+        g = Graph(4, [(0, 1)])
+        assert g != (4, [(0, 1)]) and g != TriGraph(4)
+        assert repr(g) == "Graph(n=4, edges=1)"
+
 
 class TestTriGraph:
     def test_canonical_edges_and_membership(self):
@@ -85,6 +90,12 @@ class TestTriGraph:
         assert h.edges == ((0, 1, 2), (2, 3, 4))
         assert h.has_edge(4, 2, 3)
         assert not h.has_edge(0, 1, 3)
+
+    def test_unequal_to_a_non_graph_and_repr(self):
+        h = TriGraph(4, [(0, 1, 2)])
+        assert h != ((0, 1, 2),) and h != Graph(4)
+        assert repr(h) == "TriGraph(n=4, edges=1)"
+        assert repr(TriGraph(4, [(0, 1, 2), (1, 2, 3)], distinguished=0)) == "TriGraph(n=4, edges=2, x=0)"
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

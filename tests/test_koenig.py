@@ -21,7 +21,7 @@ def _complete_bipartite(a, b):
 
 def test_k33_three_perfect_matchings():
     g = _complete_bipartite(3, 3)
-    col = bipartite_edge_coloring(g, range(3), range(3, 6))
+    col = bipartite_edge_coloring(g)
     assert col.delta == 3 and len(col.classes) == 3
     for cls in col.classes:
         assert len(cls) == 3
@@ -31,7 +31,7 @@ def test_k33_three_perfect_matchings():
 
 def test_path_two_singletons():
     g = Graph(3, [(0, 1), (1, 2)])
-    col = bipartite_edge_coloring(g, [0, 2], [1])
+    col = bipartite_edge_coloring(g)
     assert col.delta == 2
     assert sorted(len(c) for c in col.classes) == [1, 1]
     assert coloring_is_valid(g, col)
@@ -50,7 +50,7 @@ def test_random_200_edge_max_degree_5_instance():
             deg[w] += 1
     g = Graph(100, edges)
     assert g.edge_count == 200 and g.max_degree() == 5
-    col = bipartite_edge_coloring(g, range(50), range(50, 100))
+    col = bipartite_edge_coloring(g)
     assert col.delta == 5 and len(col.classes) == 5
     assert coloring_is_valid(g, col)
 
@@ -58,30 +58,34 @@ def test_random_200_edge_max_degree_5_instance():
 def test_regular_instances_yield_perfect_matchings():
     rng = Random(23)
     for s, d in ((4, 3), (7, 4), (10, 6)):
-        g, sa, sb = random_regular_bipartite(rng, s, d)
-        col = bipartite_edge_coloring(g, sa, sb)
+        g = random_regular_bipartite(rng, s, d)
+        col = bipartite_edge_coloring(g)
         assert coloring_is_valid(g, col)
         for cls in col.classes:
             assert len(cls) == s  # perfect matching on both sides
 
 
 def test_empty_graph():
-    col = bipartite_edge_coloring(Graph(4), [0, 1], [2, 3])
+    col = bipartite_edge_coloring(Graph(4))
     assert col.delta == 0 and col.classes == ()
 
 
-def test_bad_partition_rejected():
-    g = Graph(4, [(0, 1)])
-    with pytest.raises(ValueError):
-        bipartite_edge_coloring(g, [0, 1], [1, 2, 3])
-    with pytest.raises(ValueError):
-        bipartite_edge_coloring(g, [0], [1, 2])
+@pytest.mark.parametrize("edges, named", [
+    pytest.param([(0, 1), (1, 2), (0, 2)], (1, 2), id="triangle"),
+    # BFS from 0 colors 1 and 4 as 1, then 2 and 3 as 0: the 5-cycle's edge
+    # (2, 3) is the first with both ends in one color; (5, 6) is bipartite
+    pytest.param([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)], (2, 3), id="5-cycle"),
+    # the odd cycle lies in the second component, away from its least vertex 3
+    pytest.param([(0, 1), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)], (6, 7), id="second-component"),
+])
+def test_odd_cycle_edge_reported(edges, named):
+    with pytest.raises(ValueError, match=rf"edge \({named[0]}, {named[1]}\) closes an odd cycle"):
+        bipartite_edge_coloring(Graph(8, edges))
 
 
-def test_non_crossing_edge_reported():
-    g = Graph(4, [(0, 2), (2, 3)])
-    with pytest.raises(ValueError, match=r"\(2, 3\)"):
-        bipartite_edge_coloring(g, [0, 1], [2, 3])
+def test_edge_count_is_the_graphs():
+    g = Graph(7, [(0, 4), (0, 5), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (0, 6)])
+    assert bipartite_edge_coloring(g).edge_count == g.edge_count == 8
 
 
 class TestColoringIsValid:
@@ -128,10 +132,14 @@ class TestCompleteBipartiteMatchings:
         for a, b in ((1, 1), (2, 4), (3, 3), (4, 5)):
             g = _complete_bipartite(a, b)
             fast = complete_bipartite_matchings(a, b)
-            general = bipartite_edge_coloring(g, range(a), range(a, a + b))
+            general = bipartite_edge_coloring(g)
             assert coloring_is_valid(g, fast)
             assert coloring_is_valid(g, general)
             assert fast.delta == general.delta == b
+
+    def test_negative_side_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            complete_bipartite_matchings(-1, 2)
 
     def test_zero_sides(self):
         assert complete_bipartite_matchings(0, 3).delta == 0
@@ -150,6 +158,11 @@ class TestCompleteBipartiteMatchings:
 def test_property_sweep_random_instances():
     rng = Random(4096)
     for _ in range(80):
-        g, sa, sb = random_bipartite(rng, rng.randint(4, 40), rng.randint(1, 8))
-        col = bipartite_edge_coloring(g, sa, sb)
+        g = random_bipartite(rng, rng.randint(4, 40), rng.randint(1, 8))
+        # relabelled, so the bipartition the routine finds interleaves the
+        # vertex numbers
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+        col = bipartite_edge_coloring(g)
         assert coloring_is_valid(g, col)

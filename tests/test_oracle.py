@@ -590,6 +590,10 @@ class TestOneEdgePattern:
 
 
 class TestCertifyUpperBehavior:
+    def test_limited_to_n_12(self):
+        with pytest.raises(ValueError, match=r"limited to n <= 12"):
+            certify_upper_behavior(13, K4M, 3, 1)
+
     def test_no_counterexamples_above_threshold(self):
         rep = certify_upper_behavior(9, K4M, 3, 300, seed=5)
         assert rep.counterexample_count == 0
