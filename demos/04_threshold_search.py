@@ -3,9 +3,12 @@
 
 The exhaustive search knows nothing about the constructions: it pins vertex
 0 as uncovered, enumerates its labelled link graphs sparsest first, and
-completes them by branch and bound, raising the target level by level.  Its exact values match floor(n/3) for K4^- and
-floor((2n-2)/3) for K5^-.  A randomized spot-check then samples dense
-3-graphs just above the threshold and confirms that none is covering-free.
+completes them by branch and bound.  It starts at the paper's lower bound,
+finds a witness there and refutes the level above; a refuted start would
+send it climbing from level 0, so its values do not rest on the formulas.
+They match floor(n/3) for K4^- and floor((2n-2)/3) for K5^-.  A randomized
+spot-check then samples dense 3-graphs just above the threshold and
+confirms that none is covering-free.
 """
 
 import time

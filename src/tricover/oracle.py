@@ -26,9 +26,17 @@ Search strategy (branch and bound):
   bound is incremental too: it falls only for the three pairs of an
   excluded triple, and the pairs with undecided triples sit in buckets by
   bound, so the branching pair and triple are lowest-bit operations.
-* The levels ascend from v = 0: the first witness at level v has some
-  delta2 = w >= v, the next level asks for w + 1, and the first refuted
-  level proves the last witness optimal.  A level hands back (w, the link's
+* A witness at level v has some delta2 = w >= v, so the next level asks
+  for w + 1, and a refuted level v proves a witness of value v - 1
+  optimal.  Without a budget the first level is the paper's lower bound
+  for K_t / K_t^- (``_start_level``: floor(n/3) for t = 4, floor((2n-2)/3)
+  for t = 5), so where the bound is the value the search runs one witness
+  level and one refutation, not every level below.  If that first level
+  is refuted, the climb restarts at v = 0 and stops just below it, so the
+  value never rests on the bound; a wrong one costs only time.  A
+  budgeted search climbs from v = 0: a budget may end it at any level, and
+  it then reports the best bound reached, where a search that started at
+  the bound would have no witness yet.  A level hands back (w, the link's
   adjacency masks, the chosen triples); only the last witness, also when a
   budget ends the ascent, becomes an edge list and a ``TriGraph``.
 
@@ -511,6 +519,16 @@ def _check_instance(n: int, pattern: Pattern) -> None:
         raise ValueError(f"need n >= {pattern.t} vertices to host the pattern")
 
 
+def _start_level(n: int, pattern: Pattern) -> int:
+    """The first level of an unbudgeted ``exact_c2``: the paper's lower
+    bound on c2(n, K_t^-), floor(n/3) for t = 4 and floor((2n-2)/3) for
+    t = 5, which K_t takes too (a vertex in no K_t^- copy is in no K_t
+    copy); 0 for every other pattern."""
+    profile = clique_profile(pattern)
+    t = profile[0] if profile is not None else 0
+    return {4: n // 3, 5: (2 * n - 2) // 3}.get(t, 0)
+
+
 def exact_c2(
     n: int,
     pattern: Pattern,
@@ -527,17 +545,24 @@ def exact_c2(
     Beyond ``DEFAULT_HARD_CAP`` the search requires ``allow_large`` plus an
     explicit budget; when the budget runs out the result is non-exhaustive
     and reports the best verified lower bound.  The search is deterministic.
+    Without a budget it starts at ``_start_level``'s bound, so
+    ``nodes_explored`` counts only the levels from the bound up (for
+    n <= 10 two for K4- and K5-, two to four for K4 and K5; a refuted bound
+    adds the climb below it).  With any budget it climbs from level 0, so
+    that a budget ending it at any level still leaves the best bound
+    reached.
     ``n`` must be an int, and a budget finite and non-negative (a node
     budget an int); anything else raises ValueError.
     """
     _check_instance(n, pattern)
     budget = _Budget(node_budget, time_budget)
+    budgeted = node_budget is not None or time_budget is not None
     if n > DEFAULT_HARD_CAP:
         if not allow_large:
             raise ValueError(
                 f"n = {n} exceeds the hard cap {DEFAULT_HARD_CAP}; pass allow_large=True"
             )
-        if node_budget is None and time_budget is None:
+        if not budgeted:
             raise ValueError("searches beyond the hard cap require a node or time budget")
 
     start = time.monotonic()
@@ -545,12 +570,22 @@ def exact_c2(
     value, edges = -1, None
     last: Optional[_Found] = None
     inner = _InnerSearch(n, pattern)
+    level, ceiling = 0 if budgeted else _start_level(n, pattern), math.inf
     try:
         # a witness at level v has delta2 = w >= v, so the next level is
-        # w + 1; the first refuted level proves the last witness optimal,
-        # and a BudgetExhausted keeps it as a verified lower bound
-        while (found := inner.search_level(value + 1, budget)) is not None:
-            last, value = found, found[0]
+        # w + 1; a refuted level v proves a witness of value v - 1 optimal.
+        # A refuted start above value + 1 becomes the ceiling of a climb
+        # from value + 1 = 0, which stops below it.  A BudgetExhausted keeps
+        # the last witness as a verified lower bound
+        while level < ceiling:
+            found = inner.search_level(level, budget)
+            if found is not None:
+                last, value = found, found[0]
+                level = value + 1
+            elif level > value + 1:
+                level, ceiling = value + 1, level
+            else:
+                break
     except BudgetExhausted:
         exhaustive = False
     if last is not None:

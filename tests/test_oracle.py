@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 import tricover
+import tricover.oracle as oracle
 from tricover import (
     Pattern,
     TriGraph,
@@ -222,6 +223,97 @@ class TestBudgets:
         # the clock is read every 1 024 nodes, and this search takes 1 376
         assert exact_c2(11, K4M, allow_large=True, node_budget=10_000).nodes_explored > 1024
         assert not exact_c2(11, K4M, allow_large=True, time_budget=0).exhaustive
+
+
+# far more nodes than any cell below takes: a budget that never ends the
+# search but keeps the climb from level 0
+UNREACHED = 10**12
+START_CELLS = [(n, name) for n in range(5, 11) for name in ("K4-", "K5-", "K4", "K5")] + [
+    (n, name) for n in range(5, 9) for name in ("book2", "book3", "path")
+]
+
+
+def _pattern(name):
+    return {"book2": BOOK2, "book3": BOOK3, "path": PATH}.get(name) or builtin_pattern(name)
+
+
+def _answer(res):
+    return res.value, res.exhaustive, res.witness
+
+
+class TestStartLevel:
+    """Without a budget the search starts at the paper's lower bound; with
+    one it climbs from level 0.  Neither the start nor the schedule changes
+    the value, the witness or ``exhaustive``."""
+
+    @pytest.mark.parametrize("n, name", START_CELLS)
+    def test_jump_matches_the_climb(self, n, name):
+        F = _pattern(name)
+        res = exact_c2(n, F)
+        assert res.exhaustive and _answer(res) == _answer(exact_c2(n, F, node_budget=UNREACHED))
+
+    def test_bound_keyed_on_the_clique_profile(self):
+        renamed = Pattern(4, K4M.edges, "renamed")
+        for n in range(5, 12):
+            assert oracle._start_level(n, renamed) == oracle._start_level(n, K4M) == n // 3
+            assert oracle._start_level(n, builtin_pattern("K4")) == n // 3
+            for name in ("K5-", "K5"):
+                assert oracle._start_level(n, builtin_pattern(name)) == (2 * n - 2) // 3
+            for F in (BOOK2, BOOK3, PATH, EDGE, builtin_pattern("K6-")):
+                assert oracle._start_level(n, F) == 0
+
+    @staticmethod
+    def spy_levels(monkeypatch):
+        levels = []
+        search_level = _InnerSearch.search_level
+
+        def spying(self, v, budget):
+            levels.append(v)
+            return search_level(self, v, budget)
+
+        monkeypatch.setattr(_InnerSearch, "search_level", spying)
+        return levels
+
+    @pytest.mark.parametrize("n, name", [
+        (8, "K5-"), (7, "K5-"), (9, "K4-"), (8, "K4"), (7, "K5"), (10, "K5"), (7, "book2"),
+    ])
+    @pytest.mark.parametrize("shift", ["+1", "+3", "n-1", "0"])
+    def test_wrong_start_keeps_the_answer(self, n, name, shift, monkeypatch):
+        F = _pattern(name)
+        expected = exact_c2(n, F)
+        start = {"+1": expected.value + 1, "+3": expected.value + 3, "n-1": n - 1, "0": 0}[shift]
+        monkeypatch.setattr(oracle, "_start_level", lambda n, pattern: start)
+        levels = self.spy_levels(monkeypatch)
+        assert _answer(exact_c2(n, F)) == _answer(expected)
+        # a refuted start is searched once, then the climb from 0 stops at
+        # the refutation of value + 1 or just below the start
+        if start > expected.value:
+            assert levels[0] == start and levels[1] == 0
+            assert max(levels[1:]) == min(expected.value + 1, start - 1)
+
+    def test_levels_visited(self, monkeypatch):
+        # c2(8, K5-) = 4 = floor(14/3): one witness level, one refutation
+        levels = self.spy_levels(monkeypatch)
+        assert exact_c2(8, K5M).value == 4
+        assert levels == [4, 5]
+        levels.clear()
+        assert exact_c2(8, K5M, node_budget=UNREACHED).value == 4
+        assert levels == [0, 1, 2, 3, 4, 5]
+        levels.clear()
+        # a start above the value: one refuted level, then the climb below it
+        monkeypatch.setattr(oracle, "_start_level", lambda n, pattern: 5)
+        assert exact_c2(8, K5M).value == 4
+        assert levels == [5, 0, 1, 2, 3, 4]
+
+    def test_budgeted_runs_keep_climbing(self):
+        # a search starting at floor(38/3) = 12 would run out of its 20 000
+        # nodes before a witness and report -1; the climb reaches 11
+        res = exact_c2(20, K5M, allow_large=True, node_budget=20_000)
+        assert not res.exhaustive and res.value == 11
+        assert res.witness is not None and min_codegree(res.witness).min == 11
+        # the whole climb, node for node: K4- at n = 11 takes 1 376 nodes
+        res = exact_c2(11, K4M, allow_large=True, node_budget=UNREACHED)
+        assert (res.value, res.exhaustive, res.nodes_explored) == (3, True, 1376)
 
 
 class TestClosedFormStep:
