@@ -18,11 +18,13 @@ stays inside its token, where the integer or label rule rejects it.  The
 writer is canonical (CLASS lines sorted by vertex, edges in lexicographic
 order, no comments), so write -> parse -> write is bit-exact.
 
-The reader takes the edge lines in bulk when they are all in the writer's
-form (``_edge_block``), converting each distinct token once.  Any other
-document, such as one with comments, tabs or X/CLASS lines among or after
-the edges, is read one line at a time, and that loop alone decides every
-error and its message.
+The writer spells each vertex once and formats every edge from those
+spellings.  The reader takes the edge lines in bulk when they are all in
+the writer's form (``_edge_block``): once every line is seen to hold k - 1
+spaces, one join and one split give all the tokens, and each distinct token
+is converted once.  Any other document, such as one with comments, tabs or
+X/CLASS lines among or after the edges, is read one line at a time, and
+that loop alone decides every error and its message.
 
 Both readers reject a vertex count above ``MAX_VERTICES`` before anything is
 allocated: a graph of n vertices holds n adjacency sets, so a 20-byte header
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
+from itertools import repeat
 from operator import lt
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -99,7 +101,11 @@ def write_edge_list(obj: GraphLike) -> str:
     if obj.class_of:
         for v in sorted(obj.class_of):
             lines.append(f"CLASS {v} {_check_label(obj.class_of[v])}")
-    lines += map(("%d %d %d" if k == 3 else "%d %d").__mod__, edges)
+    name = list(map(str, range(obj.n)))
+    if k == 3:
+        lines += [f"{name[a]} {name[b]} {name[c]}" for a, b, c in edges]
+    else:
+        lines += [f"{name[a]} {name[b]}" for a, b in edges]
     return "\n".join(lines) + "\n"
 
 
@@ -135,11 +141,16 @@ def _edge_block(lines: list[str], k: int) -> Optional[list[tuple[int, ...]]]:
     spells it: k ``_DECIMAL`` tokens separated by single spaces, in strictly
     increasing order.  Each distinct token is converted once.  None when any
     line is otherwise (a comment, a blank, an X or CLASS line, a tab, a bad
-    token), and the caller then reads the lines one at a time."""
-    rows = [ln.split(" ") for ln in lines]
-    if set(map(len, rows)) != {k}:
+    token), and the caller then reads the lines one at a time.
+
+    Every line must hold exactly k - 1 spaces; the lines are then joined
+    and split once, which gives k tokens per line in order.  A line's shape
+    is checked before the join, so no token moves from one line to the
+    next, and an empty token (a doubled, leading or trailing space), a tab
+    or a CR stays inside a token that ``_DECIMAL`` rejects."""
+    if set(map(str.count, lines, repeat(" "))) != {k - 1}:
         return None
-    tokens = list(chain.from_iterable(rows))
+    tokens = " ".join(lines).split(" ")
     try:
         value = {t: int(t) for t in set(tokens) if _DECIMAL.fullmatch(t)}
     except ValueError:  # more digits than int() converts

@@ -41,7 +41,12 @@ The obstruction checker certifies that a vertex x lies in no K4^- copy: it
 suffices that the link of x is triangle-free and that no edge avoiding x
 spans two or more link edges, because a K4^- through x needs three edges on
 four vertices and each shape of such a triple violates one of the two
-conditions.
+conditions.  Both conditions are read off the same codegree masks as the
+embedder's: row x of the table holds each vertex's link neighbourhood, so
+a link triangle is two adjacent link masks that meet, and an edge abc
+spanning two link edges is a bit of the codegree mask of ab that also lies
+in the union (ab a link edge) or the intersection (otherwise) of the link
+masks of a and b.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from .hypergraphs import (
     _check_count,
     _check_vertex,
     codegree_neighbourhoods,
-    is_triangle_free,
-    link_graph,
 )
 
 
@@ -486,18 +489,45 @@ def covering_obstruction(H: TriGraph, x: int) -> ObstructionCheck:
     A K4^- through x on {x, a, b, c} needs three of the four triples; either
     all three link pairs of {a, b, c} appear (a link triangle) or two link
     pairs plus the edge abc do (an edge spanning two link edges).
+
+    Both are read off the codegree masks, where N(v) = ``bits[x][v]`` is v's
+    link neighbourhood.  The link triangle is the first link pair u < v, in
+    lexicographic order, whose masks meet, closed by their lowest common
+    neighbour: the lexicographically smallest triangle.  The bad edge is the
+    first pair a < b avoiding x with an edge abc, c > b, that spans a second
+    link pair (c in N(a) | N(b)) when ab is a link pair, or two of them
+    (c in N(a) & N(b)) when it is not; with c the lowest such vertex, that
+    is the first offending edge of ``H.edges``.
     """
-    link = link_graph(H, x)
-    tf = is_triangle_free(link.graph)
-    if not tf.triangle_free:
-        host = tuple(sorted(link.to_host[i] for i in tf.witness))  # type: ignore[union-attr]
-        return ObstructionCheck(False, host, None)  # type: ignore[arg-type]
-    to_link = link.host_to_link()
-    adj = link.graph.adj
-    for e in H.edges:
-        if x in e:
-            continue
-        a, b, c = (to_link[v] for v in e)
-        if (b in adj[a]) + (c in adj[a]) + (c in adj[b]) > 1:
-            return ObstructionCheck(False, None, e)
+    _check_vertex(x, H.n)
+    bits = codegree_neighbourhoods(H)
+    link = bits[x]
+    others = [v for v in range(H.n) if v != x]
+    for u in others:
+        nu = link[u]
+        later = nu >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            v = low.bit_length() - 1
+            common = nu & link[v]
+            if common:
+                # w > v: were w < v, the link pair of u and w would come
+                # first and its masks would meet at v
+                w = (common & -common).bit_length() - 1
+                return ObstructionCheck(False, (u, v, w), None)
+            later ^= low
+    for i, a in enumerate(others):
+        row, na = bits[a], link[a]
+        for b in others[i + 1:]:
+            # the vertices c > b with abc an edge; x is in no link mask, so
+            # the edge abx never counts
+            above = row[b] >> (b + 1)
+            if not above:
+                continue
+            nb = link[b]
+            spans = (na | nb) if na >> b & 1 else (na & nb)
+            hit = above & spans >> (b + 1)
+            if hit:
+                c = b + (hit & -hit).bit_length()
+                return ObstructionCheck(False, None, (a, b, c))
     return ObstructionCheck(True, None, None)

@@ -162,6 +162,26 @@ def bf_triangle_free(G: Graph) -> bool:
     )
 
 
+def bf_covering_obstruction(H: TriGraph, x: int) -> tuple:
+    """(holds, link triangle, bad edge) at x, from ``H.edge_set`` alone: the
+    lexicographically first triple of other vertices whose three pairs are
+    all link pairs, else the first edge avoiding x, in sorted order, that
+    contains two or more link pairs."""
+    edges = H.edge_set
+
+    def linked(a: int, b: int) -> bool:
+        return tuple(sorted((x, a, b))) in edges
+
+    others = [v for v in range(H.n) if v != x]
+    for a, b, c in combinations(others, 3):
+        if linked(a, b) and linked(a, c) and linked(b, c):
+            return False, (a, b, c), None
+    for e in sorted(edges):
+        if x not in e and sum(linked(a, b) for a, b in combinations(e, 2)) >= 2:
+            return False, None, e
+    return True, None, None
+
+
 def bf_exact_c2(n: int, F: Pattern) -> int:
     """c2(n, F) by enumerating every 3-graph on n vertices with vertex 0
     uncovered, no pruning: the best delta2, or -1 when every graph covers

@@ -1,6 +1,9 @@
 """Construction and claim-verifier tests."""
 
+import hashlib
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +28,13 @@ from tricover import (
     min_codegree,
     pair_degree_table,
     verify_claim,
+    write_edge_list,
 )
 from tricover.constructions import check_h_construction
+
+# sha256 of the canonical edge list and of the sorted-key JSON claim report
+# of each construction, as recorded before the certify path was reworked
+DIGESTS = json.loads((Path(__file__).parent / "data" / "certify_digests.json").read_text())
 
 
 def _by_label(obj):
@@ -479,3 +487,23 @@ class TestEveryClaimCheckCanFail:
         report = check_construction(Graph(G.n, G.edges()[1:], class_of=G.class_of), "G1")
         assert report.checks["edge_count"] is False and not report.passed
         assert report.checks["triangle_free"] is True
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _case_id(case):
+    return "-".join([case["family"]] + [
+        k + ("_".join(map(str, v)) if isinstance(v, list) else str(v))
+        for k, v in case["params"].items()
+    ])
+
+
+@pytest.mark.parametrize("case", DIGESTS, ids=_case_id)
+def test_edge_list_and_claim_report_match_recorded_digests(case):
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in case["params"].items()}
+    obj = construct(case["family"], **params)
+    assert _sha256(write_edge_list(obj)) == case["edge_list"]
+    report = verify_claim(case["family"], **params)
+    assert _sha256(json.dumps(report.to_dict(), sort_keys=True)) == case["claim"]

@@ -297,14 +297,28 @@ def _reversed_line(ln):
     return " ".join(reversed(ln.split(" ")))
 
 
+def _token_moved(ln, nx):
+    # the next line's first token ends this one: the text's tokens and
+    # spaces are the same, and so is the joined text of the two lines
+    first, rest = nx.split(" ", 1)
+    return ln + " " + first, rest
+
+
 # a fault in the 500th edge line of H4(20), whose 873 edge lines the block
-# refuses as a whole; the loop then names the line or token in its message
+# refuses as a whole; the loop then names the line or token in its message.
+# Each edit maps (500th line, 501st line) to their new text.
 BROKEN_500TH = {
-    "extra token": (lambda ln: ln + " 7", lambda ln: f"edge line {ln + ' 7'!r}: expected 3 indices"),
-    "zero-led token": (lambda ln: "01 " + ln.split(" ", 1)[1], lambda ln: "bad vertex index: '01'"),
-    "5000 digits": (lambda ln: ln.rsplit(" ", 1)[0] + " " + BIG, lambda ln: f"bad vertex index: {BIG!r}"),
-    "decreasing": (_reversed_line,
-                   lambda ln: f"edge line {_reversed_line(ln)!r}: indices must be strictly increasing"),
+    "extra token": (lambda ln, nx: (ln + " 7", nx),
+                    lambda ln, nx: f"edge line {ln + ' 7'!r}: expected 3 indices"),
+    "zero-led token": (lambda ln, nx: ("01 " + ln.split(" ", 1)[1], nx),
+                       lambda ln, nx: "bad vertex index: '01'"),
+    "5000 digits": (lambda ln, nx: (ln.rsplit(" ", 1)[0] + " " + BIG, nx),
+                    lambda ln, nx: f"bad vertex index: {BIG!r}"),
+    "decreasing": (lambda ln, nx: (_reversed_line(ln), nx),
+                   lambda ln, nx: f"edge line {_reversed_line(ln)!r}: indices must be strictly increasing"),
+    "token moved to the next line": (
+        _token_moved,
+        lambda ln, nx: f"edge line {_token_moved(ln, nx)[0]!r}: expected 3 indices"),
 }
 
 
@@ -312,13 +326,13 @@ BROKEN_500TH = {
 def test_fault_deep_in_a_long_block_is_named(fault):
     edit, message = BROKEN_500TH[fault]
     lines = write_edge_list(construct("H4", n=20)).splitlines()
-    i = _edge_line_indices(lines)[499]
-    line = lines[i]
-    lines[i] = edit(line)
+    i, j = _edge_line_indices(lines)[499:501]
+    line, following = lines[i], lines[j]
+    lines[i], lines[j] = edit(line, following)
     with pytest.raises(FormatError) as exc:
         parse_edge_list("\n".join(lines) + "\n")
     if fault != "5000 digits" or DIGIT_LIMITED:
-        assert str(exc.value) == message(line)
+        assert str(exc.value) == message(line, following)
 
 
 REPEATED_EDGE = {

@@ -27,6 +27,7 @@ from _brute import (
     bf_anchor_steps,
     bf_class_plans,
     bf_covered,
+    bf_covering_obstruction,
     bf_lexmin_embedding,
     bf_sample_above_threshold,
     bf_symmetry_classes,
@@ -573,6 +574,24 @@ class TestObstruction:
         H = TriGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 3)])
         res = covering_obstruction(H, 0)
         assert not res.holds and res.bad_edge == (1, 2, 3)
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = Random(20)
+        outcomes = set()
+        for n in range(1, 13):
+            for p in (0.02, 0.1, 0.25, 0.4, 0.6, 0.9):
+                for _ in range(6):
+                    H = random_trigraph(rng, n, p)
+                    for x in range(n):
+                        got = tuple(covering_obstruction(H, x))
+                        assert got == bf_covering_obstruction(H, x), (H.edges, x)
+                        outcomes.add("holds" if got[0] else "triangle" if got[1] else "bad edge")
+        assert outcomes == {"holds", "triangle", "bad edge"}
+
+    @pytest.mark.parametrize("x", [-1, 4, True])
+    def test_rejects_a_vertex_out_of_range(self, x):
+        with pytest.raises(ValueError):
+            covering_obstruction(complete_trigraph(4), x)
 
     def test_obstruction_implies_uncovered(self):
         F = builtin_pattern("K4-")
