@@ -63,18 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
+    def add_family(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--family", required=True, choices=FAMILIES)
+        p.add_argument("--m", type=integer, help="parameter for H1/H2/H3")
+        p.add_argument("--n", type=integer, help="vertex count for H4")
+        p.add_argument("--sizes", type=sizes, help="part sizes for T, e.g. 2,2,3")
+
     p = sub.add_parser("construct", help="build a construction and write its edge-list file")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=integer, help="parameter for H1/H2/H3")
-    p.add_argument("--n", type=integer, help="vertex count for H4")
-    p.add_argument("--sizes", type=sizes, help="part sizes for T, e.g. 2,2,3")
+    add_family(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify a construction's claims (exit 0 iff they pass)")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=integer)
-    p.add_argument("--n", type=integer)
-    p.add_argument("--sizes", type=sizes)
+    add_family(p)
     p.add_argument("--in", dest="infile", help="verify this file instead of a fresh construction")
     add_format(p)
 
@@ -131,15 +131,13 @@ def _resolve_vertex(token: str, H: TriGraph) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    obj = construct(args.family, m=args.m, n=args.n, sizes=args.sizes)
-    save(obj, args.out)
+    save(construct(args.family, m=args.m, n=args.n, sizes=args.sizes), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.infile:
-        obj = load(args.infile)
-        report = check_construction(obj, args.family, m=args.m, n=args.n, sizes=args.sizes)
+        report = check_construction(load(args.infile), args.family, m=args.m, n=args.n, sizes=args.sizes)
     else:
         report = verify_claim(args.family, m=args.m, n=args.n, sizes=args.sizes)
     _emit(report.to_dict(), args.format)

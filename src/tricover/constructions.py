@@ -13,7 +13,11 @@ the K5^- threshold:
   given by round-robin matchings attached to the third part.  x avoids every
   K5^- copy while delta2 reaches floor((2n-2)/3).
 
-``verify_claim`` rebuilds a construction and re-measures every quantity the
+Every family (these, the base graphs G1-G3 and the helper T) is one row of
+``_FAMILY``: its parameter, object type, builder and checker.  ``construct``
+and ``check_construction`` dispatch through it, ``verify_claim`` builds and
+then checks, and ``lower_bound_certificate`` picks a family and parameter for
+(n, pattern) and does the same.  A check re-measures every quantity the
 certificate depends on, producing a structured ClaimReport.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
 from .hypergraphs import Graph, TriGraph, _is_int, is_triangle_free, pair_degree_table
@@ -34,21 +38,14 @@ class UnsupportedResidueError(ValueError):
     """No construction is provided for this (n, pattern) combination."""
 
 
-# the one parameter each family takes (None: none), by its keyword in
-# construct and check_construction
-_PARAMETER = {
-    "G1": None, "G2": None, "G3": None, "H1": "m", "H2": "m", "H3": "m", "T": "sizes", "H4": "n",
-}
-FAMILIES = tuple(_PARAMETER)
-
 # Base graphs: a hexagon v1..v6, an outer cycle on numbered vertices, and a
 # fixed set of cross edges.  Outer vertices take indices 0..r-1 (label i at
-# index i-1), hexagon vertices r..r+5.
+# index i-1), hexagon vertices r..r+5; "counts" is (vertices, edges).
 _HEX = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v6"), ("v6", "v1")]
 
 _BASE_SPECS: dict[str, dict] = {
     "G1": {
-        "outer": 5,
+        "counts": (11, 21), "outer": 5,
         "outer_edges": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)],
         "cross": [
             (1, "v1"), (1, "v3"), (2, "v2"), (2, "v5"), (3, "v4"),
@@ -56,7 +53,7 @@ _BASE_SPECS: dict[str, dict] = {
         ],
     },
     "G2": {
-        "outer": 8,
+        "counts": (14, 30), "outer": 8,
         "outer_edges": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1)],
         "cross": [
             (1, "v1"), (1, "v3"), (2, "v2"), (2, "v6"), (3, "v1"), (3, "v5"),
@@ -65,7 +62,7 @@ _BASE_SPECS: dict[str, dict] = {
         ],
     },
     "G3": {
-        "outer": 9,
+        "counts": (15, 35), "outer": 9,
         "outer_edges": [
             (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1),
             (1, 9), (3, 9), (7, 9),
@@ -89,8 +86,6 @@ _H_SPECS: dict[str, dict] = {
     "H3": {"base": "G3", "offset": 4, "v_matching": False,
            "outer_matching": [(1, 5), (2, 6), (4, 8)]},
 }
-
-_EXPECTED_BASE_COUNTS = {"G1": (11, 21), "G2": (14, 30), "G3": (15, 35)}
 
 
 def base_graph(name: str) -> Graph:
@@ -231,11 +226,37 @@ def construct_h4(n: int) -> TriGraph:
     return TriGraph(n, edges, distinguished=0, class_of=class_of)
 
 
-def _check_parameters(family: str, **given: object) -> None:
-    """ValueError for a parameter given that the family does not take."""
+class _Family(NamedTuple):
+    parameter: Optional[str]  # its keyword; None: the family takes none
+    kind: type  # Graph or TriGraph
+    build: Callable  # value -> the object
+    check: Callable  # (object, value) -> ClaimReport
+
+
+# One row per family.  Builders and checkers get the parameter's value, or
+# None when it is omitted, and reach their functions through the module
+# globals at call time, so a wrapper bound to those names is the one called.
+_FAMILY: dict[str, _Family] = {
+    **{g: _Family(None, Graph, lambda _, g=g: base_graph(g), lambda G, _, g=g: check_base_graph(G, g))
+       for g in _BASE_SPECS},
+    **{h: _Family("m", TriGraph, lambda m, h=h: construct_h(h, m),
+                  lambda H, m, h=h: check_h_construction(H, h, m=m)) for h in _H_SPECS},
+    "T": _Family("sizes", TriGraph, lambda s: construct_t(s), lambda H, s: check_t_construction(H, s)),
+    "H4": _Family("n", TriGraph, lambda n: construct_h4(n), lambda H, n: check_h4_construction(H, n=n)),
+}
+FAMILIES = tuple(_FAMILY)
+
+
+def _resolve(family: str, given: dict[str, object]) -> tuple[_Family, object]:
+    """The family's row and its parameter's value in ``given``; ValueError
+    for an unknown family and for a parameter the family does not take."""
+    row = _FAMILY.get(family) if isinstance(family, str) else None
+    if row is None:
+        raise ValueError(f"unknown construction family {family!r}")
     for name, value in given.items():
-        if value is not None and family in _PARAMETER and name != _PARAMETER[family]:
+        if value is not None and name != row.parameter:
             raise ValueError(f"{family} takes no parameter {name}")
+    return row, given.get(row.parameter)
 
 
 def construct(
@@ -245,23 +266,11 @@ def construct(
     n: Optional[int] = None,
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> Union[Graph, TriGraph]:
-    """Dispatch on family name; the parameter kinds are family-specific."""
-    _check_parameters(family, m=m, n=n, sizes=sizes)
-    if family in _BASE_SPECS:
-        return base_graph(family)
-    if family in _H_SPECS:
-        if m is None:
-            raise ValueError(f"{family} needs the parameter m")
-        return construct_h(family, m)
-    if family == "T":
-        if sizes is None:
-            raise ValueError("T needs part sizes (|V1|, |V2|, |V3|)")
-        return construct_t(sizes)
-    if family == "H4":
-        if n is None:
-            raise ValueError("H4 needs the vertex count n")
-        return construct_h4(n)
-    raise ValueError(f"unknown construction family {family!r}")
+    """Build the named family's object from its one parameter, if it takes one."""
+    row, value = _resolve(family, {"m": m, "n": n, "sizes": sizes})
+    if row.parameter is not None and value is None:
+        raise ValueError(f"{family} needs the parameter {row.parameter}")
+    return row.build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,7 @@ def _codegrees(H: TriGraph) -> tuple[dict[tuple[int, int], int], int]:
 
 
 def check_base_graph(G: Graph, name: str) -> ClaimReport:
-    exp_n, exp_edges = _EXPECTED_BASE_COUNTS[name]
+    exp_n, exp_edges = _BASE_SPECS[name]["counts"]
     checks = {
         "vertex_count": G.n == exp_n,
         "edge_count": G.edge_count == exp_edges,
@@ -408,7 +417,9 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
                    link_degree_profile=measured_profile)
 
 
-def check_t_construction(H: TriGraph, sizes: tuple[int, int, int]) -> ClaimReport:
+def check_t_construction(H: TriGraph, sizes: Optional[tuple[int, int, int]]) -> ClaimReport:
+    if sizes is None:
+        raise ValueError("T needs the parameter sizes")
     a, m, ell = sizes = _check_sizes(sizes)
     n = a + m + ell
     table = pair_degree_table(H)
@@ -486,22 +497,10 @@ def check_construction(
     sizes: Optional[tuple[int, int, int]] = None,
 ) -> ClaimReport:
     """Verify a given object against the named family's claims."""
-    _check_parameters(family, m=m, n=n, sizes=sizes)
-    if family in _BASE_SPECS:
-        if not isinstance(H, Graph):
-            raise ValueError(f"{family} is a 2-graph family")
-        return check_base_graph(H, family)
-    if not isinstance(H, TriGraph):
-        raise ValueError(f"{family} is a 3-graph family")
-    if family in _H_SPECS:
-        return check_h_construction(H, family, m=m)
-    if family == "T":
-        if sizes is None:
-            raise ValueError("T verification needs part sizes")
-        return check_t_construction(H, sizes)
-    if family == "H4":
-        return check_h4_construction(H, n=n)
-    raise ValueError(f"unknown construction family {family!r}")
+    row, value = _resolve(family, {"m": m, "n": n, "sizes": sizes})
+    if not isinstance(H, row.kind):
+        raise ValueError(f"{family} is a {2 if row.kind is Graph else 3}-graph family")
+    return row.check(H, value)
 
 
 def verify_claim(
@@ -525,18 +524,17 @@ def lower_bound_certificate(n: int, pattern: Union[str, object]) -> tuple[TriGra
     other residues raise :class:`UnsupportedResidueError`.
     """
     name = pattern if isinstance(pattern, str) else getattr(pattern, "name", None)
-    if name == "K4-":
-        if not _is_int(n):
-            raise ValueError(f"n must be an int, got {n!r}")
+    if name not in ("K4-", "K5-"):
+        raise ValueError(f"no certificate family for pattern {pattern if name is None else name!r}")
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if name == "K5-":
+        family, parameter = "H4", {"n": n}
+    else:
         family = next((f for f, spec in _H_SPECS.items() if spec["offset"] == n % 6), None)
         if n < 6 or family is None:
-            raise UnsupportedResidueError(
-                f"no K4- certificate for n = {n}: need n >= 6 with n mod 6 in {{0, 3, 4}}"
-            )
-        m = _infer_m(family, n)
-        H = construct_h(family, m)
-        return H, check_h_construction(H, family, m=m)
-    if name == "K5-":
-        H = construct_h4(n)
-        return H, check_h4_construction(H, n=n)
-    raise ValueError(f"no certificate family for pattern {name!r}")
+            raise UnsupportedResidueError(f"no K4- certificate for n = {n}: "
+                                          "need n >= 6 with n mod 6 in {0, 3, 4}")
+        parameter = {"m": n // 6}  # n = 6m + offset with offset < 6
+    H = construct(family, **parameter)
+    return H, check_construction(H, family, **parameter)

@@ -70,25 +70,13 @@ def bipartite_edge_coloring(G: Graph) -> EdgeColoring:
         return EdgeColoring(classes=(), delta=0)
 
     used: list[dict[int, int]] = [dict() for _ in range(G.n)]  # vertex -> {color: partner}
-    color_of: dict[tuple[int, int], int] = {}
-
-    def assign(u: int, w: int, c: int) -> None:
-        used[u][c] = w
-        used[w][c] = u
-        color_of[(u, w)] = c
-
     for u, w in edges:
         a = _first_free(used[u], delta)
-        if a not in used[w]:
-            assign(u, w, a)
-            continue
-        b = _first_free(used[w], delta)
-        if b not in used[u]:
-            assign(u, w, b)
-            continue
-        # a is free at u but used at w; b is free at w but used at u.  Swap
-        # colors along the maximal (a, b)-alternating path from u; bipartite
-        # parity keeps that path away from w, after which b is free at both.
+        b = a if a not in used[w] else _first_free(used[w], delta)
+        # b is free at w.  Swap colors along the maximal (a, b)-alternating
+        # path from u, which is empty when b is free at u too; when it is
+        # not, a is free at u but used at w, and bipartite parity keeps the
+        # path away from w.  Afterwards b is free at both.
         cur, col = u, b
         path: list[tuple[int, int, int]] = []
         while col in used[cur]:
@@ -102,13 +90,15 @@ def bipartite_edge_coloring(G: Graph) -> EdgeColoring:
             swapped = a if c == b else b
             used[x][swapped] = y
             used[y][swapped] = x
-            color_of[(x, y) if x < y else (y, x)] = swapped
         assert b not in used[u] and b not in used[w]
-        assign(u, w, b)
+        used[u][b] = w
+        used[w][b] = u
 
     classes: list[list[tuple[int, int]]] = [[] for _ in range(delta)]
-    for edge, c in color_of.items():
-        classes[c].append(edge)
+    for u, colors in enumerate(used):
+        for c, w in colors.items():
+            if u < w:
+                classes[c].append((u, w))
     return EdgeColoring(
         classes=tuple(tuple(sorted(c)) for c in classes),
         delta=delta,

@@ -73,13 +73,12 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, _is_int, codegree_neighbourhoods, pair_degree_table
+from .hypergraphs import TriGraph, _is_int, codegree_neighbourhoods
 from .patterns import (
     Pattern,
     _exists,
     clique_profile,
     covering_report,
-    is_covered,
 )
 
 DEFAULT_HARD_CAP = 10
@@ -598,7 +597,9 @@ def exact_c2(
     if edges is not None:
         # independent re-verification of the returned certificate
         witness = TriGraph(n, edges, distinguished=0)
-        if min(pair_degree_table(witness).values()) != value or is_covered(witness, 0, pattern):
+        bits = codegree_neighbourhoods(witness)
+        delta2 = min(bits[a][b].bit_count() for a, b in combinations(range(n), 2))
+        if delta2 != value or _exists(bits, n, 0, pattern):
             raise AssertionError("search produced an inconsistent witness")
     return SearchResult(
         n=n,

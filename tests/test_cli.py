@@ -135,6 +135,16 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--family", family, *own, *foreign, *extra)
             assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_construct_without_a_parameter(self, capsys, tmp_path, family):
+        # the base graphs take none; every other family names the one it needs
+        path = tmp_path / "g.hg"
+        code, out, err = run(capsys, "construct", "--family", family, "--out", str(path))
+        if family in ("G1", "G2", "G3"):
+            assert code == 0 and path.exists()
+        else:
+            assert code == 2 and not path.exists() and "needs the parameter" in err
+
     def test_3_graph_family_on_2_graph_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.hg"
         save(construct("G1"), path)

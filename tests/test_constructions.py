@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from tricover import (
+    FAMILIES,
     Graph,
     TriGraph,
     UnsupportedResidueError,
@@ -30,11 +32,27 @@ from tricover import (
     verify_claim,
     write_edge_list,
 )
+from tricover import constructions
 from tricover.constructions import check_h_construction
 
 # sha256 of the canonical edge list and of the sorted-key JSON claim report
 # of each construction, as recorded before the certify path was reworked
 DIGESTS = json.loads((Path(__file__).parent / "data" / "certify_digests.json").read_text())
+
+
+# a valid value of each family's parameter, and the builder and checker the
+# family dispatches to
+OWN = {
+    "G1": {}, "G2": {}, "G3": {}, "H1": {"m": 1}, "H2": {"m": 1}, "H3": {"m": 1},
+    "T": {"sizes": (2, 3, 3)}, "H4": {"n": 9},
+}
+ROUTES = {
+    **dict.fromkeys(("G1", "G2", "G3"), ("base_graph", "check_base_graph")),
+    **dict.fromkeys(("H1", "H2", "H3"), ("construct_h", "check_h_construction")),
+    "T": ("construct_t", "check_t_construction"),
+    "H4": ("construct_h4", "check_h4_construction"),
+}
+FOREIGN_VALUES = {"m": 3, "n": 99, "sizes": (2, 3, 3)}
 
 
 def _by_label(obj):
@@ -286,6 +304,10 @@ class TestLowerBoundCertificate:
         with pytest.raises(ValueError):
             lower_bound_certificate(9, "K4")
 
+    def test_pattern_without_a_name_is_named_by_its_value(self):
+        with pytest.raises(ValueError, match=r"^no certificate family for pattern \['K4-'\]$"):
+            lower_bound_certificate(9, ["K4-"])
+
 
 def test_link_graph_for_unknown_family():
     with pytest.raises(ValueError, match="unknown construction family 'H4'"):
@@ -303,14 +325,50 @@ def test_h_check_needs_two_vertices():
 
 
 def test_construct_dispatcher_requires_params():
-    with pytest.raises(ValueError):
-        construct("H1")
-    with pytest.raises(ValueError):
-        construct("H4")
-    with pytest.raises(ValueError):
-        construct("T")
-    with pytest.raises(ValueError):
+    taking = [f for f in FAMILIES if OWN[f]]
+    assert taking == ["H1", "H2", "H3", "T", "H4"]
+    for family in taking:
+        (name,) = OWN[family]
+        with pytest.raises(ValueError, match=f"^{family} needs the parameter {name}$"):
+            construct(family)
+    with pytest.raises(ValueError, match="^T needs the parameter sizes$"):
+        check_construction(construct_t((2, 3, 3)), "T")
+    with pytest.raises(ValueError, match="^unknown construction family 'H9'$"):
         construct("H9")
+
+
+def test_a_family_that_is_not_a_string_is_unknown():
+    message = r"^unknown construction family \['H1'\]$"
+    with pytest.raises(ValueError, match=message):
+        construct(["H1"], m=1)
+    with pytest.raises(ValueError, match=message):
+        check_construction(construct_h("H1", 1), ["H1"])
+    with pytest.raises(ValueError, match=message):
+        verify_claim(["H1"], m=1)
+
+
+def test_dispatch_calls_builders_and_checkers_through_module_attributes(monkeypatch):
+    # a wrapper bound to a module attribute, as a tracer installs it, must
+    # see every call the dispatchers make
+    calls = Counter()
+    for name in {fn for route in ROUTES.values() for fn in route}:
+        def counting(*args, _name=name, _original=getattr(constructions, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, name, counting)
+    for family in FAMILIES:
+        builder, checker = ROUTES[family]
+        calls.clear()
+        obj = construct(family, **OWN[family])
+        assert calls[builder] == 1, family
+        check_construction(obj, family, **OWN[family])
+        assert calls[checker] == 1, family
+    for n, pattern, family in ((12, "K4-", "H1"), (9, "K4-", "H2"), (9, "K5-", "H4")):
+        builder, checker = ROUTES[family]
+        calls.clear()
+        lower_bound_certificate(n, pattern)
+        assert calls[builder] == calls[checker] == 1, (n, pattern)
 
 
 class TestParameterRules:
@@ -345,14 +403,12 @@ class TestParameterRules:
         with pytest.raises(ValueError, match="m must be a positive integer"):
             check_construction(construct_h("H1", 1), "H1", m=m)
 
-    @pytest.mark.parametrize("family, own, foreign", [
-        ("H4", {"n": 9}, {"m": 3}),
-        ("H1", {"m": 1}, {"n": 99}),
-        ("T", {"sizes": (2, 3, 3)}, {"m": 1}),
-        ("G1", {}, {"sizes": (2, 3, 3)}),
-    ], ids=["H4-m", "H1-n", "T-m", "G1-sizes"])
-    def test_parameter_the_family_does_not_take(self, family, own, foreign):
-        message = f"{family} takes no parameter {next(iter(foreign))}"
+    @pytest.mark.parametrize("family, keyword", [
+        (f, k) for f in FAMILIES for k in FOREIGN_VALUES if k not in OWN[f]
+    ])
+    def test_parameter_the_family_does_not_take(self, family, keyword):
+        own, foreign = OWN[family], {keyword: FOREIGN_VALUES[keyword]}
+        message = f"^{family} takes no parameter {keyword}$"
         with pytest.raises(ValueError, match=message):
             construct(family, **own, **foreign)
         with pytest.raises(ValueError, match=message):

@@ -65,6 +65,13 @@ def test_regular_instances_yield_perfect_matchings():
             assert len(cls) == s  # perfect matching on both sides
 
 
+def test_alternating_path_swap_pins_the_classes():
+    # edges arrive as 01, 03, 24, 34; at 34 colour 0 is taken at 4 and colour
+    # 1 at 3, so the (0, 1)-path 3-0-1 swaps colours and 34 takes colour 1
+    col = bipartite_edge_coloring(Graph(5, [(0, 1), (0, 3), (2, 4), (3, 4)]))
+    assert col.classes == (((0, 3), (2, 4)), ((0, 1), (3, 4))) and col.delta == 2
+
+
 def test_empty_graph():
     col = bipartite_edge_coloring(Graph(4))
     assert col.delta == 0 and col.classes == ()
