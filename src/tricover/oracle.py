@@ -24,8 +24,8 @@ Search strategy (branch and bound):
   bound (current codegree plus undecided triples) and an incremental
   covering check that forbids any decision making vertex 0 covered.  The
   bound is incremental too: it falls only for the three pairs of an
-  excluded triple, and the pairs with undecided triples sit in buckets by
-  bound, so the branching pair and triple are lowest-bit operations.
+  excluded triple.  The search branches on the first undecided triple of
+  the lowest pair of least bound, found by one scan over the pairs.
 * A witness at level v has some delta2 = w >= v, so the next level asks
   for w + 1, and a refuted level v proves a witness of value v - 1
   optimal.  Without a budget the first level is the paper's lower bound
@@ -290,11 +290,12 @@ class _InnerSearch:
         Each pair's bound ``val`` is its codegree if every undecided triple
         through it were added; it falls by one exactly when one of its
         triples is excluded, so only those three pairs need the ``< v`` test.
-        ``und[p]`` masks the undecided triples through pair p, and
-        ``bucket[b]`` the pairs of value b that still have one; the search
+        ``und[p]`` masks the undecided triples through pair p.  The search
         branches on the first undecided triple of the lowest pair of least
-        value.  At an accepted leaf every triple is decided, so ``val`` holds
-        the exact codegrees of the pairs avoiding vertex 0.
+        value among the pairs that have one, found by one scan over the
+        pairs; when no pair has one, the completion is a leaf.  At an
+        accepted leaf every triple is decided, so ``val`` holds the exact
+        codegrees of the pairs avoiding vertex 0.
 
         For a clique pattern ``tot[s]`` counts the link pairs and included
         triples inside (t-1)-set s.  Once it reaches ``cap`` (threshold - 1)
@@ -343,17 +344,13 @@ class _InnerSearch:
                     out |= set_tri_mask[s]
         val = [b + nv - 2 for b in link1]
         und = list(pair_tri_mask)
-        bucket = [0] * nv
-        for p, b in enumerate(val):
-            if und[p]:
-                bucket[b] |= 1 << p
         # the decisions so far: i includes triple i, ~i excludes it
         stack: list[int] = []
         cut = min(val) < v
         while True:
             # the one exclude step, for a branching triple and for forced
-            # ones alike: a pair falling below v cuts the child, whose
-            # buckets are then never read, and ends the step
+            # ones alike: a pair falling below v cuts the child and ends the
+            # step
             while out and not cut:
                 bit = out & -out
                 out ^= bit
@@ -362,13 +359,10 @@ class _InnerSearch:
                 if not und[ps[0]] & bit:
                     continue  # the include itself, or excluded before
                 for p in ps:
-                    bucket[val[p]] &= ~(1 << p)
                     und[p] ^= bit
                     val[p] -= 1
                     if val[p] < v:
                         cut = True
-                    elif und[p]:
-                        bucket[val[p]] |= 1 << p
                 stack.append(~tri)
             budget.spend()
             if cut:
@@ -376,16 +370,12 @@ class _InnerSearch:
                 while stack and (tri := stack.pop()) < 0:
                     bit, ps = 1 << ~tri, tri_pairs[~tri]
                     for p in ps:
-                        bucket[val[p]] &= ~(1 << p)
                         und[p] ^= bit
                         val[p] += 1
-                        bucket[val[p]] |= 1 << p
                 if tri < 0:  # backed up past the root
                     return None
                 bit = 1 << tri
                 for p in tri_pairs[tri]:
-                    if not und[p]:
-                        bucket[val[p]] ^= 1 << p
                     und[p] ^= bit
                 for s in tri_sets[tri]:
                     tot[s] -= 1
@@ -393,15 +383,17 @@ class _InnerSearch:
                     bits[row][col] ^= m
                 out, cut = bit, False
                 continue
-            # every pair value is at least v here, so the search is done
-            # when no bucket from v up holds a pair
-            for b in range(v, nv):
-                if bucket[b]:
-                    break
-            else:
+            # every pair value is at least v here, so a pair of value v
+            # ends the scan
+            best, least = -1, nv
+            for p in range(len(val)):
+                if und[p] and val[p] < least:
+                    best, least = p, val[p]
+                    if least == v:
+                        break
+            if best < 0:
                 return min(degree, min(val)), N, sorted(i for i in stack if i >= 0)
-            low = bucket[b] & -bucket[b]
-            m = und[low.bit_length() - 1]
+            m = und[best]
             bit = m & -m
             tri = bit.bit_length() - 1
             # include the triple when it keeps vertex 0 uncovered; for a
@@ -416,8 +408,6 @@ class _InnerSearch:
             # including leaves every value as it is
             for p in tri_pairs[tri]:
                 und[p] ^= bit
-                if not und[p]:
-                    bucket[val[p]] ^= 1 << p
             for s in tri_sets[tri]:
                 tot[s] += 1
                 if tot[s] == cap:

@@ -570,6 +570,14 @@ class TestIncrementalBound:
         for _ in range(500):
             self.agree(inner, F, rng.getrandbits(len(inner.pairs)))
 
+    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5")], ids=lambda F: F.name)
+    def test_seeded_links_at_8(self, F):
+        # 21 link pairs and 35 triples avoiding vertex 0
+        inner = _InnerSearch(8, F)
+        rng = Random(88)
+        for _ in range(100):
+            self.agree(inner, F, rng.getrandbits(len(inner.pairs)))
+
     def test_matching_links_at_7_book2(self):
         # two link pairs through one vertex already cover vertex 0 with a
         # book, so of the links above only matchings reach the completion
@@ -653,6 +661,19 @@ class TestOneWitness:
     @pytest.mark.parametrize("n, value, nodes", [(6, 0, 133), (7, 1, 532), (8, 0, 8_722)])
     def test_book2_keeps_its_values_and_node_counts(self, n, value, nodes):
         res = exact_c2(n, BOOK2)
+        assert (res.value, res.nodes_explored, res.exhaustive) == (value, nodes, True)
+
+    @pytest.mark.parametrize("name, n, value, nodes", [
+        ("K5-", 8, 4, 450), ("K5-", 9, 5, 763), ("K5-", 10, 6, 1_134),
+        ("K5", 8, 5, 399), ("K5", 9, 6, 690), ("K5", 10, 6, 2_398),
+        ("K5", 11, 7, 3_811), ("K5", 12, 8, 5_468),
+        ("K6-", 8, 5, 450), ("K6-", 9, 6, 1_020), ("K6-", 10, 6, 83_568),
+    ])
+    def test_completion_search_keeps_its_values_and_node_counts(self, name, n, value, nodes):
+        # a node budget that is never reached: the search climbs from level
+        # 0, so these counts pin the completion search's branching order at
+        # every level below the value, not only at the last two
+        res = exact_c2(n, builtin_pattern(name), allow_large=True, node_budget=10**8)
         assert (res.value, res.nodes_explored, res.exhaustive) == (value, nodes, True)
 
     def test_non_clique_completion_builds_no_trigraph(self, monkeypatch):

@@ -447,6 +447,18 @@ class TestCoveringReport:
         rep = covering_report(H, F)
         assert rep.uncovered == () and rep.witnesses == witnesses
 
+    def test_last_step_without_a_candidate(self):
+        # the two isolated vertices are placed last, the second above the
+        # first, so the last step finds no candidate whenever the first took
+        # the highest free vertex: the embedder must then back up
+        F = Pattern(5, frozenset({(0, 1, 2)}), "edge+2")
+        rng = Random(292)
+        hosts = [complete_trigraph(5)] + [random_trigraph(rng, rng.randint(5, 8), 0.3) for _ in range(6)]
+        for H in hosts:
+            brute = {v: bf_lexmin_embedding(H, v, F) for v in range(H.n)}
+            assert {v: covered_at(H, v, F) for v in range(H.n)} == brute, H.edges
+            assert covering_report(H, F).witnesses == {v: w for v, w in brute.items() if w is not None}, H.edges
+
     def test_dict_shape(self):
         rep = covering_report(complete_trigraph(4), builtin_pattern("K4"))
         doc = rep.to_dict()
