@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
 from .hypergraphs import Graph, TriGraph, _is_int, is_triangle_free, pair_degree_table
 from .koenig import complete_bipartite_matchings
-from .patterns import builtin_pattern, covered_at, covering_obstruction
+from .patterns import Pattern, builtin_pattern, clique_profile, covered_at, covering_obstruction
 
 
 class UnsupportedResidueError(ValueError):
@@ -515,20 +515,31 @@ def verify_claim(
     return check_construction(obj, family, m=m, n=n, sizes=sizes)
 
 
-def lower_bound_certificate(n: int, pattern: Union[str, object]) -> tuple[TriGraph, ClaimReport]:
+def lower_bound_certificate(n: int, pattern: Union[str, Pattern]) -> tuple[TriGraph, ClaimReport]:
     """An n-vertex witness certifying the covering threshold lower bound.
 
     The returned 3-graph has delta2 equal to the threshold and a vertex in no
     copy of the pattern; the report carries the verified measurements.  For
     K4^- only n congruent to 0, 3 or 4 mod 6 (n >= 6) is constructible here;
     other residues raise :class:`UnsupportedResidueError`.
+
+    The family follows the pattern's structure, as ``clique_profile`` reads
+    it, not its name: K4^- (profile (4, 3)) takes H1-H3 and K5^- (profile
+    (5, 9)) takes H4.  A str is resolved by ``builtin_pattern``; a name it
+    refuses, any other pattern and any other value raise ValueError.
     """
-    name = pattern if isinstance(pattern, str) else getattr(pattern, "name", None)
-    if name not in ("K4-", "K5-"):
-        raise ValueError(f"no certificate family for pattern {pattern if name is None else name!r}")
+    F = pattern
+    if isinstance(F, str):
+        try:
+            F = builtin_pattern(F)
+        except ValueError:
+            pass
+    profile = clique_profile(F) if isinstance(F, Pattern) else None
+    if profile not in ((4, 3), (5, 9)):
+        raise ValueError(f"no certificate family for pattern {getattr(pattern, 'name', pattern)!r}")
     if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
-    if name == "K5-":
+    if profile == (5, 9):
         family, parameter = "H4", {"n": n}
     else:
         family = next((f for f, spec in _H_SPECS.items() if spec["offset"] == n % 6), None)

@@ -291,13 +291,25 @@ def dumps_json(obj: GraphLike) -> str:
     return json.dumps(to_json_dict(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last value of a repeated key silently; the
+    # edge-list reader refuses a second X line or CLASS line for one vertex
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_any(text: str) -> GraphLike:
-    """Parse either format, sniffing JSON by the leading brace."""
+    """Parse either format, sniffing JSON by the leading brace.  A key
+    repeated in any object of a JSON document is malformed input."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or past int()'s digit limit
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # a JSONDecodeError, a repeated key, or past int()'s digit limit
             raise FormatError(f"bad JSON: {exc}") from None
         return from_json_dict(doc)
     return parse_edge_list(text)

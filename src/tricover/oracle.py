@@ -44,22 +44,25 @@ For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
 iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
 and the completion search keeps that count per (t-1)-set, starting from a
 popcount of the link's pair mask.  A set one short of the threshold is
-full: every undecided triple in it is excluded at once (forced exclusion),
-at the root for the sets the link fills and after each include for the
-sets it fills, so the bounds fall as soon as a triple is lost and an
-include needs no covering test.  The link alone reaches the threshold only
-when it equals C(t-1, 2): for K4- a link triangle, for the one-edge pattern
-(t = 3) any link pair.  The link search never includes such a pair.  For
-t = 4 every candidate triple lies in one (t-1)-set only, itself, so adding
-every triple that spans at most threshold - 2 link pairs is an optimal
-completion, and the codegree of each pair after it is a popcount on the
-link's adjacency masks (``leaf_value``), so the completion search never
-runs and its tables are never built.  A link pair's closed form only falls
-as the link grows, so the link DFS also cuts an include once a link pair
-through its two ends has a value below v (``link_cut``, O(nv) work): no
-other link pair changes.  Other patterns fall back on the embedder's
-existence search, pinned at vertex 0 and run on one codegree table that
-follows every included and undone triple, and are correspondingly slower.
+full: every undecided triple in it is excluded at once (forced exclusion)
+after each include for the sets it fills, so the bounds fall as soon as a
+triple is lost and an include needs no covering test.  The link alone
+reaches the threshold only when it equals C(t-1, 2): for K4- a link
+triangle, for the one-edge pattern (t = 3) any link pair.  The link search
+never includes such a pair.  For t = 4 every candidate triple lies in one
+(t-1)-set only, itself, so adding every triple that spans at most
+threshold - 2 link pairs is an optimal completion, and the codegree of each
+pair after it is a popcount on the link's adjacency masks (``leaf_value``),
+so the completion search never runs for t = 4 and its tables are never
+built.  Where it runs, the link alone fills no set holding a triple: a
+(t-1)-set holds at most C(t-1, 2) link pairs, below threshold - 1 for
+t >= 5, and the one-edge pattern's sets are pairs.  A link pair's closed
+form only falls as the link grows, so the link DFS also cuts an include
+once a link pair through its two ends has a value below v (``link_cut``,
+O(nv) work): no other link pair changes.  Other patterns fall back on the
+embedder's existence search, pinned at vertex 0 and run on one codegree
+table that follows every included and undone triple, and are
+correspondingly slower.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from random import Random
 from typing import Optional, Sequence
 
@@ -300,15 +303,18 @@ class _InnerSearch:
         For a clique pattern ``tot[s]`` counts the link pairs and included
         triples inside (t-1)-set s.  Once it reaches ``cap`` (threshold - 1)
         one more triple of s would cover vertex 0, so every undecided triple
-        of s is excluded at once (forced exclusion), at the root for the sets
-        the link fills and after each include for the sets it fills.  An
-        undecided triple therefore never lies in a full set, and an include
-        is never tested against ``cap``.  Forced and branching exclusions
-        share one step; a forced one spends no node, and backing up undoes
-        it with the other exclusions above the last include.  A non-clique
-        pattern's covering check runs the embedder's existence search for
-        vertex 0 on ``bits``, the host's codegree table, which follows every
-        included triple.
+        of s is excluded at once (forced exclusion) after each include for
+        the sets it fills.  Nothing is forced at the root: t = 4 never
+        reaches this search (``leaf_value`` completes those links), and the
+        link alone fills no set that holds a triple, C(t-1, 2) link pairs
+        being below ``cap`` for t >= 5 and the one-edge pattern's sets being
+        pairs.  An undecided triple therefore never lies in a full set, and
+        an include is never tested against ``cap``.  Forced and branching
+        exclusions share one step; a forced one spends no node, and backing
+        up undoes it with the other exclusions above the last include.  A
+        non-clique pattern's covering check runs the embedder's existence
+        search for vertex 0 on ``bits``, the host's codegree table, which
+        follows every included triple.
         """
         n, nv, F = self.n, self.nv, self.F
         degree = min(m.bit_count() for m in N)
@@ -333,15 +339,9 @@ class _InnerSearch:
         # tot[s] starts from the link pairs in s; other patterns have no sets
         tot = [(link & m).bit_count() for m in set_pair_mask]
         cap = self.theta - 1 if clique else 0
-        if tot and max(tot) > cap:
-            return None
         # the triples to exclude next: the branching triple, or the undecided
-        # triples of the sets an include or (for t = 4) the link filled
+        # triples of the sets an include filled
         out = 0
-        if cap in tot:
-            for s, c in enumerate(tot):
-                if c == cap:
-                    out |= set_tri_mask[s]
         val = [b + nv - 2 for b in link1]
         und = list(pair_tri_mask)
         # the decisions so far: i includes triple i, ~i excludes it
@@ -647,8 +647,6 @@ class CertifyReport:
 # byte -> b"1" when its top bit is clear, else b"0": the keep digit of a
 # triple from the top byte of its first Mersenne Twister word
 _KEEP_DIGIT = bytes(0x31 if b < 0x80 else 0x30 for b in range(256))
-# b"1" -> 1 and b"0" -> 0, so the digits of ``bin`` select with ``compress``
-_DIGIT_BIT = bytes(b == 0x31 for b in range(256))
 
 
 def _coin_flips(rng: Random, count: int) -> int:
@@ -739,9 +737,8 @@ def _covered_vertices(inc: int, tsets: tuple[tuple[int, int], ...], threshold: i
 def _mask_trigraph(n: int, inc: int) -> TriGraph:
     """The sample ``inc``, bit i for triple i in ``combinations`` order, as a
     ``TriGraph``."""
-    keep = bin(inc)[:1:-1].encode().translate(_DIGIT_BIT)
     # in combinations order the edges are sorted, so TriGraph keeps them
-    return TriGraph(n, compress(_index_tables(n)[1], keep))
+    return TriGraph(n, [tri for i, tri in enumerate(_index_tables(n)[1]) if inc >> i & 1])
 
 
 def _choice_bit(rng: Random, mask: int) -> int:

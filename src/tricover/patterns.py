@@ -101,8 +101,11 @@ def builtin_pattern(name: str) -> Pattern:
     ``Kt-:<t>`` are accepted too).
 
     ``K<t>-`` is the complete 3-graph on t vertices minus the single edge
-    {0, 1, 2}.
+    {0, 1, 2}.  Any other name, or a name that is not a str, raises
+    ValueError.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"unknown pattern name {name!r}")
     if name.startswith("Kt-:"):
         size, minus = name[4:], True
     elif name.startswith("Kt:"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from tricover import (
     FAMILIES,
     Graph,
+    Pattern,
     TriGraph,
     UnsupportedResidueError,
     base_graph,
@@ -307,6 +309,25 @@ class TestLowerBoundCertificate:
     def test_pattern_without_a_name_is_named_by_its_value(self):
         with pytest.raises(ValueError, match=r"^no certificate family for pattern \['K4-'\]$"):
             lower_bound_certificate(9, ["K4-"])
+
+    def test_family_follows_the_structure_not_the_name(self):
+        # one edge named K4-: its vertex 0 is covered, so no K4- certificate
+        one_edge = Pattern(4, frozenset({(0, 1, 2)}), "K4-")
+        assert covered_at(lower_bound_certificate(12, "K4-")[0], 0, one_edge) == (0, 1, 2, 3)
+        with pytest.raises(ValueError, match=r"^no certificate family for pattern 'K4-'$"):
+            lower_bound_certificate(12, one_edge)
+        # a true K4- or K5- under another name takes its family
+        for name, n, family in (("K4-", 12, "H1"), ("K5-", 9, "H4")):
+            F = builtin_pattern(name)
+            H, report = lower_bound_certificate(n, Pattern(F.t, F.edges, "renamed"))
+            assert report.passed and report.family == family
+            assert H == lower_bound_certificate(n, name)[0]
+
+    @pytest.mark.parametrize("pattern", ["K4", "K9", "Kt-:5x", 4, None])
+    def test_refused_names_and_values(self, pattern):
+        message = f"^no certificate family for pattern {re.escape(repr(pattern))}$"
+        with pytest.raises(ValueError, match=message):
+            lower_bound_certificate(9, pattern)
 
 
 def test_link_graph_for_unknown_family():

@@ -383,6 +383,21 @@ def test_bad_json_document():
         parse_any("{not json")
 
 
+@pytest.mark.parametrize("text", [
+    '{"uniformity": 3, "n": 4, "edges": [[0, 1, 2]], "distinguished": 0, "distinguished": 3}',
+    '{"uniformity": 3, "n": 4, "edges": [[0, 1, 2]], "classes": {"1": "a", "1": "b"}}',
+    '{"uniformity": 3, "n": 4, "n": 4, "edges": [[0, 1, 2]]}',
+], ids=["top", "nested", "same-value"])
+def test_json_repeated_key_rejected(text):
+    # json.loads would keep the last value; the edge list refuses a second
+    # X line or CLASS line for one vertex, so the JSON reader refuses a
+    # repeated key at any depth, even with the same value
+    with pytest.raises(FormatError, match="repeated key"):
+        parse_any(text)
+    with pytest.raises(FormatError, match="duplicate X line"):
+        parse_edge_list("HG 3 4 1\nX 0\nX 3\n0 1 2\n")
+
+
 def test_json_distinguished_on_2_graph_rejected():
     # parse_edge_list rejects an X line on a 2-graph; the JSON reader agrees
     doc = {"uniformity": 2, "n": 3, "edges": [[0, 1]], "distinguished": 1}

@@ -1,5 +1,7 @@
 """Search oracle tests: exact thresholds, pruning soundness, sampling."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -234,7 +236,7 @@ START_CELLS = [(n, name) for n in range(5, 11) for name in ("K4-", "K5-", "K4", 
 
 
 def _pattern(name):
-    return {"book2": BOOK2, "book3": BOOK3, "path": PATH}.get(name) or builtin_pattern(name)
+    return {"book2": BOOK2, "book3": BOOK3, "path": PATH, "edge": EDGE}.get(name) or builtin_pattern(name)
 
 
 def _answer(res):
@@ -320,7 +322,8 @@ class TestClosedFormStep:
     """For K4 and K4- the leaf is completed in closed form (``leaf_value``,
     ``leaf_witness``).  Two references check it: ``bf_greedy_value``, the
     greedy completion that adds every allowed triple, and
-    ``decision_search``.  The references agree on every link and level; the
+    ``bf_decision_search``, the completion search with forced exclusion
+    from the root.  The references agree on every link and level; the
     closed form matches both on the links the link DFS can yield, which are
     all links for K4 and the triangle-free ones for K4-."""
 
@@ -341,7 +344,7 @@ class TestClosedFormStep:
         N, link = cls.link_of(inner, bits)
         greedy = bf_greedy_value(inner.n, F, link)
         for v in range(inner.n - 1):
-            found = inner.decision_search(N, v, _Budget(None, None)) is not None
+            found = bf_decision_search(inner.n, F, N, v, _Budget(None, None)) is not None
             assert (greedy is not None and greedy[0] >= v) == found, (bits, v)
         return N, greedy
 
@@ -532,7 +535,9 @@ class TestIncrementalBound:
     n = 6 and on seeded links at n = 7, at every level.  For clique patterns
     the reference without forced exclusion is a second route: it finds a
     completion at exactly the same levels, so the best delta2 agrees too,
-    though at a given level it may return another completion."""
+    though at a given level it may return another completion.  K4 and K4-
+    links never reach this search (``leaf_value`` completes them), so it is
+    not run on them."""
 
     @staticmethod
     def agree(inner, F, bits):
@@ -555,8 +560,7 @@ class TestIncrementalBound:
                     assert min_codegree(TriGraph(inner.n, unforced)).min >= v, (bits, v)
 
     @pytest.mark.parametrize(
-        "F", [K5M, builtin_pattern("K5"), K4M, builtin_pattern("K4"), BOOK2, PATH, BOOK3],
-        ids=lambda F: F.name,
+        "F", [K5M, builtin_pattern("K5"), BOOK2, PATH, BOOK3], ids=lambda F: F.name,
     )
     def test_every_link_at_6(self, F):
         inner = _InnerSearch(6, F)
@@ -689,6 +693,55 @@ class TestOneWitness:
         res = exact_c2(7, BOOK2)
         assert res.exhaustive and res.witness is not None
         assert built == [7]
+
+
+# sha256 of the sorted-key JSON of each ``exact_c2(...).to_dict()`` without
+# its elapsed_seconds, as recorded before the completion search lost its
+# root pass (forced exclusion of the sets the link alone fills)
+EXACT_DIGESTS = json.loads((Path(__file__).parent / "data" / "exact_c2_digests.json").read_text())
+
+
+class TestRecordedDocuments:
+    """Values, witnesses and node counts of unbudgeted cells at n = 5-10 and
+    of four budgeted ones, against recorded digests."""
+
+    @pytest.mark.parametrize(
+        "case", EXACT_DIGESTS,
+        ids=lambda c: f"{c['n']}-{c['pattern']}" + (f"-{c['node_budget']}" if c["node_budget"] else ""),
+    )
+    def test_document_matches_recorded_digest(self, case):
+        budget = case["node_budget"]
+        doc = exact_c2(case["n"], _pattern(case["pattern"]), node_budget=budget,
+                       allow_large=budget is not None).to_dict()
+        del doc["elapsed_seconds"]
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == case["sha256"]
+
+
+class TestNoFullSetAtTheRoot:
+    """``decision_search`` starts without forced exclusions: the link it is
+    handed fills no (t-1)-set that holds a triple.  For K_t and K_t^- with
+    t >= 5 a set holds at most C(t-1, 2) link pairs, below threshold - 1;
+    the one-edge pattern's sets are pairs, and its link search includes no
+    pair."""
+
+    @pytest.mark.parametrize("name", [f"K{t}{m}" for t in range(5, 9) for m in ("-", "")])
+    def test_link_pairs_of_a_set_stay_below_the_cap(self, name):
+        F = builtin_pattern(name)
+        assert comb(F.t - 1, 2) < clique_profile(F)[1] - 1
+
+    def test_one_edge_links_are_empty(self, monkeypatch):
+        links = []
+        complete = _InnerSearch._complete
+
+        def spying(self, N, v, budget):
+            links.append(list(N))
+            return complete(self, N, v, budget)
+
+        monkeypatch.setattr(_InnerSearch, "_complete", spying)
+        inner = _InnerSearch(6, EDGE)
+        for v in range(inner.nv):
+            inner.search_level(v, _Budget(None, None))
+        assert links and not any(any(N) for N in links)
 
 
 class TestOneEdgePattern:

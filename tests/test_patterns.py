@@ -58,6 +58,10 @@ class TestBuiltinPatterns:
         for bad in ("K3", "K9", "K4--", "Q4", "k4-"):
             with pytest.raises(ValueError):
                 builtin_pattern(bad)
+        # a name that is not a str is unknown too, not an AttributeError
+        for bad in (None, 4, ["K4-"]):
+            with pytest.raises(ValueError, match="unknown pattern name"):
+                builtin_pattern(bad)
 
     @pytest.mark.parametrize("bad", ["K04", "K04-", "K\u0664", "Kt:05", "Kt-:04", "K00", "K4\n", "K-5", "Kt:5-"])
     def test_t_is_spelled_as_in_the_file_formats(self, bad):
