@@ -14,7 +14,7 @@ the K5^- threshold:
   K5^- copy while delta2 reaches floor((2n-2)/3).
 
 Every family (these, the base graphs G1-G3 and the helper T) is one row of
-``_FAMILY``: its parameter, object type, builder and checker.  ``construct``
+``_FAMILY``: its parameter, builder and checker.  ``construct``
 and ``check_construction`` dispatch through it, ``verify_claim`` builds and
 then checks, and ``lower_bound_certificate`` picks a family and parameter for
 (n, pattern) and does the same.  A check re-measures every quantity the
@@ -29,7 +29,14 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Union
 
 from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
-from .hypergraphs import Graph, TriGraph, _is_int, is_triangle_free, pair_degree_table
+from .hypergraphs import (
+    Graph,
+    TriGraph,
+    _is_int,
+    codegree_neighbourhoods,
+    is_triangle_free,
+    pair_degree_table,
+)
 from .koenig import complete_bipartite_matchings
 from .patterns import Pattern, builtin_pattern, clique_profile, covered_at, covering_obstruction
 
@@ -228,7 +235,6 @@ def construct_h4(n: int) -> TriGraph:
 
 class _Family(NamedTuple):
     parameter: Optional[str]  # its keyword; None: the family takes none
-    kind: type  # Graph or TriGraph
     build: Callable  # value -> the object
     check: Callable  # (object, value) -> ClaimReport
 
@@ -237,12 +243,12 @@ class _Family(NamedTuple):
 # None when it is omitted, and reach their functions through the module
 # globals at call time, so a wrapper bound to those names is the one called.
 _FAMILY: dict[str, _Family] = {
-    **{g: _Family(None, Graph, lambda _, g=g: base_graph(g), lambda G, _, g=g: check_base_graph(G, g))
+    **{g: _Family(None, lambda _, g=g: base_graph(g), lambda G, _, g=g: check_base_graph(G, g))
        for g in _BASE_SPECS},
-    **{h: _Family("m", TriGraph, lambda m, h=h: construct_h(h, m),
+    **{h: _Family("m", lambda m, h=h: construct_h(h, m),
                   lambda H, m, h=h: check_h_construction(H, h, m=m)) for h in _H_SPECS},
-    "T": _Family("sizes", TriGraph, lambda s: construct_t(s), lambda H, s: check_t_construction(H, s)),
-    "H4": _Family("n", TriGraph, lambda n: construct_h4(n), lambda H, n: check_h4_construction(H, n=n)),
+    "T": _Family("sizes", lambda s: construct_t(s), lambda H, s: check_t_construction(H, s)),
+    "H4": _Family("n", lambda n: construct_h4(n), lambda H, n: check_h4_construction(H, n=n)),
 }
 FAMILIES = tuple(_FAMILY)
 
@@ -357,15 +363,23 @@ def _infer_m(family: str, n: int) -> int:
     return (n - offset) // 6
 
 
-def _codegrees(H: TriGraph) -> tuple[dict[tuple[int, int], int], int]:
-    """Every pair's codegree, and their minimum delta2."""
-    table = pair_degree_table(H)
-    if not table:
+def _check_kind(obj: object, family: str, kind: type) -> None:
+    """ValueError unless ``obj`` is the family's object type, Graph or
+    TriGraph; every checker runs it before reading the object."""
+    if not isinstance(obj, kind):
+        raise ValueError(f"{family} is a {2 if kind is Graph else 3}-graph family")
+
+
+def _delta2(bits: list[list[int]]) -> int:
+    """delta2 read off ``codegree_neighbourhoods``: the least popcount of a
+    pair a < b."""
+    if len(bits) < 2:
         raise ValueError("minimum codegree needs at least 2 vertices")
-    return table, min(table.values())
+    return min(min(map(int.bit_count, row[a + 1:])) for a, row in enumerate(bits[:-1]))
 
 
 def check_base_graph(G: Graph, name: str) -> ClaimReport:
+    _check_kind(G, name, Graph)
     exp_n, exp_edges = _BASE_SPECS[name]["counts"]
     checks = {
         "vertex_count": G.n == exp_n,
@@ -380,9 +394,14 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
 
     Checks the vertex count, delta2, link triangle-freeness, the link degree
     profile, the local obstruction at x, and that x lies in no K4^- copy.
+    Every claim is read off one ``codegree_neighbourhoods(H)`` table: delta2
+    and the link degrees (row x) as popcounts, and the obstruction and the
+    embedder's refutation of x from the same masks.  A ``Graph`` raises
+    ValueError.
     """
     if family not in _H_SPECS:
         raise ValueError(f"{family!r} is not one of the blowup-link families")
+    _check_kind(H, family, TriGraph)
     if m is None:
         m = _infer_m(family, H.n)
     _check_m(m)
@@ -391,22 +410,23 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
     if H.distinguished is None:
         return _unmarked_report(H, family, {"m": m}, expected_delta, "K4-")
     x = H.distinguished
-    table, delta2 = _codegrees(H)
+    bits = codegree_neighbourhoods(H)
+    delta2 = _delta2(bits)
     # the link degree of v is the codegree of xv
-    link_degree = {v: table[(v, x) if v < x else (x, v)] for v in range(H.n) if v != x}
+    link_degree = {v: bits[x][v].bit_count() for v in range(H.n) if v != x}
     measured_profile = Counter(link_degree.values())
     if family == "H3":
         expected_profile = {2 * m + 2: 1, 2 * m + 1: expected_n - 2}
     else:
         expected_profile = {expected_delta: expected_n - 1}
-    obstruction = covering_obstruction(H, x)
+    obstruction = covering_obstruction(H, x, bits=bits)
     checks = {
         "vertex_count": H.n == expected_n,
         "delta2": delta2 == expected_delta,
         "link_triangle_free": obstruction.link_triangle is None,
         "link_degree_profile": measured_profile == expected_profile,
         "obstruction": obstruction.holds,
-        "x_uncovered": covered_at(H, x, builtin_pattern("K4-")) is None,
+        "x_uncovered": covered_at(H, x, builtin_pattern("K4-"), bits=bits) is None,
     }
     if family == "H3" and H.class_of:
         heavy = [v for v, lab in H.class_of.items() if lab == "1"]
@@ -418,6 +438,7 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
 
 
 def check_t_construction(H: TriGraph, sizes: Optional[tuple[int, int, int]]) -> ClaimReport:
+    _check_kind(H, "T", TriGraph)
     if sizes is None:
         raise ValueError("T needs the parameter sizes")
     a, m, ell = sizes = _check_sizes(sizes)
@@ -442,8 +463,12 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
 
     Besides delta2 and x being uncovered, every pair codegree is checked
     against its closed form: same-part pairs give n-3, pairs through x give
-    n-1-|V_i|, and cross-part pairs give |V_i|+|V_j|-1+d_T.
+    n-1-|V_i|, and cross-part pairs give |V_i|+|V_j|-1+d_T.  H's claims are
+    read off one ``codegree_neighbourhoods(H)`` table, which the embedder's
+    refutation of x shares; d_T comes from T rebuilt from its sizes, as an
+    independent reference.  A ``Graph`` raises ValueError.
     """
+    _check_kind(H, "H4", TriGraph)
     if n is None:
         n = H.n
     a, m, ell = h4_part_sizes(n)
@@ -457,9 +482,11 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     body = [v if v < x else v - 1 for v in range(H.n)]
     part = [_part(b, a, m) for b in body]
     t_codegree = pair_degree_table(construct_t(sizes))
-    table, delta2 = _codegrees(H)
+    bits = codegree_neighbourhoods(H)
+    delta2 = _delta2(bits)
     same_ok = x_ok = cross_ok = True
-    for (u, w), d in table.items():
+    for u, w in combinations(range(H.n), 2):
+        d = bits[u][w].bit_count()
         if u == x or w == x:
             other = w if u == x else u
             if d != n - 1 - sizes[part[other]]:
@@ -474,7 +501,7 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     checks = {
         "vertex_count": H.n == n,
         "delta2": delta2 == expected_delta,
-        "x_uncovered": covered_at(H, x, builtin_pattern("K5-")) is None,
+        "x_uncovered": covered_at(H, x, builtin_pattern("K5-"), bits=bits) is None,
         "codegree_same_part": same_ok,
         "codegree_x_pairs": x_ok,
         "codegree_cross_part": cross_ok,
@@ -498,8 +525,6 @@ def check_construction(
 ) -> ClaimReport:
     """Verify a given object against the named family's claims."""
     row, value = _resolve(family, {"m": m, "n": n, "sizes": sizes})
-    if not isinstance(H, row.kind):
-        raise ValueError(f"{family} is a {2 if row.kind is Graph else 3}-graph family")
     return row.check(H, value)
 
 

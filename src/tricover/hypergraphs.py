@@ -35,6 +35,11 @@ def _check_count(n: int) -> None:
         raise ValueError("vertex count must be non-negative")
 
 
+def _check_trigraph(H: object) -> None:
+    if not isinstance(H, TriGraph):
+        raise ValueError(f"expected a 3-graph (TriGraph), got {type(H).__name__}")
+
+
 def _canonical_edge(e: Iterable[int], n: int, k: int) -> tuple[int, ...]:
     """The edge e as a sorted tuple of k distinct int vertices in [0, n)."""
     # materialise once: an iterator edge is consumed by the first pass
@@ -227,6 +232,7 @@ class PairDegreeProfile:
 
 def codegree(H: TriGraph, a: int, b: int) -> int:
     """Number of vertices c such that {a, b, c} is an edge of H."""
+    _check_trigraph(H)
     _canonical_edge((a, b), H.n, 2)
     return sum(1 for c in range(H.n) if c != a and c != b and H.has_edge(a, b, c))
 
@@ -243,8 +249,9 @@ def codegree_neighbourhoods(H: TriGraph) -> list[list[int]]:
 
     ``bits[a][b] == bits[b][a]`` has bit c set iff {a, b, c} is an edge of H,
     so it is 0 for a == b and for pairs of codegree zero, and its popcount is
-    the codegree of {a, b}.
+    the codegree of {a, b}.  Anything but a ``TriGraph`` raises ValueError.
     """
+    _check_trigraph(H)
     n = H.n
     power = [1 << c for c in range(n)]
     bits = [[0] * n for _ in range(n)]
@@ -289,7 +296,9 @@ def link_graph(H: TriGraph, x: int) -> LinkGraph:
 
     The result is compact (vertices 0..n-2); ``to_host[i]`` recovers the
     original index of link vertex i.  Link labels are inherited from H.
+    Anything but a ``TriGraph`` raises ValueError.
     """
+    _check_trigraph(H)
     _check_vertex(x, H.n)
     to_host = tuple(v for v in range(H.n) if v != x)
     to_link = {h: i for i, h in enumerate(to_host)}

@@ -79,6 +79,7 @@ from .fileio import to_json_dict
 from .hypergraphs import TriGraph, _is_int, codegree_neighbourhoods
 from .patterns import (
     Pattern,
+    _check_pattern,
     _exists,
     clique_profile,
     covering_report,
@@ -502,6 +503,7 @@ class _InnerSearch:
 def _check_instance(n: int, pattern: Pattern) -> None:
     if not _is_int(n):
         raise ValueError(f"n must be an int, got {n!r}")
+    _check_pattern(pattern)
     if pattern.edge_count == 0:
         raise ValueError("pattern must have at least one edge")
     if n < pattern.t:
@@ -540,8 +542,9 @@ def exact_c2(
     adds the climb below it).  With any budget it climbs from level 0, so
     that a budget ending it at any level still leaves the best bound
     reached.
-    ``n`` must be an int, and a budget finite and non-negative (a node
-    budget an int); anything else raises ValueError.
+    ``n`` must be an int, ``pattern`` a ``Pattern`` (a name is not
+    resolved), and a budget finite and non-negative (a node budget an int);
+    anything else raises ValueError.
     """
     _check_instance(n, pattern)
     budget = _Budget(node_budget, time_budget)
@@ -834,8 +837,8 @@ def certify_upper_behavior(
     re-verified by ``covering_report`` before it is recorded, and a
     disagreement raises AssertionError.  ``n``, ``threshold`` and
     ``samples`` must be ints (not bools) with pattern.t <= n <= 12,
-    threshold <= n - 3 and samples >= 0, and the pattern needs an edge;
-    anything else raises ValueError.
+    threshold <= n - 3 and samples >= 0, and the pattern must be a
+    ``Pattern`` with an edge; anything else raises ValueError.
     """
     _check_instance(n, pattern)
     for name, value in (("threshold", threshold), ("samples", samples)):

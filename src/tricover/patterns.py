@@ -63,6 +63,7 @@ from .hypergraphs import (
     TriGraph,
     _canonical_edge,
     _check_count,
+    _check_trigraph,
     _check_vertex,
     codegree_neighbourhoods,
 )
@@ -123,6 +124,12 @@ def builtin_pattern(name: str) -> Pattern:
     if minus:
         edges.discard((0, 1, 2))
     return Pattern(t=t, edges=frozenset(edges), name=f"K{t}-" if minus else f"K{t}")
+
+
+def _check_pattern(F: object) -> None:
+    """ValueError naming F unless it is a ``Pattern``; a name is not resolved."""
+    if not isinstance(F, Pattern):
+        raise ValueError(f"pattern must be a Pattern, got {F!r}")
 
 
 def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
@@ -359,15 +366,22 @@ def _lexmin_embedding(
     return best
 
 
-def covered_at(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
+def covered_at(
+    H: TriGraph, v: int, F: Pattern, *, bits: Optional[Neighbourhoods] = None
+) -> Optional[tuple[int, ...]]:
     """The lexicographically smallest embedding of F into H whose image
     contains v (entry i is the image of pattern vertex i), or None.
 
     The existence search decides first, so a refutation never runs the
-    witness search.  ``F.t > H.n`` yields None, not an error.
+    witness search.  ``F.t > H.n`` yields None, not an error.  ``bits``, when
+    given, must be ``codegree_neighbourhoods(H)`` for this very H, built by
+    a caller that reads other facts off the same table; it is read, never
+    changed.  Omitted, the table is built here.
     """
     _check_vertex(v, H.n)
-    bits = codegree_neighbourhoods(H)
+    _check_pattern(F)
+    if bits is None:
+        bits = codegree_neighbourhoods(H)
     if not _exists(bits, H.n, v, F):
         return None
     return _lexmin_embedding(bits, H.n, v, F)
@@ -377,6 +391,7 @@ def is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
     """Whether some copy of F in H contains v, by the existence search: v
     at each class leader, the other positions most constrained first."""
     _check_vertex(v, H.n)
+    _check_pattern(F)
     return _exists(codegree_neighbourhoods(H), H.n, v, F)
 
 
@@ -387,6 +402,8 @@ def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
     ``#link pairs of v inside T + #edges inside T >= threshold``.
     """
     _check_vertex(v, H.n)
+    _check_pattern(F)
+    _check_trigraph(H)
     profile = clique_profile(F)
     if profile is None:
         raise ValueError(f"pattern {F.name!r} is not a complete or near-complete 3-graph")
@@ -455,6 +472,7 @@ def covering_report(H: TriGraph, F: Pattern) -> CoverReport:
     function, and with x gone a covered vertex's witness takes about 30
     calls of it instead of about 420.
     """
+    _check_pattern(F)
     nbhd = codegree_neighbourhoods(H)
     uncovered = []
     witnesses: dict[int, tuple[int, ...]] = {}
@@ -486,7 +504,9 @@ class ObstructionCheck(NamedTuple):
     bad_edge: Optional[tuple[int, int, int]]
 
 
-def covering_obstruction(H: TriGraph, x: int) -> ObstructionCheck:
+def covering_obstruction(
+    H: TriGraph, x: int, *, bits: Optional[Neighbourhoods] = None
+) -> ObstructionCheck:
     """Check the two local conditions under which x lies in no K4^- copy.
 
     A K4^- through x on {x, a, b, c} needs three of the four triples; either
@@ -501,9 +521,14 @@ def covering_obstruction(H: TriGraph, x: int) -> ObstructionCheck:
     link pair (c in N(a) | N(b)) when ab is a link pair, or two of them
     (c in N(a) & N(b)) when it is not; with c the lowest such vertex, that
     is the first offending edge of ``H.edges``.
+
+    ``bits``, when given, must be ``codegree_neighbourhoods(H)`` for this
+    very H, built by a caller that reads other facts off the same table; it
+    is read, never changed.  Omitted, the table is built here.
     """
     _check_vertex(x, H.n)
-    bits = codegree_neighbourhoods(H)
+    if bits is None:
+        bits = codegree_neighbourhoods(H)
     link = bits[x]
     others = [v for v in range(H.n) if v != x]
     for u in others:

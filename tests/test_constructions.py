@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -34,8 +35,13 @@ from tricover import (
     verify_claim,
     write_edge_list,
 )
-from tricover import constructions
-from tricover.constructions import check_h_construction
+from tricover import constructions, hypergraphs
+from tricover.constructions import (
+    check_base_graph,
+    check_h4_construction,
+    check_h_construction,
+    check_t_construction,
+)
 
 # sha256 of the canonical edge list and of the sorted-key JSON claim report
 # of each construction, as recorded before the certify path was reworked
@@ -343,6 +349,58 @@ def test_h_check_refuses_other_families():
 def test_h_check_needs_two_vertices():
     with pytest.raises(ValueError, match="at least 2 vertices"):
         check_h_construction(TriGraph(1, distinguished=0), "H1", m=1)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        check_h4_construction(TriGraph(1, distinguished=0), n=5)
+
+
+@pytest.mark.parametrize("family, check, args", [
+    ("H1", check_h_construction, ("H1",)), ("H2", check_h_construction, ("H2", 1)),
+    ("T", check_t_construction, ((2, 3, 3),)), ("H4", check_h4_construction, (9,)),
+])
+def test_checks_refuse_a_2_graph(family, check, args):
+    # as check_construction does, before any attribute of a 3-graph is read
+    with pytest.raises(ValueError, match=f"^{family} is a 3-graph family$"):
+        check(base_graph("G1"), *args)
+
+
+def test_base_graph_check_refuses_a_3_graph():
+    for check in (check_base_graph, check_construction):
+        with pytest.raises(ValueError, match="^G2 is a 2-graph family$"):
+            check(construct_h("H1", 1), "G2")
+
+
+def _count_tables(monkeypatch):
+    """Wrap ``codegree_neighbourhoods`` at every module binding of tricover;
+    the returned list collects the graph of every call."""
+    original = hypergraphs.codegree_neighbourhoods
+    graphs = []
+
+    def counting(H):
+        graphs.append(H)
+        return original(H)
+
+    bound = [mod for name, mod in sorted(sys.modules.items())
+             if name.split(".")[0] == "tricover" and vars(mod).get("codegree_neighbourhoods") is original]
+    assert {"tricover.hypergraphs", "tricover.patterns", "tricover.constructions"} <= {m.__name__ for m in bound}
+    for mod in bound:
+        monkeypatch.setattr(mod, "codegree_neighbourhoods", counting)
+    return graphs
+
+
+@pytest.mark.parametrize("family, m", [("H1", 3), ("H2", 2), ("H3", 2)])
+def test_h_claim_builds_one_table(monkeypatch, family, m):
+    graphs = _count_tables(monkeypatch)
+    report = verify_claim(family, m=m)
+    assert report.passed and len(graphs) == 1
+    assert graphs[0] == construct_h(family, m)
+
+
+def test_h4_claim_builds_one_table_on_h(monkeypatch):
+    graphs = _count_tables(monkeypatch)
+    report = verify_claim("H4", n=20)
+    assert report.passed
+    # T, rebuilt from its sizes as an independent reference, has its own table
+    assert sorted(graphs, key=lambda G: G.n) == [construct_t(h4_part_sizes(20)), construct_h4(20)]
 
 
 def test_construct_dispatcher_requires_params():

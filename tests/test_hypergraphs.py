@@ -278,6 +278,15 @@ class TestMinCodegree:
         with pytest.raises(ValueError):
             min_codegree(TriGraph(1))
 
+    def test_a_2_graph_is_refused(self):
+        # one guard in codegree_neighbourhoods serves every table reader
+        G = Graph(4, [(0, 1), (1, 2)])
+        for reader in (codegree_neighbourhoods, pair_degree_table, min_codegree):
+            with pytest.raises(ValueError, match=r"^expected a 3-graph \(TriGraph\), got Graph$"):
+                reader(G)
+        with pytest.raises(ValueError, match="^expected a 3-graph"):
+            codegree(G, 0, 1)
+
 
 class TestLinkGraph:
     def test_complete_k4_link_is_triangle(self):
@@ -303,6 +312,10 @@ class TestLinkGraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             link_graph(complete_trigraph(4), 4)
+
+    def test_a_2_graph_is_refused(self):
+        with pytest.raises(ValueError, match="^expected a 3-graph"):
+            link_graph(Graph(4, [(0, 1), (1, 2)]), 0)
 
     @settings(max_examples=60, deadline=None)
     @given(trigraphs(max_n=8), st.data())

@@ -198,6 +198,10 @@ class TestBudgets:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             exact_c2(4, K5M)
+        # a name is not resolved here, and no attribute lookup escapes
+        for bad in ("K4-", None):
+            with pytest.raises(ValueError, match=f"^pattern must be a Pattern, got {bad!r}$"):
+                exact_c2(6, bad)
 
     @pytest.mark.parametrize("n", [7.5, "7", True], ids=repr)
     def test_malformed_n_rejected(self, n):
@@ -926,6 +930,8 @@ class TestCertifyUpperBehavior:
     def test_edgeless_pattern_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):
             certify_upper_behavior(6, Pattern(4, frozenset(), "empty"), 1, 10)
+        with pytest.raises(ValueError, match="^pattern must be a Pattern, got 'K4-'$"):
+            certify_upper_behavior(6, "K4-", 2, 1)
 
     def test_zero_samples_is_an_empty_report(self):
         rep = certify_upper_behavior(9, K4M, 3, 0)

@@ -1,12 +1,14 @@
 """Pattern containment, covering reports, and the local obstruction."""
 
 import gc
+import re
 from itertools import combinations
 from random import Random
 
 import pytest
 
 from tricover import (
+    Graph,
     Pattern,
     TriGraph,
     builtin_pattern,
@@ -220,6 +222,37 @@ class TestCoveredAt:
         for detector in (covered_at, is_covered, covered_by_count):
             with pytest.raises(ValueError):
                 detector(H, v, F)
+
+    @pytest.mark.parametrize("F", ["K4-", None, ("K4-",)], ids=repr)
+    def test_not_a_pattern_in_every_detector(self, F):
+        # a name is not resolved, and no attribute lookup escapes
+        H = complete_trigraph(6)
+        message = f"^pattern must be a Pattern, got {re.escape(repr(F))}$"
+        for detector in (covered_at, is_covered, covered_by_count):
+            with pytest.raises(ValueError, match=message):
+                detector(H, 0, F)
+        with pytest.raises(ValueError, match=message):
+            covering_report(H, F)
+
+    def test_a_2_graph_in_every_detector(self):
+        G, F = Graph(6, [(0, 1), (1, 2)]), builtin_pattern("K4-")
+        for detector in (covered_at, is_covered, covered_by_count):
+            with pytest.raises(ValueError, match="^expected a 3-graph"):
+                detector(G, 0, F)
+        with pytest.raises(ValueError, match="^expected a 3-graph"):
+            covering_report(G, F)
+
+    @pytest.mark.parametrize("F", [builtin_pattern("K4-"), builtin_pattern("K5-"), BOOK2],
+                             ids=lambda F: F.name)
+    def test_given_table_gives_the_same_answer(self, F):
+        # the claim checks pass H's own table; it must change nothing
+        rng = Random(34)
+        for n in range(1, 11):
+            for p in (0.2, 0.5, 0.8):
+                H = random_trigraph(rng, n, p)
+                bits = codegree_neighbourhoods(H)
+                for v in range(n):
+                    assert covered_at(H, v, F, bits=bits) == covered_at(H, v, F), (H.edges, v)
 
     def test_search_leaves_no_reference_cycles(self):
         K5m = builtin_pattern("K5-")
@@ -598,9 +631,12 @@ class TestObstruction:
             for p in (0.02, 0.1, 0.25, 0.4, 0.6, 0.9):
                 for _ in range(6):
                     H = random_trigraph(rng, n, p)
+                    bits = codegree_neighbourhoods(H)
                     for x in range(n):
                         got = tuple(covering_obstruction(H, x))
                         assert got == bf_covering_obstruction(H, x), (H.edges, x)
+                        # the claim checks pass H's own table
+                        assert tuple(covering_obstruction(H, x, bits=bits)) == got
                         outcomes.add("holds" if got[0] else "triangle" if got[1] else "bad edge")
         assert outcomes == {"holds", "triangle", "bad edge"}
 
@@ -608,6 +644,10 @@ class TestObstruction:
     def test_rejects_a_vertex_out_of_range(self, x):
         with pytest.raises(ValueError):
             covering_obstruction(complete_trigraph(4), x)
+
+    def test_rejects_a_2_graph(self):
+        with pytest.raises(ValueError, match="^expected a 3-graph"):
+            covering_obstruction(Graph(4, [(0, 1), (1, 2), (0, 2)]), 0)
 
     def test_obstruction_implies_uncovered(self):
         F = builtin_pattern("K4-")
