@@ -45,7 +45,6 @@ from .hypergraphs import (
     link_graph,
     min_codegree,
     pair_degree_table,
-    spanned_link_edges,
 )
 from .koenig import EdgeColoring, bipartite_edge_coloring, coloring_is_valid, complete_bipartite_matchings
 from .oracle import CertifyReport, SearchResult, certify_upper_behavior, exact_c2
@@ -116,7 +115,6 @@ __all__ = [
     "parse_any",
     "parse_edge_list",
     "save",
-    "spanned_link_edges",
     "to_json_dict",
     "verify_claim",
     "write_edge_list",

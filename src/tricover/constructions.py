@@ -32,10 +32,10 @@ from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
 from .hypergraphs import (
     Graph,
     TriGraph,
+    _delta2,
     _is_int,
     codegree_neighbourhoods,
     is_triangle_free,
-    pair_degree_table,
 )
 from .koenig import complete_bipartite_matchings
 from .patterns import Pattern, builtin_pattern, clique_profile, covered_at, covering_obstruction
@@ -370,14 +370,6 @@ def _check_kind(obj: object, family: str, kind: type) -> None:
         raise ValueError(f"{family} is a {2 if kind is Graph else 3}-graph family")
 
 
-def _delta2(bits: list[list[int]]) -> int:
-    """delta2 read off ``codegree_neighbourhoods``: the least popcount of a
-    pair a < b."""
-    if len(bits) < 2:
-        raise ValueError("minimum codegree needs at least 2 vertices")
-    return min(min(map(int.bit_count, row[a + 1:])) for a, row in enumerate(bits[:-1]))
-
-
 def check_base_graph(G: Graph, name: str) -> ClaimReport:
     _check_kind(G, name, Graph)
     exp_n, exp_edges = _BASE_SPECS[name]["counts"]
@@ -443,16 +435,17 @@ def check_t_construction(H: TriGraph, sizes: Optional[tuple[int, int, int]]) -> 
         raise ValueError("T needs the parameter sizes")
     a, m, ell = sizes = _check_sizes(sizes)
     n = a + m + ell
-    table = pair_degree_table(H)
+    bits = codegree_neighbourhoods(H)
     transversal = all(len({_part(v, a, m) for v in e}) == 3 for e in H.edges)
-    cross_pairs_ok = all(
-        table.get((u, w), 0) == 1 for u in range(a) for w in range(a, a + m)
+    # a graph without all of V1 and V2 misses some V1 x V2 pair
+    cross_pairs_ok = H.n >= a + m and all(
+        bits[u][w].bit_count() == 1 for u in range(a) for w in range(a, a + m)
     )
     checks = {
         "vertex_count": H.n == n,
         "edge_count": H.edge_count == a * m,
         "all_edges_transversal": transversal,
-        "max_codegree_le_1": max(table.values(), default=0) <= 1,
+        "max_codegree_le_1": all(d.bit_count() <= 1 for row in bits for d in row),
         "v1_v2_codegree_1": cross_pairs_ok,
     }
     return _report(H, "T", {"sizes": list(sizes)}, checks)
@@ -481,7 +474,7 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     # vertex body[v] of T; body preserves order away from x
     body = [v if v < x else v - 1 for v in range(H.n)]
     part = [_part(b, a, m) for b in body]
-    t_codegree = pair_degree_table(construct_t(sizes))
+    t_bits = codegree_neighbourhoods(construct_t(sizes))
     bits = codegree_neighbourhoods(H)
     delta2 = _delta2(bits)
     same_ok = x_ok = cross_ok = True
@@ -495,7 +488,9 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
             if d != n - 3:
                 same_ok = False
         else:
-            d_t = t_codegree.get((body[u], body[w]), 0)
+            # T has n - 1 vertices: in an H larger than n, the vertices
+            # past them lie in no edge of T
+            d_t = t_bits[body[u]][body[w]].bit_count() if body[w] < n - 1 else 0
             if d != sizes[part[u]] + sizes[part[w]] - 1 + d_t:
                 cross_ok = False
     checks = {

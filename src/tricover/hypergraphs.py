@@ -9,6 +9,15 @@ For a 3-graph H, the codegree of a vertex pair {a, b} is the number of
 vertices c with {a, b, c} an edge; delta2(H) is the minimum codegree over all
 pairs.  The link graph of a vertex x is the 2-graph on V(H) - {x} whose edges
 are exactly the pairs completing an edge of H together with x.
+
+Every codegree fact is read off one table, ``codegree_neighbourhoods(H)``,
+whose entry for a pair is the bitmask of the vertices completing it to an
+edge: delta2 is its least popcount (``_delta2``, which the claim checks and
+the oracle's re-verification share), and ``pair_degree_table`` and
+``min_codegree`` count its popcounts in ``combinations`` order.  The smallest
+triangle of a graph is found by one search over adjacency masks,
+``_first_triangle``: ``is_triangle_free`` runs it on a 2-graph, and the K4^-
+obstruction on row x of the table, which holds the link of x.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import lt
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 def _is_int(v: object) -> bool:
@@ -268,17 +277,28 @@ def codegree_neighbourhoods(H: TriGraph) -> list[list[int]]:
     return bits
 
 
-def min_codegree(H: TriGraph) -> PairDegreeProfile:
-    """Full pair-degree profile of H; ``min`` is the minimum codegree delta2."""
-    if H.n < 2:
+def _delta2(bits: Sequence[Sequence[int]]) -> int:
+    """delta2 read off ``codegree_neighbourhoods``: the least popcount of a
+    pair a < b."""
+    if len(bits) < 2:
         raise ValueError("minimum codegree needs at least 2 vertices")
-    table = pair_degree_table(H)
-    lo = min(table.values())
+    return min(min(map(int.bit_count, row[a + 1:])) for a, row in enumerate(bits[:-1]))
+
+
+def min_codegree(H: TriGraph) -> PairDegreeProfile:
+    """Full pair-degree profile of H; ``min`` is the minimum codegree delta2.
+    Pairs are read off ``codegree_neighbourhoods(H)`` in ``combinations``
+    order, so the histogram lists values as they first occur."""
+    bits = codegree_neighbourhoods(H)
+    lo = _delta2(bits)
     histogram: dict[int, int] = {}
-    for d in table.values():
+    argmin = []
+    for a, b in combinations(range(H.n), 2):
+        d = bits[a][b].bit_count()
         histogram[d] = histogram.get(d, 0) + 1
-    argmin = tuple(sorted(p for p, d in table.items() if d == lo))
-    return PairDegreeProfile(min=lo, argmin_pairs=argmin, histogram=histogram)
+        if d == lo:
+            argmin.append((a, b))
+    return PairDegreeProfile(min=lo, argmin_pairs=tuple(argmin), histogram=histogram)
 
 
 class LinkGraph(NamedTuple):
@@ -321,29 +341,38 @@ class TriangleCheck(NamedTuple):
     witness: Optional[tuple[int, int, int]]
 
 
+def _first_triangle(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The lexicographically smallest triangle of the graph whose adjacency
+    masks are ``rows`` (bit v of ``rows[u]`` set iff uv is an edge), or None.
+
+    It is the first edge u < v, in lexicographic order, whose masks meet,
+    closed by their lowest common neighbour w.  Then w > v: were w < v, the
+    edge of u and w would come first and its masks would meet at v.
+    """
+    for u, nu in enumerate(rows):
+        later = nu >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            v = low.bit_length() - 1
+            common = nu & rows[v]
+            if common:
+                return (u, v, (common & -common).bit_length() - 1)
+            later ^= low
+    return None
+
+
 def is_triangle_free(G: Graph) -> TriangleCheck:
     """Whether G has no three mutually adjacent vertices.
 
     On failure the lexicographically smallest witness triangle is returned.
+    Anything but a ``Graph`` raises ValueError.
     """
-    for u, v in G.edges():
-        common = G.adj[u] & G.adj[v]
-        if common:
-            w = min(common)
-            return TriangleCheck(False, tuple(sorted((u, v, w))))  # type: ignore[arg-type]
-    return TriangleCheck(True, None)
+    if not isinstance(G, Graph):
+        raise ValueError(f"expected a 2-graph (Graph), got {type(G).__name__}")
+    triangle = _first_triangle([sum(1 << w for w in nbrs) for nbrs in G.adj])
+    return TriangleCheck(triangle is None, triangle)
 
 
-def spanned_link_edges(G: Graph, s: Iterable[int]) -> int:
-    """Number of edges of G inside the 3-vertex set s (0..3).
-
-    On three vertices, "spans at most one edge" is exactly path-freeness: no
-    two of the three pairs are both edges.
-    """
-    a, b, c = _canonical_edge(s, G.n, 3)
-    return int(G.has_edge(a, b)) + int(G.has_edge(a, c)) + int(G.has_edge(b, c))
-
-
-def complete_trigraph(n: int, distinguished: Optional[int] = None) -> TriGraph:
+def complete_trigraph(n: int) -> TriGraph:
     """The complete 3-graph on n vertices."""
-    return TriGraph(n, combinations(range(n), 3), distinguished=distinguished)
+    return TriGraph(n, combinations(range(n), 3))

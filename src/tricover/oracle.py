@@ -76,7 +76,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, _is_int, codegree_neighbourhoods
+from .hypergraphs import TriGraph, _delta2, _is_int, codegree_neighbourhoods
 from .patterns import (
     Pattern,
     _check_pattern,
@@ -591,8 +591,7 @@ def exact_c2(
         # independent re-verification of the returned certificate
         witness = TriGraph(n, edges, distinguished=0)
         bits = codegree_neighbourhoods(witness)
-        delta2 = min(bits[a][b].bit_count() for a, b in combinations(range(n), 2))
-        if delta2 != value or _exists(bits, n, 0, pattern):
+        if _delta2(bits) != value or _exists(bits, n, 0, pattern):
             raise AssertionError("search produced an inconsistent witness")
     return SearchResult(
         n=n,

@@ -43,7 +43,9 @@ spans two or more link edges, because a K4^- through x needs three edges on
 four vertices and each shape of such a triple violates one of the two
 conditions.  Both conditions are read off the same codegree masks as the
 embedder's: row x of the table holds each vertex's link neighbourhood, so
-a link triangle is two adjacent link masks that meet, and an edge abc
+it is the link's adjacency masks.  The smallest link triangle is
+``hypergraphs._first_triangle`` of that row, the one smallest-triangle
+search, which ``is_triangle_free`` runs on a 2-graph's masks.  An edge abc
 spanning two link edges is a bit of the codegree mask of ab that also lies
 in the union (ab a link edge) or the intersection (otherwise) of the link
 masks of a and b.
@@ -65,6 +67,7 @@ from .hypergraphs import (
     _check_count,
     _check_trigraph,
     _check_vertex,
+    _first_triangle,
     codegree_neighbourhoods,
 )
 
@@ -378,6 +381,7 @@ def covered_at(
     a caller that reads other facts off the same table; it is read, never
     changed.  Omitted, the table is built here.
     """
+    _check_trigraph(H)
     _check_vertex(v, H.n)
     _check_pattern(F)
     if bits is None:
@@ -390,6 +394,7 @@ def covered_at(
 def is_covered(H: TriGraph, v: int, F: Pattern) -> bool:
     """Whether some copy of F in H contains v, by the existence search: v
     at each class leader, the other positions most constrained first."""
+    _check_trigraph(H)
     _check_vertex(v, H.n)
     _check_pattern(F)
     return _exists(codegree_neighbourhoods(H), H.n, v, F)
@@ -401,9 +406,9 @@ def covered_by_count(H: TriGraph, v: int, F: Pattern) -> bool:
     v is covered iff some (t-1)-set T avoiding v satisfies
     ``#link pairs of v inside T + #edges inside T >= threshold``.
     """
+    _check_trigraph(H)
     _check_vertex(v, H.n)
     _check_pattern(F)
-    _check_trigraph(H)
     profile = clique_profile(F)
     if profile is None:
         raise ValueError(f"pattern {F.name!r} is not a complete or near-complete 3-graph")
@@ -514,9 +519,9 @@ def covering_obstruction(
     pairs plus the edge abc do (an edge spanning two link edges).
 
     Both are read off the codegree masks, where N(v) = ``bits[x][v]`` is v's
-    link neighbourhood.  The link triangle is the first link pair u < v, in
-    lexicographic order, whose masks meet, closed by their lowest common
-    neighbour: the lexicographically smallest triangle.  The bad edge is the
+    link neighbourhood.  Row x is the link's adjacency masks (x in none of
+    them), so the link triangle is ``hypergraphs._first_triangle`` of it:
+    the lexicographically smallest triangle.  The bad edge is the
     first pair a < b avoiding x with an edge abc, c > b, that spans a second
     link pair (c in N(a) | N(b)) when ab is a link pair, or two of them
     (c in N(a) & N(b)) when it is not; with c the lowest such vertex, that
@@ -526,24 +531,15 @@ def covering_obstruction(
     very H, built by a caller that reads other facts off the same table; it
     is read, never changed.  Omitted, the table is built here.
     """
+    _check_trigraph(H)
     _check_vertex(x, H.n)
     if bits is None:
         bits = codegree_neighbourhoods(H)
     link = bits[x]
+    triangle = _first_triangle(link)
+    if triangle is not None:
+        return ObstructionCheck(False, triangle, None)
     others = [v for v in range(H.n) if v != x]
-    for u in others:
-        nu = link[u]
-        later = nu >> (u + 1) << (u + 1)
-        while later:
-            low = later & -later
-            v = low.bit_length() - 1
-            common = nu & link[v]
-            if common:
-                # w > v: were w < v, the link pair of u and w would come
-                # first and its masks would meet at v
-                w = (common & -common).bit_length() - 1
-                return ObstructionCheck(False, (u, v, w), None)
-            later ^= low
     for i, a in enumerate(others):
         row, na = bits[a], link[a]
         for b in others[i + 1:]:

@@ -499,6 +499,16 @@ class TestParameterRules:
         report = check_construction(construct_h4(9), "H4")
         assert report.passed and report.parameter["n"] == 9
 
+    def test_a_graph_of_another_size_is_measured(self):
+        # H4(12) has vertices past the 8 of the T that n = 9 rebuilds, and
+        # T(1, 1, 1) lacks most of the V1 x V2 pairs of sizes (2, 3, 3):
+        # every check is still measured, none reads past a table
+        checks = check_construction(construct_h4(12), "H4", n=9).checks
+        assert not any(checks[k] for k in checks if k != "x_uncovered") and checks["x_uncovered"]
+        checks = check_construction(construct_t((1, 1, 1)), "T", sizes=(2, 3, 3)).checks
+        assert checks == {"vertex_count": False, "edge_count": False, "all_edges_transversal": False,
+                          "max_codegree_le_1": True, "v1_v2_codegree_1": False}
+
     @pytest.mark.parametrize("pattern", ["K4-", "K5-"])
     def test_certificate_needs_an_int_n(self, pattern):
         with pytest.raises(ValueError, match="n must be an int"):

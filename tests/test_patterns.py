@@ -22,6 +22,8 @@ from tricover import (
     covering_report,
     codegree_neighbourhoods,
     is_covered,
+    is_triangle_free,
+    link_graph,
 )
 from tricover import patterns
 
@@ -239,6 +241,9 @@ class TestCoveredAt:
         for detector in (covered_at, is_covered, covered_by_count):
             with pytest.raises(ValueError, match="^expected a 3-graph"):
                 detector(G, 0, F)
+            # the graph is checked before the vertex reads its size
+            with pytest.raises(ValueError, match=r"^expected a 3-graph \(TriGraph\), got NoneType$"):
+                detector(None, 0, F)
         with pytest.raises(ValueError, match="^expected a 3-graph"):
             covering_report(G, F)
 
@@ -637,6 +642,10 @@ class TestObstruction:
                         assert got == bf_covering_obstruction(H, x), (H.edges, x)
                         # the claim checks pass H's own table
                         assert tuple(covering_obstruction(H, x, bits=bits)) == got
+                        # the link triangle is the link graph's smallest one
+                        link = link_graph(H, x)
+                        tri = is_triangle_free(link.graph).witness
+                        assert got[1] == (None if tri is None else tuple(map(link.to_host.__getitem__, tri)))
                         outcomes.add("holds" if got[0] else "triangle" if got[1] else "bad edge")
         assert outcomes == {"holds", "triangle", "bad edge"}
 
@@ -648,6 +657,8 @@ class TestObstruction:
     def test_rejects_a_2_graph(self):
         with pytest.raises(ValueError, match="^expected a 3-graph"):
             covering_obstruction(Graph(4, [(0, 1), (1, 2), (0, 2)]), 0)
+        with pytest.raises(ValueError, match=r"^expected a 3-graph \(TriGraph\), got NoneType$"):
+            covering_obstruction(None, 0)
 
     def test_obstruction_implies_uncovered(self):
         F = builtin_pattern("K4-")
