@@ -20,6 +20,7 @@ from tricover import (
     min_codegree,
     pair_degree_table,
 )
+from tricover.hypergraphs import _delta2, _first_triangle
 
 from _brute import bf_codegree, bf_min_codegree, bf_triangle_free, random_trigraph
 
@@ -295,6 +296,31 @@ class TestMinCodegree:
             is_triangle_free(complete_trigraph(4))
 
 
+class TestDelta2:
+    """The one delta2, read off the codegree masks, that the claim checks,
+    min_codegree and the oracle's re-verification share."""
+
+    @pytest.mark.parametrize("bits", [[], [[0]]])
+    def test_needs_two_vertices(self, bits):
+        with pytest.raises(ValueError, match="^minimum codegree needs at least 2 vertices$"):
+            _delta2(bits)
+
+    def test_complete_is_n_minus_2(self):
+        for n in range(2, 9):
+            assert _delta2(codegree_neighbourhoods(complete_trigraph(n))) == n - 2
+
+    def test_against_brute_force(self):
+        rng = Random(11)
+        for _ in range(30):
+            H = random_trigraph(rng, rng.randint(2, 9), rng.choice((0.3, 0.6, 0.9)))
+            assert _delta2(codegree_neighbourhoods(H)) == bf_min_codegree(H)
+
+    def test_only_pairs_above_the_diagonal_count(self):
+        # a table row lists only the pairs a < b; the diagonal and the lower
+        # triangle are never read
+        assert _delta2([[0b111, 0b100], [0, 0b111]]) == 1
+
+
 class TestLinkGraph:
     def test_complete_k4_link_is_triangle(self):
         link = link_graph(complete_trigraph(4), 0)
@@ -406,3 +432,54 @@ class TestTriangleFree:
             )
             assert res.witness == first
 
+    @pytest.mark.parametrize("G", [None, [[1], [0]], complete_trigraph(4)], ids=["None", "list", "TriGraph"])
+    def test_refuses_anything_but_a_graph(self, G):
+        with pytest.raises(ValueError, match=r"^expected a 2-graph \(Graph\), got "):
+            is_triangle_free(G)
+
+
+def _rows(n, edges):
+    """Adjacency masks of the graph on n vertices with the given edges."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+class TestFirstTriangle:
+    """The one smallest-triangle search, which is_triangle_free and the
+    K4^- obstruction share."""
+
+    def test_triangle(self):
+        assert _first_triangle(_rows(3, [(0, 1), (1, 2), (0, 2)])) == (0, 1, 2)
+
+    def test_no_vertices(self):
+        assert _first_triangle([]) is None
+
+    def test_independent(self):
+        assert _first_triangle(_rows(5, [])) is None
+
+    def test_5_cycle(self):
+        assert _first_triangle(_rows(5, [(i, (i + 1) % 5) for i in range(5)])) is None
+
+    def test_smallest_of_two(self):
+        # triangles {1, 2, 3} and {0, 3, 4}: the one through 0 comes first,
+        # though the other's largest vertex is the smaller
+        rows = _rows(5, [(1, 2), (2, 3), (1, 3), (0, 3), (0, 4), (3, 4)])
+        assert _first_triangle(rows) == (0, 3, 4)
+
+    def test_against_brute_force(self):
+        rng = Random(13)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < rng.choice((0.1, 0.3, 0.5))]
+            edge_set = set(edges)
+            first = next(
+                (
+                    (a, b, c) for a, b, c in combinations(range(n), 3)
+                    if {(a, b), (a, c), (b, c)} <= edge_set
+                ),
+                None,
+            )
+            assert _first_triangle(_rows(n, edges)) == first
