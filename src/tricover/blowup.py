@@ -12,17 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .hypergraphs import Graph, _canonical_edge, _is_int
+from .hypergraphs import Graph, _canonical_edge, _check_graph, _is_int
 
 
 @dataclass(frozen=True)
 class BlowupSpec:
-    """A base graph with a non-negative multiplicity (0: an empty class) per vertex."""
+    """A base graph with a non-negative multiplicity (0: an empty class) per
+    vertex; a base that is not a ``Graph`` raises ValueError."""
 
     base: Graph
     multiplicity: Mapping[int, int]
 
     def __post_init__(self):
+        _check_graph(self.base)
         for v in range(self.base.n):
             k = self.multiplicity.get(v)
             if k is None:
@@ -92,8 +94,10 @@ def add_edge_list(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     """New graph with exactly the given non-edges added.
 
     Duplicate pairs and already-present edges are rejected; this guards the
-    hand-transcribed matchings of the extremal constructions.
+    hand-transcribed matchings of the extremal constructions.  Anything but
+    a ``Graph`` for ``g`` raises ValueError.
     """
+    _check_graph(g)
     new_edges = g.edges()
     seen = set(new_edges)
     for e in pairs:

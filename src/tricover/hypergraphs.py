@@ -44,6 +44,11 @@ def _check_count(n: int) -> None:
         raise ValueError("vertex count must be non-negative")
 
 
+def _check_graph(G: object) -> None:
+    if not isinstance(G, Graph):
+        raise ValueError(f"expected a 2-graph (Graph), got {type(G).__name__}")
+
+
 def _check_trigraph(H: object) -> None:
     if not isinstance(H, TriGraph):
         raise ValueError(f"expected a 3-graph (TriGraph), got {type(H).__name__}")
@@ -367,8 +372,7 @@ def is_triangle_free(G: Graph) -> TriangleCheck:
     On failure the lexicographically smallest witness triangle is returned.
     Anything but a ``Graph`` raises ValueError.
     """
-    if not isinstance(G, Graph):
-        raise ValueError(f"expected a 2-graph (Graph), got {type(G).__name__}")
+    _check_graph(G)
     triangle = _first_triangle([sum(1 << w for w in nbrs) for nbrs in G.adj])
     return TriangleCheck(triangle is None, triangle)
 

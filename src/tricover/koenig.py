@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraphs import Graph, _is_int
+from .hypergraphs import Graph, _check_graph, _is_int
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ def bipartite_edge_coloring(G: Graph) -> EdgeColoring:
     ``G`` must be bipartite.  Each component is 2-colored by the parity of
     the distance from its least vertex, and the first edge of ``G.edges()``
     with both ends in one color, which closes an odd cycle, is reported in
-    the error.
+    the error.  Anything but a ``Graph`` raises ValueError.
     """
+    _check_graph(G)
     side = [-1] * G.n
     for root in range(G.n):
         if side[root] < 0:
@@ -127,7 +128,11 @@ def complete_bipartite_matchings(a: int, b: int) -> EdgeColoring:
 
 
 def coloring_is_valid(G: Graph, coloring: EdgeColoring) -> bool:
-    """Disjoint matchings, union exactly E(G), class count = Delta(G)."""
+    """Disjoint matchings, union exactly E(G), class count = Delta(G).
+
+    Anything but a ``Graph`` for ``G`` raises ValueError.
+    """
+    _check_graph(G)
     seen: set[tuple[int, int]] = set()
     for cls in coloring.classes:
         endpoints: set[int] = set()

@@ -60,9 +60,9 @@ t >= 5, and the one-edge pattern's sets are pairs.  A link pair's closed
 form only falls as the link grows, so the link DFS also cuts an include
 once a link pair through its two ends has a value below v (``link_cut``,
 O(nv) work): no other link pair changes.  Other patterns fall back on the
-embedder's existence search, pinned at vertex 0 and run on one codegree
-table that follows every included and undone triple, and are
-correspondingly slower.
+embedder's search for a copy through vertex 0: the link DFS cuts an include
+once the link alone holds one (``_link_table``), and the completion search
+runs it on one codegree table following each included and undone triple.
 """
 
 from __future__ import annotations
@@ -158,6 +158,12 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # One level: links of vertex 0, then the triples avoiding it
 # ---------------------------------------------------------------------------
+
+def _link_table(N: Sequence[int]) -> list[list[int]]:
+    """``codegree_neighbourhoods`` of the link N of vertex 0 alone, save that a
+    link pair's entry omits vertex 0, which the embedder pinning 0 never takes."""
+    return [[0] + [m << 1 for m in N]] + [[m << 1] + [0] * len(N) for m in N]
+
 
 class _InnerSearch:
     """Per-(n, pattern) tables for enumerating links of vertex 0 and
@@ -305,17 +311,18 @@ class _InnerSearch:
         triples inside (t-1)-set s.  Once it reaches ``cap`` (threshold - 1)
         one more triple of s would cover vertex 0, so every undecided triple
         of s is excluded at once (forced exclusion) after each include for
-        the sets it fills.  Nothing is forced at the root: t = 4 never
+        the sets it fills.  Forced and branching exclusions share one step;
+        a forced one spends no node, and backing up undoes it with the other
+        exclusions above the last include.  A non-clique pattern's covering
+        check runs the embedder's existence search for vertex 0 on ``bits``,
+        the host's codegree table, which follows every included triple.
+
+        The root tests no covering and forces nothing: ``search_level``
+        hands over only links leaving vertex 0 uncovered, t = 4 never
         reaches this search (``leaf_value`` completes those links), and the
-        link alone fills no set that holds a triple, C(t-1, 2) link pairs
-        being below ``cap`` for t >= 5 and the one-edge pattern's sets being
-        pairs.  An undecided triple therefore never lies in a full set, and
-        an include is never tested against ``cap``.  Forced and branching
-        exclusions share one step; a forced one spends no node, and backing
-        up undoes it with the other exclusions above the last include.  A
-        non-clique pattern's covering check runs the embedder's existence
-        search for vertex 0 on ``bits``, the host's codegree table, which
-        follows every included triple.
+        link alone fills no set holding a triple (C(t-1, 2) link pairs are
+        below ``cap`` for t >= 5; the one-edge pattern's sets are pairs), so
+        no undecided triple lies in a full set or is tested against ``cap``.
         """
         n, nv, F = self.n, self.nv, self.F
         degree = min(m.bit_count() for m in N)
@@ -326,15 +333,7 @@ class _InnerSearch:
         set_pair_mask, set_tri_mask, tri_sets, tri_flips = self._tables
         _, _, pair_tri_mask, tri_pairs = _index_tables(nv)
         clique = self.theta is not None
-        bits: list[list[int]] = []
-        if not clique:
-            # the host's codegree table (as ``codegree_neighbourhoods`` builds
-            # it) with the link triples only, except that a link pair leaves
-            # out vertex 0: the embedder pinning 0 never has it as a candidate
-            bits = [[0] + [m << 1 for m in N]] + [[m << 1] + [0] * nv for m in N]
-            if _exists(bits, n, 0, F):
-                # the link triples alone already cover vertex 0
-                return None
+        bits = [] if clique else _link_table(N)
         link1 = [(N[x] >> y) & 1 for x, y in self.pairs]
         link = sum(b << p for p, b in enumerate(link1))
         # tot[s] starts from the link pairs in s; other patterns have no sets
@@ -433,10 +432,10 @@ class _InnerSearch:
         reach = [nv - 1] * nv
         N = [0] * nv
         # the link only grows, so a pair that makes it cover vertex 0 on its
-        # own is never included: any pair for the one-edge pattern (theta 1),
-        # a pair closing a link triangle for K4- (theta 3); for t = 4 an
-        # include that drops a link pair's closed form below v is cut
-        no_pair, no_triangle = self.theta == 1, self.theta == 3
+        # own is never included (theta 1: any pair; theta 3: one closing a
+        # link triangle) or, for other patterns, is cut once included; for
+        # t = 4 an include that drops a link pair's closed form below v is cut
+        no_pair, no_triangle, generic = self.theta == 1, self.theta == 3, self.theta is None
 
         def breaks_leader(x: int, y: int) -> bool:
             # excluding xy decides the last entry of a comparison with s(L)
@@ -487,7 +486,8 @@ class _InnerSearch:
             N[x] |= 1 << y
             N[y] |= 1 << x
             stack.append(True)
-            cut = self.closed_form and self.link_cut(N, x, y, v)
+            cut = self.link_cut(N, x, y, v) if self.closed_form else (
+                generic and _exists(_link_table(N), self.n, 0, self.F))
 
     def _complete(self, N: list[int], v: int, budget: _Budget) -> Optional[_Found]:
         if self.closed_form:
@@ -834,13 +834,13 @@ def certify_upper_behavior(
     and its codegree table per sample and run the embedder's existence
     search on each vertex.  Either way a candidate counterexample is
     re-verified by ``covering_report`` before it is recorded, and a
-    disagreement raises AssertionError.  ``n``, ``threshold`` and
-    ``samples`` must be ints (not bools) with pattern.t <= n <= 12,
+    disagreement raises AssertionError.  ``n``, ``threshold``, ``samples``
+    and ``seed`` must be ints (not bools) with pattern.t <= n <= 12,
     threshold <= n - 3 and samples >= 0, and the pattern must be a
     ``Pattern`` with an edge; anything else raises ValueError.
     """
     _check_instance(n, pattern)
-    for name, value in (("threshold", threshold), ("samples", samples)):
+    for name, value in (("threshold", threshold), ("samples", samples), ("seed", seed)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if n > 12:

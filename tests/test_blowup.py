@@ -10,6 +10,7 @@ from tricover import (
     add_matching_between,
     base_graph,
     blowup,
+    complete_trigraph,
     is_triangle_free,
     link_graph_for,
 )
@@ -83,6 +84,12 @@ def test_bad_multiplicity_rejected():
             BlowupSpec(Graph(2, [(0, 1)]), mult)
 
 
+@pytest.mark.parametrize("base", [None, complete_trigraph(4)], ids=["None", "TriGraph"])
+def test_base_must_be_a_graph(base):
+    with pytest.raises(ValueError, match=r"^expected a 2-graph \(Graph\), got "):
+        BlowupSpec(base, {})
+
+
 class TestAddMatchingBetween:
     def test_empty_classes_leave_graph_unchanged(self):
         g = Graph(3, [(0, 1)])
@@ -147,6 +154,11 @@ class TestAddEdgeList:
     def test_malformed_pair_is_value_error(self, pair):
         with pytest.raises(ValueError, match="is not a 2-element vertex set"):
             add_edge_list(Graph(3), [pair])
+
+    @pytest.mark.parametrize("g", [None, complete_trigraph(4)], ids=["None", "TriGraph"])
+    def test_refuses_anything_but_a_graph(self, g):
+        with pytest.raises(ValueError, match=r"^expected a 2-graph \(Graph\), got "):
+            add_edge_list(g, [(0, 1)])
 
     def test_iterator_pair(self):
         assert add_edge_list(Graph(3), [iter((2, 0))]).edges() == [(0, 2)]

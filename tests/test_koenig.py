@@ -10,6 +10,7 @@ from tricover import (
     bipartite_edge_coloring,
     coloring_is_valid,
     complete_bipartite_matchings,
+    complete_trigraph,
 )
 
 from _brute import random_bipartite, random_regular_bipartite
@@ -160,6 +161,15 @@ class TestCompleteBipartiteMatchings:
     def test_side_sizes_must_be_ints(self, a, b):
         with pytest.raises(ValueError, match="side sizes must be ints"):
             complete_bipartite_matchings(a, b)
+
+
+@pytest.mark.parametrize("G", [None, complete_trigraph(4)], ids=["None", "TriGraph"])
+def test_refuses_anything_but_a_graph(G):
+    # the guard the 2-graph helpers share with is_triangle_free
+    with pytest.raises(ValueError, match=r"^expected a 2-graph \(Graph\), got "):
+        bipartite_edge_coloring(G)
+    with pytest.raises(ValueError, match=r"^expected a 2-graph \(Graph\), got "):
+        coloring_is_valid(G, EdgeColoring(classes=(), delta=0))
 
 
 def test_property_sweep_random_instances():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -48,6 +49,7 @@ from _brute import (
     bf_exact_c2,
     bf_greedy_value,
     bf_is_adjacent_leader,
+    bf_is_covered,
     bf_lexmin_links,
     bf_link_vector,
     bf_sample_above_threshold,
@@ -241,6 +243,12 @@ START_CELLS = [(n, name) for n in range(5, 11) for name in ("K4-", "K5-", "K4", 
 
 def _pattern(name):
     return {"book2": BOOK2, "book3": BOOK3, "path": PATH, "edge": EDGE}.get(name) or builtin_pattern(name)
+
+
+def _link_covers(n, F, link):
+    """Whether the link of vertex 0, as host pairs, puts vertex 0 in a copy
+    of F by itself, by the brute-force embedder."""
+    return bf_is_covered(TriGraph(n, [(0, a, b) for a, b in link]), 0, F)
 
 
 def _answer(res):
@@ -478,8 +486,8 @@ class TestLexLeaders:
     include the lex-min labelling of every isomorphism class."""
 
     @staticmethod
-    def leaves(n):
-        inner = _InnerSearch(n, builtin_pattern("K5"))
+    def leaves(n, F=builtin_pattern("K5")):
+        inner = _InnerSearch(n, F)
         found = []
 
         def record(N, v, budget):
@@ -541,7 +549,17 @@ class TestIncrementalBound:
     completion at exactly the same levels, so the best delta2 agrees too,
     though at a given level it may return another completion.  K4 and K4-
     links never reach this search (``leaf_value`` completes them), so it is
-    not run on them."""
+    not run on them; nor, for the other patterns, on links that cover
+    vertex 0 by themselves, which the link search never hands over."""
+
+    @staticmethod
+    def handed_over(inner, F, bits):
+        """Whether the link search may hand the link over to the completion:
+        every link for a clique pattern, and otherwise one that leaves
+        vertex 0 uncovered on its own."""
+        if clique_profile(F) is not None:
+            return True
+        return not _link_covers(inner.n, F, TestClosedFormStep.link_of(inner, bits)[1])
 
     @staticmethod
     def agree(inner, F, bits):
@@ -569,14 +587,26 @@ class TestIncrementalBound:
     def test_every_link_at_6(self, F):
         inner = _InnerSearch(6, F)
         for bits in range(1 << len(inner.pairs)):
-            self.agree(inner, F, bits)
+            if self.handed_over(inner, F, bits):
+                self.agree(inner, F, bits)
 
-    @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5"), BOOK2], ids=lambda F: F.name)
+    @pytest.mark.parametrize(
+        "F", [K5M, builtin_pattern("K5"), BOOK2, PATH, BOOK3], ids=lambda F: F.name,
+    )
     def test_seeded_links_at_7(self, F):
+        # a link leaving vertex 0 uncovered is sparse for the other patterns,
+        # so they draw each link as the meet of three random ones
         inner = _InnerSearch(7, F)
         rng = Random(77)
-        for _ in range(500):
-            self.agree(inner, F, rng.getrandbits(len(inner.pairs)))
+        draws = 1 if clique_profile(F) is not None else 3
+        checked = 0
+        while checked < 500:
+            bits = -1
+            for _ in range(draws):
+                bits &= rng.getrandbits(len(inner.pairs))
+            if self.handed_over(inner, F, bits):
+                self.agree(inner, F, bits)
+                checked += 1
 
     @pytest.mark.parametrize("F", [K5M, builtin_pattern("K5")], ids=lambda F: F.name)
     def test_seeded_links_at_8(self, F):
@@ -666,7 +696,7 @@ class TestOneWitness:
         assert built == [8]
 
 
-    @pytest.mark.parametrize("n, value, nodes", [(6, 0, 133), (7, 1, 532), (8, 0, 8_722)])
+    @pytest.mark.parametrize("n, value, nodes", [(6, 0, 43), (7, 1, 92), (8, 0, 101)])
     def test_book2_keeps_its_values_and_node_counts(self, n, value, nodes):
         res = exact_c2(n, BOOK2)
         assert (res.value, res.nodes_explored, res.exhaustive) == (value, nodes, True)
@@ -701,7 +731,10 @@ class TestOneWitness:
 
 # sha256 of the sorted-key JSON of each ``exact_c2(...).to_dict()`` without
 # its elapsed_seconds, as recorded before the completion search lost its
-# root pass (forced exclusion of the sets the link alone fills)
+# root pass (forced exclusion of the sets the link alone fills); the book2,
+# book3 and path cells as recorded once the link search cut links covering
+# vertex 0, which kept their values and witnesses and lowered their node
+# counts
 EXACT_DIGESTS = json.loads((Path(__file__).parent / "data" / "exact_c2_digests.json").read_text())
 
 
@@ -746,6 +779,46 @@ class TestNoFullSetAtTheRoot:
         for v in range(inner.nv):
             inner.search_level(v, _Budget(None, None))
         assert links and not any(any(N) for N in links)
+
+
+class TestLinkOnlyCovering:
+    """``search_level`` is the one place that refuses a link covering
+    vertex 0 by itself.  For a pattern that is not K_t or K_t^- it cuts an
+    include once the link covers vertex 0, so at every level the completion
+    search gets only links leaving vertex 0 uncovered, checked here by the
+    brute-force embedder on the link alone."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("name", ["book2", "book3", "path"])
+    def test_no_handed_link_covers_vertex_0(self, n, name, monkeypatch):
+        F = _pattern(name)
+        links = []
+        complete = _InnerSearch._complete
+
+        def spying(self, N, v, budget):
+            link = [(x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
+            assert not _link_covers(n, F, link), (link, v)
+            links.append(link)
+            return complete(self, N, v, budget)
+
+        monkeypatch.setattr(_InnerSearch, "_complete", spying)
+        inner = _InnerSearch(n, F)
+        for v in range(inner.nv):
+            inner.search_level(v, _Budget(None, None))
+        assert links
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("name", ["book2", "book3", "path"])
+    def test_level_0_leaves_are_the_uncovered_leaders(self, n, name):
+        # no degree bound cuts at level 0, so the cut refuses exactly the
+        # adjacent leaders that cover vertex 0, and no other link
+        F = _pattern(name)
+        pairs = list(combinations(range(n - 1), 2))
+        leaders = {
+            vec for vec in TestLexLeaders.leaves(n)
+            if not _link_covers(n, F, [(a + 1, b + 1) for (a, b), bit in zip(pairs, vec) if bit])
+        }
+        assert TestLexLeaders.leaves(n, F) == leaders
 
 
 class TestOneEdgePattern:
@@ -922,6 +995,13 @@ class TestCertifyUpperBehavior:
     def test_bool_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             certify_upper_behavior(9, K4M, True, 10)
+
+    @pytest.mark.parametrize("seed", [None, [1], True, 1.5, "1"], ids=repr)
+    def test_malformed_seed_rejected(self, seed):
+        # None would seed the samples from the clock, so two runs would
+        # differ while the report gave one seed
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            certify_upper_behavior(9, K4M, 3, 10, seed=seed)
 
     def test_too_few_vertices_for_pattern(self):
         with pytest.raises(ValueError, match="host the pattern"):
