@@ -45,8 +45,11 @@ def blowup(spec: BlowupSpec) -> BlowupResult:
     """Construct the blowup of ``spec.base`` with the given multiplicities.
 
     Copies inherit the base vertex's class label when the base carries one,
-    else the stringified base index.
+    else the stringified base index.  Anything but a ``BlowupSpec`` raises
+    ValueError.
     """
+    if not isinstance(spec, BlowupSpec):
+        raise ValueError(f"expected a BlowupSpec, got {type(spec).__name__}")
     base = spec.base
     class_members: dict[int, list[int]] = {}
     class_of: dict[int, str] = {}
@@ -72,8 +75,11 @@ def add_matching_between(result: BlowupResult, class_a: int, class_b: int) -> Gr
     The i-th member of class_a is joined to the i-th member of class_b.  The
     classes must currently be non-adjacent (their base vertices were not
     adjacent), so the insertion is a genuine matching between independent sets.
-    Empty classes yield the graph unchanged.
+    Empty classes yield the graph unchanged.  Anything but a ``BlowupResult``
+    raises ValueError.
     """
+    if not isinstance(result, BlowupResult):
+        raise ValueError(f"expected a BlowupResult, got {type(result).__name__}")
     members_a = result.class_members.get(class_a)
     members_b = result.class_members.get(class_b)
     if members_a is None or members_b is None:

@@ -95,11 +95,16 @@ _H_SPECS: dict[str, dict] = {
 }
 
 
-def base_graph(name: str) -> Graph:
-    """One of the three fixed triangle-free base graphs G1, G2, G3."""
-    spec = _BASE_SPECS.get(name)
+def _base_spec(name: str) -> dict:
+    spec = _BASE_SPECS.get(name) if isinstance(name, str) else None
     if spec is None:
         raise ValueError(f"unknown base graph {name!r} (expected G1, G2 or G3)")
+    return spec
+
+
+def base_graph(name: str) -> Graph:
+    """One of the three fixed triangle-free base graphs G1, G2, G3."""
+    spec = _base_spec(name)
     r = spec["outer"]
 
     def idx(label: Union[int, str]) -> int:
@@ -125,7 +130,7 @@ def link_graph_for(family: str, m: int) -> Graph:
     classes of size m-1, outer vertices kept single) plus the family's
     matchings.  For m = 1 the hexagon classes are empty and only the outer
     part survives."""
-    spec = _H_SPECS.get(family)
+    spec = _H_SPECS.get(family) if isinstance(family, str) else None
     if spec is None:
         raise ValueError(f"unknown construction family {family!r}")
     _check_m(m)
@@ -372,7 +377,7 @@ def _check_kind(obj: object, family: str, kind: type) -> None:
 
 def check_base_graph(G: Graph, name: str) -> ClaimReport:
     _check_kind(G, name, Graph)
-    exp_n, exp_edges = _BASE_SPECS[name]["counts"]
+    exp_n, exp_edges = _base_spec(name)["counts"]
     checks = {
         "vertex_count": G.n == exp_n,
         "edge_count": G.edge_count == exp_edges,
@@ -391,7 +396,7 @@ def check_h_construction(H: TriGraph, family: str, m: Optional[int] = None) -> C
     embedder's refutation of x from the same masks.  A ``Graph`` raises
     ValueError.
     """
-    if family not in _H_SPECS:
+    if not isinstance(family, str) or family not in _H_SPECS:
         raise ValueError(f"{family!r} is not one of the blowup-link families")
     _check_kind(H, family, TriGraph)
     if m is None:

@@ -22,10 +22,11 @@ obstruction on row x of the table, which holds the link of x.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import lt
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def _is_int(v: object) -> bool:
@@ -72,12 +73,20 @@ def _canonical_edge(e: Iterable[int], n: int, k: int) -> tuple[int, ...]:
 
 
 def _check_labels(class_of: Optional[Mapping[int, str]], n: int) -> Optional[dict[int, str]]:
-    """A copy of the vertex labels, every labelled vertex checked against n."""
+    """A copy of the vertex labels, every labelled vertex checked against n
+    and every label a non-empty str with no whitespace, so that both file
+    formats can write it as one token and read it back."""
     if class_of is None:
         return None
-    for v in class_of:
+    if not isinstance(class_of, Mapping):
+        raise ValueError(f"class labels must be a mapping, got {type(class_of).__name__}")
+    labels = dict(class_of)
+    for v, label in labels.items():
         _check_vertex(v, n)
-    return dict(class_of)
+        # split() cuts at exactly the characters isspace() accepts
+        if not (isinstance(label, str) and label.split() == [label]):
+            raise ValueError(f"class label {label!r} must be a non-empty string with no whitespace")
+    return labels
 
 
 class Graph:
@@ -112,13 +121,6 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self.class_of = _check_labels(class_of, n)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        _check_vertex(v, self.n)
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_vertex(u, self.n)
@@ -379,4 +381,5 @@ def is_triangle_free(G: Graph) -> TriangleCheck:
 
 def complete_trigraph(n: int) -> TriGraph:
     """The complete 3-graph on n vertices."""
+    _check_count(n)
     return TriGraph(n, combinations(range(n), 3))

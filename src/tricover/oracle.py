@@ -543,11 +543,13 @@ def exact_c2(
     that a budget ending it at any level still leaves the best bound
     reached.
     ``n`` must be an int, ``pattern`` a ``Pattern`` (a name is not
-    resolved), and a budget finite and non-negative (a node budget an int);
-    anything else raises ValueError.
+    resolved), a budget finite and non-negative (a node budget an int), and
+    ``allow_large`` a bool; anything else raises ValueError.
     """
     _check_instance(n, pattern)
     budget = _Budget(node_budget, time_budget)
+    if type(allow_large) is not bool:
+        raise ValueError(f"allow_large must be a bool, got {allow_large!r}")
     budgeted = node_budget is not None or time_budget is not None
     if n > DEFAULT_HARD_CAP:
         if not allow_large:

@@ -138,6 +138,7 @@ def _check_pattern(F: object) -> None:
 def clique_profile(F: Pattern) -> Optional[tuple[int, int]]:
     """(t, threshold) when F is K_t or K_t^-: a t-set hosts a copy of F iff it
     spans at least ``threshold`` edges.  None for other shapes."""
+    _check_pattern(F)
     full = comb(F.t, 3)
     if F.edge_count == full:
         return F.t, full

@@ -52,9 +52,9 @@ def test_blowup_degree_formula():
     mult = {v: (v % 3) + 1 for v in range(base.n)}
     res = blowup(BlowupSpec(base, mult))
     for v in range(base.n):
-        expected = sum(mult[u] for u in base.neighbors(v))
+        expected = sum(mult[u] for u in base.adj[v])
         for copy in res.class_members[v]:
-            assert res.graph.degree(copy) == expected
+            assert len(res.graph.adj[copy]) == expected
 
 
 def test_blowup_deterministic():
@@ -108,7 +108,7 @@ class TestAddMatchingBetween:
     def test_h1_link_m2_is_4_regular_on_v1(self):
         link = link_graph_for("H1", 2)
         lab = [v for v, s in link.class_of.items() if s == "v1"]
-        assert lab and all(link.degree(v) == 4 for v in lab)
+        assert lab and all(len(link.adj[v]) == 4 for v in lab)
 
     def test_size_mismatch(self):
         res = blowup(BlowupSpec(Graph(2), {0: 2, 1: 3}))
@@ -126,11 +126,20 @@ class TestAddMatchingBetween:
             add_matching_between(res, 0, 9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: blowup(None), "^expected a BlowupSpec, got NoneType$"),
+    (lambda: add_matching_between(None, 0, 1), "^expected a BlowupResult, got NoneType$"),
+], ids=["blowup", "add_matching_between"])
+def test_refuses_a_wrong_argument_type(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestAddEdgeList:
     def test_matching_on_8_cycle_reaches_degree_3(self):
         cyc = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
         g = add_edge_list(cyc, [(0, 4), (1, 5), (2, 6), (3, 7)])
-        assert all(g.degree(v) == 3 for v in range(8))
+        assert all(len(g.adj[v]) == 3 for v in range(8))
 
     def test_empty_list(self):
         g = Graph(4, [(0, 1)])

@@ -81,15 +81,15 @@ class TestBaseGraphs:
         g = base_graph("G1")
         lab = {s: v for v, s in g.class_of.items()}
         v1 = lab["v1"]
-        assert g.degree(v1) == 3
-        assert g.neighbors(v1) == {lab["v2"], lab["v6"], lab["1"]}
+        assert len(g.adj[v1]) == 3
+        assert g.adj[v1] == {lab["v2"], lab["v6"], lab["1"]}
 
     def test_g3_degree_of_vertex_9(self):
         g = base_graph("G3")
         lab = {s: v for v, s in g.class_of.items()}
         nine = lab["9"]
-        assert g.degree(nine) == 5
-        assert g.neighbors(nine) == {lab["1"], lab["3"], lab["7"], lab["v2"], lab["v5"]}
+        assert len(g.adj[nine]) == 5
+        assert g.adj[nine] == {lab["1"], lab["3"], lab["7"], lab["v2"], lab["v5"]}
 
     def test_hexagon_and_outer_cycle_present(self):
         for name, r in (("G1", 5), ("G2", 8), ("G3", 8)):
@@ -110,7 +110,7 @@ class TestLinkFamilies:
         H = construct_h("H1", 1)
         assert H.n == 6 and H.distinguished == 0
         link = link_graph(H, 0).graph
-        assert all(link.degree(v) == 2 for v in range(5)) and link.edge_count == 5
+        assert all(len(link.adj[v]) == 2 for v in range(5)) and link.edge_count == 5
         assert min_codegree(H).min == 2
 
     def test_h2_m1(self):
@@ -130,7 +130,7 @@ class TestLinkFamilies:
     def test_link_regularity(self, family, m):
         H = construct_h(family, m)
         link = link_graph(H, 0).graph
-        degs = sorted(link.degree(v) for v in range(link.n))
+        degs = sorted(len(link.adj[v]) for v in range(link.n))
         if family == "H1":
             assert degs == [2 * m] * (H.n - 1)
         elif family == "H2":
@@ -424,6 +424,19 @@ def test_a_family_that_is_not_a_string_is_unknown():
         check_construction(construct_h("H1", 1), ["H1"])
     with pytest.raises(ValueError, match=message):
         verify_claim(["H1"], m=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: base_graph([]), r"^unknown base graph \[\] \(expected G1, G2 or G3\)$"),
+    (lambda: link_graph_for([], 1), r"^unknown construction family \[\]$"),
+    (lambda: construct_h([], 1), r"^unknown construction family \[\]$"),
+    (lambda: check_h_construction(construct_h("H1", 1), []), r"^\[\] is not one of the blowup-link families$"),
+    (lambda: check_base_graph(base_graph("G1"), []), r"^unknown base graph \[\] \(expected G1, G2 or G3\)$"),
+], ids=["base_graph", "link_graph_for", "construct_h", "check_h_construction", "check_base_graph"])
+def test_a_name_that_is_not_a_string_is_unknown(call, message):
+    # an unhashable name must not escape from a dict lookup as TypeError
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_dispatch_calls_builders_and_checkers_through_module_attributes(monkeypatch):

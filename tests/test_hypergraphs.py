@@ -1,5 +1,6 @@
 """Core type and degree-query tests."""
 
+import re
 from itertools import combinations
 from random import Random
 
@@ -121,6 +122,11 @@ class TestTriGraph:
         with pytest.raises(ValueError, match="vertex count"):
             TriGraph(n, [(0, 1, 4)] if n == 5.5 else [])
 
+    @pytest.mark.parametrize("n", [1.0, "4", None, True], ids=repr)
+    def test_complete_trigraph_refuses_a_non_int_count(self, n):
+        with pytest.raises(ValueError, match="^vertex count .* is not an int$"):
+            complete_trigraph(n)
+
     def test_iterator_edge(self):
         assert TriGraph(4, [iter((3, 0, 1))]).edges == ((0, 1, 3),)
         with pytest.raises(ValueError, match=r"edge \(2, 0, 2\) is not"):
@@ -170,6 +176,28 @@ class TestTriGraph:
             assert H != plain and plain != H
             assert all(H != other for other in marked[i + 1:])
             assert H == TriGraph(4, reversed(edges), distinguished=H.distinguished, class_of=H.class_of)
+
+
+_BOTH_TYPES = pytest.mark.parametrize(
+    "build", [lambda c: Graph(3, class_of=c), lambda c: TriGraph(3, class_of=c)], ids=["Graph", "TriGraph"]
+)
+
+
+class TestLabels:
+    """The label rule both graph types run on ``class_of``."""
+
+    @pytest.mark.parametrize("label", [5, None, "", "two words", "a\xa0b", "tab\t", "\n"], ids=repr)
+    @_BOTH_TYPES
+    def test_bad_label_refused_at_construction(self, build, label):
+        # a label is written as one token, so no writer could spell these
+        with pytest.raises(ValueError, match=f"^class label {re.escape(repr(label))} must be a non-empty"):
+            build({0: "ok", 1: label})
+
+    @pytest.mark.parametrize("class_of", [[1], "ab", {(0, "a")}], ids=["list", "str", "set"])
+    @_BOTH_TYPES
+    def test_labels_must_be_a_mapping(self, build, class_of):
+        with pytest.raises(ValueError, match="^class labels must be a mapping, got "):
+            build(class_of)
 
 
 class TestEdgeForms:
@@ -330,16 +358,16 @@ class TestLinkGraph:
     def test_h1_m1_link_is_5_cycle(self):
         link = link_graph(construct_h("H1", 1), 0).graph
         assert link.n == 5
-        assert all(link.degree(v) == 2 for v in range(5))
+        assert all(len(link.adj[v]) == 2 for v in range(5))
         assert link.edge_count == 5
 
     def test_h3_m1_link_profile(self):
         # one vertex of degree 4 (the one labeled "1"), the other eight of degree 3
         H = construct_h("H3", 1)
         link = link_graph(H, 0)
-        degs = sorted(link.graph.degree(v) for v in range(link.graph.n))
+        degs = sorted(len(link.graph.adj[v]) for v in range(link.graph.n))
         assert degs == [3] * 8 + [4]
-        heavy = max(range(link.graph.n), key=link.graph.degree)
+        heavy = max(range(link.graph.n), key=lambda v: len(link.graph.adj[v]))
         assert H.class_of[link.to_host[heavy]] == "1"
 
     def test_out_of_range(self):
@@ -356,7 +384,7 @@ class TestLinkGraph:
         x = data.draw(st.integers(0, H.n - 1))
         link = link_graph(H, x)
         for i, host in enumerate(link.to_host):
-            assert link.graph.degree(i) == codegree(H, x, host)
+            assert len(link.graph.adj[i]) == codegree(H, x, host)
 
     @settings(max_examples=60, deadline=None)
     @given(trigraphs(max_n=8))

@@ -225,6 +225,12 @@ class TestBudgets:
         with pytest.raises(ValueError, match="budget"):
             exact_c2(11, K4M, allow_large=True, **budget)
 
+    @pytest.mark.parametrize("flag", ["no", 1, None], ids=repr)
+    def test_allow_large_must_be_a_bool(self, flag):
+        # a truthy "no" once opened the search past the hard cap
+        with pytest.raises(ValueError, match=f"^allow_large must be a bool, got {flag!r}$"):
+            exact_c2(11, K4M, allow_large=flag, node_budget=5)
+
     def test_zero_budgets_are_legal(self):
         res = exact_c2(11, K4M, allow_large=True, node_budget=0)
         assert not res.exhaustive and res.nodes_explored == 1 and res.witness is None

@@ -106,6 +106,10 @@ class TestBuiltinPatterns:
         odd = Pattern(5, frozenset({(0, 1, 2), (2, 3, 4)}), "pair")
         assert clique_profile(odd) is None
 
+    def test_clique_profile_refuses_a_non_pattern(self):
+        with pytest.raises(ValueError, match="^pattern must be a Pattern, got None$"):
+            clique_profile(None)
+
 
 def _embedding_is_valid(H, F, emb):
     if len(set(emb)) != F.t:
