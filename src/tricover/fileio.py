@@ -39,6 +39,7 @@ could otherwise ask for gigabytes.
 from __future__ import annotations
 
 import json
+import os
 import re
 from itertools import repeat
 from operator import lt
@@ -310,9 +311,21 @@ def parse_any(text: str) -> GraphLike:
     return parse_edge_list(text)
 
 
+def _check_path(path: object) -> None:
+    # Path() takes only a str or an os.PathLike whose __fspath__ gives a str
+    try:
+        ok = isinstance(os.fspath(path), str)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+
+
 def load(path: Union[str, Path]) -> GraphLike:
+    _check_path(path)
     return parse_any(_read_text(path))
 
 
 def save(obj: GraphLike, path: Union[str, Path]) -> None:
+    _check_path(path)
     Path(path).write_text(write_edge_list(obj), encoding="utf-8", newline="\n")

@@ -745,27 +745,6 @@ def _mask_trigraph(n: int, inc: int) -> TriGraph:
     return TriGraph(n, [tri for i, tri in enumerate(_index_tables(n)[1]) if inc >> i & 1])
 
 
-def _choice_bit(rng: Random, mask: int) -> int:
-    """The index of the set bit of ``mask`` (not 0) that ``rng.choice`` picks
-    from the list of its set bits' indices in increasing order, leaving
-    ``rng`` in the same state.
-
-    CPython's ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and for a
-    ``Random`` ``_randbelow(k)`` is ``_randbelow_with_getrandbits``: draw
-    ``getrandbits(k.bit_length())`` until the value is below k.  Here k is
-    the popcount, and the r-th set bit is the lowest one left after the
-    lowest r are cleared.
-    """
-    k = mask.bit_count()
-    b = k.bit_length()
-    r = rng.getrandbits(b)
-    while r >= k:
-        r = rng.getrandbits(b)
-    for _ in range(r):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
-
-
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, int]:
     """A random 3-graph with delta2 > threshold, as (its triple mask, the
     number of repair steps): start from density 1/2 and repair by adding
@@ -776,44 +755,74 @@ def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, i
     codegree of a pair is the popcount of the mask under the pair's triple
     mask (``_index_tables``, built once per n).  The repair step takes the
     lexicographically first pair of minimum codegree and a uniform choice
-    among its absent triples, ``pair_tri_mask[p] & ~inc``, in increasing
-    order, which is increasing third vertex.  Codegrees only grow, so the
-    pairs at one minimum value are met in that order by ``counts.index``
-    from just past the last one repaired; a sentinel at the end of
-    ``counts`` ends each value's pass.
+    among its absent triples in increasing order, which is increasing third
+    vertex.  Codegrees only grow, so the pairs at one minimum value are met
+    in that order by ``counts.index`` from just past the last one repaired;
+    a sentinel at the end of ``counts`` ends each value's pass.  The loop
+    keeps the complement of the sample, ``absent``, and clears each chosen
+    triple's bit in it, so a pair's absent triples are
+    ``pair_tri_mask[p] & absent``, and at codegree lo there are
+    k = n - 2 - lo of them.
 
     The random stream is that of one rng.random() per triple in
     ``combinations`` order, then one rng.choice per repair step.  The
     random() calls are drawn at once by ``_coin_flips``: triple i is kept
     exactly when bit 31 of the first of its two Mersenne Twister words is
     clear, which is the top bit of byte 8i + 3 of
-    ``getrandbits(64 * T).to_bytes(8 * T, "little")`` for T triples.  Each
-    choice is drawn on the absent mask by ``_choice_bit``, with the
-    ``getrandbits`` calls that ``choice`` makes.  So a seed draws the same
-    graphs as the dictionary-based reference ``bf_sample_above_threshold``
-    in the tests, one random() per triple and one choice per repair, and
-    leaves the generator in the same state.
+    ``getrandbits(64 * T).to_bytes(8 * T, "little")`` for T triples.
+    CPython's ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, and for a
+    ``Random`` ``_randbelow(k)`` draws ``getrandbits(k.bit_length())``
+    until the value r is below k; the loop makes the same calls and takes
+    the r-th set bit of the pair's absent mask from the nearer end: when
+    2r < k it clears the lowest bit r times and takes the lowest left,
+    otherwise it clears the highest bit k - 1 - r times and takes the
+    highest left.  So a seed draws the same graphs as the dictionary-based
+    reference ``bf_sample_above_threshold`` in the tests, one random() per
+    triple and one choice per repair, and leaves the generator in the same
+    state.
     """
     _, triples, pair_tri_mask, tri_pairs = _index_tables(n)
+    full = (1 << len(triples)) - 1
     inc = _coin_flips(rng, len(triples))
-    counts = [(inc & m).bit_count() for m in pair_tri_mask]
+    counts = list(map(int.bit_count, map(inc.__and__, pair_tri_mask)))
     end = len(counts)
     start = min(counts)
     counts.append(start)
-    repairs = 0
+    absent = full ^ inc
+    getrandbits = rng.getrandbits
     for lo in range(start, threshold + 1):
         # every pair is at lo or above, and a repair moves later pairs at lo
         # up, never earlier ones down: the next pair at lo is past p
         counts[end] = lo
+        k = n - 2 - lo
+        last = k - 1
+        width = k.bit_length()
         p = counts.index(lo)
         while p < end:
-            i = _choice_bit(rng, pair_tri_mask[p] & ~inc)
-            inc |= 1 << i
-            repairs += 1
-            for q in tri_pairs[i]:
-                counts[q] += 1
+            r = getrandbits(width)
+            while r >= k:
+                r = getrandbits(width)
+            mask = pair_tri_mask[p] & absent
+            if 2 * r < k:
+                while r:
+                    mask &= mask - 1
+                    r -= 1
+                i = (mask & -mask).bit_length() - 1
+            else:
+                i = mask.bit_length() - 1
+                while r < last:
+                    mask ^= 1 << i
+                    i = mask.bit_length() - 1
+                    r += 1
+            absent ^= 1 << i
+            x, y, z = tri_pairs[i]
+            counts[x] += 1
+            counts[y] += 1
+            counts[z] += 1
             p = counts.index(lo, p + 1)
-    return inc, repairs
+    # each repair step adds one triple
+    repaired = full ^ absent
+    return repaired, repaired.bit_count() - inc.bit_count()
 
 
 def certify_upper_behavior(

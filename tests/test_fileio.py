@@ -1,6 +1,7 @@
 """Edge-list and JSON round-trip tests."""
 
 import json
+import os
 import re
 import sys
 from random import Random
@@ -418,6 +419,20 @@ def test_save_load(tmp_path):
     assert load(path) == H
     raw = path.read_bytes()
     assert b"\r" not in raw and raw.endswith(b"\n")
+
+
+class BytesPath(os.PathLike):
+    def __fspath__(self):
+        return b"x"
+
+
+@pytest.mark.parametrize("path", [None, 5, b"x", BytesPath()], ids=["None", "int", "bytes", "bytes-PathLike"])
+@pytest.mark.parametrize("call", [load, lambda path: save(construct("H1", m=1), path)], ids=["load", "save"])
+def test_path_of_the_wrong_type_rejected(call, path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"path must be a str or os.PathLike, got {type(path).__name__}"):
+        call(path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_json_document():

@@ -33,7 +33,6 @@ from tricover import (
 from tricover.oracle import (
     _Budget,
     _InnerSearch,
-    _choice_bit,
     _coin_flips,
     _covered_vertices,
     _index_tables,
@@ -838,6 +837,26 @@ class TestOneEdgePattern:
         assert res.witness == TriGraph(n, combinations(range(1, n), 3), distinguished=0)
 
 
+# every (n, threshold) the sampler takes with 5 <= n <= 12
+SAMPLER_SHAPES = [(n, threshold) for n in range(5, 13) for threshold in range(n - 2)]
+
+
+class CountingRandom(Random):
+    """A Random that counts its choice() calls and records each as
+    (len(seq), the index picked)."""
+
+    def __init__(self, seed):
+        self.choices = 0
+        self.picks = []
+        super().__init__(seed)
+
+    def choice(self, seq):
+        self.choices += 1
+        pick = super().choice(seq)
+        self.picks.append((len(seq), seq.index(pick)))
+        return pick
+
+
 class TestCertifyUpperBehavior:
     def test_limited_to_n_12(self):
         with pytest.raises(ValueError, match=r"limited to n <= 12"):
@@ -884,18 +903,31 @@ class TestCertifyUpperBehavior:
                 assert keep >> count == 0
             assert ours.getstate() == ref.getstate()
 
-    @pytest.mark.parametrize("k", range(1, 11))
-    def test_choice_bit_matches_choice(self, k):
-        # each repair step's bounded draw must pick what rng.choice picks
-        # from the set bits' indices in increasing order, with the same
-        # getrandbits calls; k = 1 .. 10 covers every absent count up to n = 12
-        for seed in (0, 1, 7, 2016, 20160901):
-            ours, ref, spots = Random(seed), Random(seed), Random(seed + 1)
-            for _ in range(40):
-                indices = sorted(spots.sample(range(220), k))
-                mask = sum(1 << i for i in indices)
-                assert _choice_bit(ours, mask) == ref.choice(indices)
-            assert ours.getstate() == ref.getstate()
+    @pytest.mark.parametrize("n, threshold", SAMPLER_SHAPES)
+    def test_every_shape_draws_as_the_reference_sampler(self, n, threshold):
+        # each repair step's inline draw must pick what rng.choice picks from
+        # the pair's absent third vertices, with the same getrandbits calls:
+        # every shape up to n = 12 draws the same graphs, leaves the same
+        # state and makes as many repair steps as the reference makes choices
+        ours, ref = Random(n * 100 + threshold), CountingRandom(n * 100 + threshold)
+        repairs = 0
+        for _ in range(20):
+            inc, steps = _sample_above_threshold(n, threshold, ours)
+            repairs += steps
+            assert _mask_trigraph(n, inc) == bf_sample_above_threshold(n, threshold, ref)
+        assert ours.getstate() == ref.getstate()
+        assert repairs == ref.choices
+
+    def test_shapes_reach_both_ends_of_the_select(self):
+        # the shapes above hold k = 1 (one absent triple, at threshold n - 3)
+        # and, for k >= 2, picks on both sides of the middle
+        ends = set()
+        for n, threshold in SAMPLER_SHAPES:
+            ref = CountingRandom(n * 100 + threshold)
+            for _ in range(20):
+                bf_sample_above_threshold(n, threshold, ref)
+            ends |= {"k = 1" if k == 1 else "low" if 2 * r < k else "high" for k, r in ref.picks}
+        assert ends == {"k = 1", "low", "high"}
 
     @pytest.mark.parametrize(
         "n, threshold",
@@ -971,13 +1003,6 @@ class TestCertifyUpperBehavior:
         assert ref and rep.counterexamples == ref
 
     def test_repairs_count_the_reference_sampler_choices(self):
-        class CountingRandom(Random):
-            choices = 0
-
-            def choice(self, seq):
-                self.choices += 1
-                return super().choice(seq)
-
         for n, F, threshold in ((12, K4M, 4), (8, K5M, 2), (7, BOOK2, 1)):
             rep = certify_upper_behavior(n, F, threshold, 30, seed=4)
             ref = CountingRandom(4)
