@@ -148,23 +148,47 @@ def link_graph_for(family: str, m: int) -> Graph:
     return g
 
 
+def _triple_mask(n: int, thirds: Callable[[int, int], int]) -> int:
+    """The triple mask on n vertices, bit i for the i-th triple of
+    ``combinations(range(n), 3)``, holding {a, b, c} with a < b < c exactly
+    when bit c of ``thirds(a, b)`` is set (bits c <= b are ignored).
+
+    In that order the triples of a pair a < b are one block of n - 1 - b
+    bits, one per c > b in increasing order, so the blocks are joined from
+    the last pair back to the first, each below those after it.
+    """
+    width_mask = [(1 << (n - 1 - b)) - 1 for b in range(n)]
+    mask = 0
+    for a in range(n - 3, -1, -1):
+        for b in range(n - 2, a, -1):
+            mask = mask << (n - 1 - b) | thirds(a, b) >> (b + 1) & width_mask[b]
+    return mask
+
+
 def construct_h(family: str, m: int) -> TriGraph:
     """Build H1, H2 or H3 with parameter m >= 1.
 
     Vertex 0 is the distinguished vertex x; its link is
     :func:`link_graph_for` shifted by one.  Every triple avoiding x is an
-    edge exactly when it spans at most one link edge.
+    edge exactly when it spans at most one link edge: for a link pair ab
+    its thirds are the vertices adjacent to neither end, and for any other
+    pair those adjacent to at most one.
     """
     link = link_graph_for(family, m)
-    edges: list[tuple[int, int, int]] = [(0, a + 1, b + 1) for a, b in link.edges()]
-    adj = link.adj
-    for a, b, c in combinations(range(link.n), 3):
-        if (b in adj[a]) + (c in adj[a]) + (c in adj[b]) <= 1:
-            edges.append((a + 1, b + 1, c + 1))
+    # adjacency masks over H's vertices; x = 0 lies outside the link
+    nbrs = [0] + [sum(1 << (w + 1) for w in ws) for ws in link.adj]
+
+    def thirds(a: int, b: int) -> int:
+        if a == 0:
+            return nbrs[b]
+        na, nb = nbrs[a], nbrs[b]
+        return ~(na | nb) if na >> b & 1 else ~(na & nb)
+
     class_of = {0: "x"}
     for v in range(link.n):
         class_of[v + 1] = link.class_of[v]
-    return TriGraph(link.n + 1, edges, distinguished=0, class_of=class_of)
+    return TriGraph.from_mask(link.n + 1, _triple_mask(link.n + 1, thirds),
+                              distinguished=0, class_of=class_of)
 
 
 def construct_t(sizes: tuple[int, int, int]) -> TriGraph:
@@ -177,13 +201,16 @@ def construct_t(sizes: tuple[int, int, int]) -> TriGraph:
     and V1 x V2 pairs exactly 1.
     """
     a, m, ell = _check_sizes(sizes)
-    coloring = complete_bipartite_matchings(a, m)
-    edges = []
-    for i in range(m):
-        for u, w in coloring.classes[i]:
-            edges.append((u, w, a + m + i))
+    edges = [(u, w, z) for (u, w), z in _t_thirds(a, m).items()]
     class_of = {v: f"V{_part(v, a, m) + 1}" for v in range(a + m + ell)}
     return TriGraph(a + m + ell, edges, class_of=class_of)
+
+
+def _t_thirds(a: int, m: int) -> dict[tuple[int, int], int]:
+    """The third-part vertex of T joined to each V1 x V2 pair (u, w), for
+    |V1| = a and |V2| = m: matching class i of K(V1, V2) picks vertex a + m + i."""
+    coloring = complete_bipartite_matchings(a, m)
+    return {pair: a + m + i for i in range(m) for pair in coloring.classes[i]}
 
 
 def _check_sizes(sizes: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -221,21 +248,23 @@ def construct_h4(n: int) -> TriGraph:
     and the transversal triples of :func:`construct_t` on the parts.
     """
     a, m, ell = h4_part_sizes(n)
-    t_graph = construct_t((a, m, ell))
-    # the parts are index ranges, so a sorted pair is cross-part exactly when
-    # a part boundary falls between its ends, and a sorted triple is
-    # transversal exactly when u <= a < w <= a + m < z; listing the edges
-    # in lexicographic order spares TriGraph a sort
+    # the parts are index ranges ending at a, b and n - 1, and T's vertices
+    # are H's shifted down by one
     b = a + m
-    transversal = {(u + 1, w + 1, z + 1) for u, w, z in t_graph.edges}
-    edges = [(0, u, w) for u, w in combinations(range(1, n), 2) if u <= a < w or u <= b < w]
-    edges += [
-        tri for tri in combinations(range(1, n), 3)
-        if not tri[0] <= a < tri[1] <= b < tri[2] or tri in transversal
-    ]
+    third = {(u + 1, w + 1): z + 1 for (u, w), z in _t_thirds(a, m).items()}
+    after_v1, after_v2 = -1 << (a + 1), -1 << (b + 1)
+    v2 = after_v1 ^ after_v2
+
+    def thirds(u: int, w: int) -> int:
+        if u == 0:  # x with the parts after w's
+            return after_v1 if w <= a else after_v2 if w <= b else 0
+        if u <= a < w <= b:  # of the transversal triples, only T's
+            return v2 | 1 << third[u, w]
+        return -1
+
     class_of = {0: "x"}
     class_of.update({v: f"V{_part(v - 1, a, m) + 1}" for v in range(1, n)})
-    return TriGraph(n, edges, distinguished=0, class_of=class_of)
+    return TriGraph.from_mask(n, _triple_mask(n, thirds), distinguished=0, class_of=class_of)
 
 
 class _Family(NamedTuple):

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
+from math import comb
 from operator import lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -154,6 +155,9 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class TriGraph:
     """Simple 3-uniform hypergraph.
 
@@ -164,7 +168,9 @@ class TriGraph:
     that first read it at once each build an equal frozenset and either may
     be kept, so the memo is benign for graphs shared across threads.
     ``distinguished`` optionally marks one vertex; the extremal constructions
-    use it for the vertex certified to be uncoverable.
+    use it for the vertex certified to be uncoverable.  ``from_mask`` builds
+    one from a triple mask, the form the constructions and the spot-check
+    compute.
     """
 
     __slots__ = ("n", "edges", "distinguished", "class_of", "_edge_set")
@@ -199,7 +205,48 @@ class TriGraph:
         self.distinguished = distinguished
         self.class_of = _check_labels(class_of, n)
 
+    @classmethod
+    def from_mask(
+        cls,
+        n: int,
+        mask: int,
+        *,
+        distinguished: Optional[int] = None,
+        class_of: Optional[Mapping[int, str]] = None,
+    ) -> TriGraph:
+        """The 3-graph whose edges are the triples whose bits are set in
+        ``mask``, bit i for the i-th triple of ``combinations(range(n), 3)``.
+
+        The mask is checked in O(1): an int (not a bool) with
+        0 <= mask < 2 ** C(n, 3); ``distinguished`` and ``class_of`` are
+        checked as ``__init__`` checks them.  Triples in ``combinations``
+        order are canonical and sorted, so the edges are read off the mask
+        by one ``compress`` and skip ``__init__``'s per-edge checks.
+        """
+        _check_count(n)
+        if not _is_int(mask):
+            raise ValueError(f"triple mask {mask!r} is not an int")
+        if mask < 0 or mask.bit_length() > comb(n, 3):
+            raise ValueError(f"triple mask is not a set of the {comb(n, 3)} triples on {n} vertices")
+        if distinguished is not None:
+            _check_vertex(distinguished, n)
+        labels = _check_labels(class_of, n)
+        H = cls.__new__(cls)
+        # the binary digits from bit 0 up, as bytes 0 and 1 for compress
+        keep = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+        H.n = n
+        H.edges = tuple(compress(combinations(range(n), 3), keep))
+        H._edge_set = None
+        H.distinguished = distinguished
+        H.class_of = labels
+        return H
+
     def has_edge(self, a: int, b: int, c: int) -> bool:
+        """Whether {a, b, c} is an edge; a repeated vertex gives False and a
+        vertex that is not an int in [0, n) raises ValueError."""
+        _check_vertex(a, self.n)
+        _check_vertex(b, self.n)
+        _check_vertex(c, self.n)
         return tuple(sorted((a, b, c))) in self.edge_set
 
     @property
@@ -382,4 +429,4 @@ def is_triangle_free(G: Graph) -> TriangleCheck:
 def complete_trigraph(n: int) -> TriGraph:
     """The complete 3-graph on n vertices."""
     _check_count(n)
-    return TriGraph(n, combinations(range(n), 3))
+    return TriGraph.from_mask(n, (1 << comb(n, 3)) - 1)

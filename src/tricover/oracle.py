@@ -738,20 +738,13 @@ def _covered_vertices(inc: int, tsets: tuple[tuple[int, int], ...], threshold: i
     return everyone ^ uncovered
 
 
-def _mask_trigraph(n: int, inc: int) -> TriGraph:
-    """The sample ``inc``, bit i for triple i in ``combinations`` order, as a
-    ``TriGraph``."""
-    # in combinations order the edges are sorted, so TriGraph keeps them
-    return TriGraph(n, [tri for i, tri in enumerate(_index_tables(n)[1]) if inc >> i & 1])
-
-
 def _sample_above_threshold(n: int, threshold: int, rng: Random) -> tuple[int, int]:
     """A random 3-graph with delta2 > threshold, as (its triple mask, the
     number of repair steps): start from density 1/2 and repair by adding
     random triples through minimum-codegree pairs.
 
     The sample is one int mask, bit i for triple i in ``combinations``
-    order (``_mask_trigraph`` turns it into a ``TriGraph``), and the
+    order (``TriGraph.from_mask`` turns it into a ``TriGraph``), and the
     codegree of a pair is the popcount of the mask under the pair's triple
     mask (``_index_tables``, built once per n).  The repair step takes the
     lexicographically first pair of minimum codegree and a uniform choice
@@ -871,7 +864,7 @@ def certify_upper_behavior(
         report.repairs += repairs
         if profile is not None and _covered_vertices(inc, tsets, profile[1], everyone) == everyone:
             continue
-        H = _mask_trigraph(n, inc)
+        H = TriGraph.from_mask(n, inc)
         if profile is None:
             bits = codegree_neighbourhoods(H)
             if all(_exists(bits, n, v, pattern) for v in range(n)):

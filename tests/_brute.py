@@ -12,7 +12,7 @@ from math import comb
 from random import Random
 from typing import Optional
 
-from tricover import Graph, Pattern, TriGraph
+from tricover import Graph, Pattern, TriGraph, link_graph_for
 
 
 def bf_covered(H: TriGraph, v: int, F: Pattern) -> Optional[tuple[int, ...]]:
@@ -180,6 +180,46 @@ def bf_covering_obstruction(H: TriGraph, x: int) -> tuple:
         if x not in e and sum(linked(a, b) for a, b in combinations(e, 2)) >= 2:
             return False, None, e
     return True, None, None
+
+
+def bf_construct_h(family: str, m: int) -> TriGraph:
+    """H1, H2 or H3 triple by triple from its link: x = 0 with every link
+    edge, and each triple avoiding x that spans at most one link edge."""
+    link = link_graph_for(family, m)
+    adj = link.adj
+    edges = [(0, a + 1, b + 1) for a, b in link.edges()]
+    for a, b, c in combinations(range(link.n), 3):
+        if (b in adj[a]) + (c in adj[a]) + (c in adj[b]) <= 1:
+            edges.append((a + 1, b + 1, c + 1))
+    class_of = {0: "x", **{v + 1: link.class_of[v] for v in range(link.n)}}
+    return TriGraph(link.n + 1, edges, distinguished=0, class_of=class_of)
+
+
+def bf_construct_h4(n: int) -> TriGraph:
+    """H4 on n vertices triple by triple: x = 0 and the parts V1, V2, V3 of
+    sizes floor((n-1)/3), floor(n/3), floor((n+1)/3) in index order; x with
+    every cross-part pair, every body triple that is not transversal, and
+    the transversal triples of T, which joins the pair of the j-th vertex
+    of V1 and the k-th of V2 to the ((k - j) mod |V2|)-th vertex of V3 (the
+    round-robin matchings of K(V1, V2))."""
+    sizes = ((n - 1) // 3, n // 3, (n + 1) // 3)
+    part = {0: None}
+    for v in range(1, n):
+        part[v] = 0 if v <= sizes[0] else 1 if v <= sizes[0] + sizes[1] else 2
+    first = [1, 1 + sizes[0], 1 + sizes[0] + sizes[1]]
+    edges = []
+    for tri in combinations(range(n), 3):
+        if tri[0] == 0:
+            if part[tri[1]] != part[tri[2]]:
+                edges.append(tri)
+        elif sorted(part[v] for v in tri) != [0, 1, 2]:
+            edges.append(tri)
+        else:
+            j, k, ell = (v - first[part[v]] for v in tri)
+            if ell == (k - j) % sizes[1]:
+                edges.append(tri)
+    class_of = {v: "x" if v == 0 else f"V{part[v] + 1}" for v in range(n)}
+    return TriGraph(n, edges, distinguished=0, class_of=class_of)
 
 
 def bf_exact_c2(n: int, F: Pattern) -> int:

@@ -43,6 +43,8 @@ from tricover.constructions import (
     check_t_construction,
 )
 
+from _brute import bf_construct_h, bf_construct_h4
+
 # sha256 of the canonical edge list and of the sorted-key JSON claim report
 # of each construction, as recorded before the certify path was reworked
 DIGESTS = json.loads((Path(__file__).parent / "data" / "certify_digests.json").read_text())
@@ -151,6 +153,12 @@ class TestLinkFamilies:
             )
             assert (tri in H.edge_set) == (spans <= 1)
 
+    @pytest.mark.parametrize("family,m", [(f, m) for f in ("H1", "H2", "H3") for m in range(1, 9)])
+    def test_matches_the_triple_by_triple_reference(self, family, m):
+        H, ref = construct_h(family, m), bf_construct_h(family, m)
+        assert H.edges == ref.edges and H.distinguished == ref.distinguished == 0
+        assert list(H.class_of.items()) == list(ref.class_of.items())
+
     def test_construct_link_matches_link_graph(self):
         for fam, m in (("H1", 2), ("H3", 1)):
             H = construct_h(fam, m)
@@ -211,6 +219,12 @@ class TestThreePartConstruction:
 
     def test_n10(self):
         assert min_codegree(construct_h4(10)).min == 6
+
+    @pytest.mark.parametrize("n", range(5, 61))
+    def test_matches_the_triple_by_triple_reference(self, n):
+        H, ref = construct_h4(n), bf_construct_h4(n)
+        assert H.edges == ref.edges and H.distinguished == ref.distinguished == 0
+        assert list(H.class_of.items()) == list(ref.class_of.items())
 
     def test_x_codegree_formula(self):
         for n in (7, 9, 12):

@@ -2,6 +2,7 @@
 
 import re
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -167,6 +168,19 @@ class TestTriGraph:
             assert h.edge_set == frozenset(h.edges) == {(0, 1, 2), (1, 3, 4)}
             assert h.edge_set is h.edge_set
 
+    @pytest.mark.parametrize("v", [2.0, "a", 99, -1, None, True], ids=repr)
+    def test_has_edge_checks_each_vertex(self, v):
+        # as Graph.has_edge does: a vertex that is not an int in [0, n) is
+        # a ValueError, in any of the three places
+        h = TriGraph(5, [(0, 1, 2)])
+        for args in ((0, 1, v), (v, 0, 1), (0, v, 1)):
+            with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(v))} out of range"):
+                h.has_edge(*args)
+
+    def test_has_edge_with_a_repeated_vertex_is_false(self):
+        h = complete_trigraph(4)
+        assert not h.has_edge(0, 1, 1) and not h.has_edge(2, 2, 2)
+
     def test_same_edges_other_marks_are_unequal(self):
         edges = [(0, 1, 2), (1, 2, 3)]
         plain = TriGraph(4, edges)
@@ -176,6 +190,57 @@ class TestTriGraph:
             assert H != plain and plain != H
             assert all(H != other for other in marked[i + 1:])
             assert H == TriGraph(4, reversed(edges), distinguished=H.distinguished, class_of=H.class_of)
+
+
+class TestFromMask:
+    """``TriGraph.from_mask``: bit i for the i-th triple in ``combinations`` order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << comb(n, 3)) - 1))))
+    def test_equals_the_graph_of_its_set_bits(self, case):
+        n, mask = case
+        triples = [t for i, t in enumerate(combinations(range(n), 3)) if mask >> i & 1]
+        H = TriGraph.from_mask(n, mask)
+        assert H == TriGraph(n, triples) and H.edges == tuple(triples)
+        assert H.edge_set == frozenset(triples) and hash(H) == hash(TriGraph(n, triples))
+
+    def test_marks_ride_along(self):
+        H = TriGraph.from_mask(4, 0b1001, distinguished=3, class_of={0: "x", 3: "y"})
+        assert H == TriGraph(4, [(0, 1, 2), (1, 2, 3)], distinguished=3, class_of={0: "x", 3: "y"})
+
+    def test_widest_and_empty_masks(self):
+        for n in range(8):
+            assert TriGraph.from_mask(n, (1 << comb(n, 3)) - 1) == complete_trigraph(n)
+            assert TriGraph.from_mask(n, 0) == TriGraph(n)
+
+    @pytest.mark.parametrize(
+        "n, mask, message",
+        [
+            (4, -1, "not a set of the 4 triples"),
+            (4, 1 << 4, "not a set of the 4 triples"),
+            (2, 1, "not a set of the 0 triples"),
+            (4, True, "is not an int"),
+            (4, 1.0, "is not an int"),
+            (4, "1", "is not an int"),
+            (4, None, "is not an int"),
+            (-1, 0, "vertex count must be non-negative"),
+            (4.0, 0, "vertex count"),
+        ],
+        ids=repr,
+    )
+    def test_bad_count_or_mask_is_value_error(self, n, mask, message):
+        with pytest.raises(ValueError, match=message):
+            TriGraph.from_mask(n, mask)
+
+    @pytest.mark.parametrize("x", [4, -1, 1.0, "0", True])
+    def test_bad_distinguished_is_value_error(self, x):
+        with pytest.raises(ValueError, match="out of range"):
+            TriGraph.from_mask(4, 1, distinguished=x)
+
+    @pytest.mark.parametrize("class_of", [{0: ""}, {0: "a b"}, {0: 5}, {4: "a"}, [1]], ids=repr)
+    def test_bad_labels_are_value_error(self, class_of):
+        with pytest.raises(ValueError):
+            TriGraph.from_mask(4, 1, class_of=class_of)
 
 
 _BOTH_TYPES = pytest.mark.parametrize(

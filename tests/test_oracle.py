@@ -36,7 +36,6 @@ from tricover.oracle import (
     _coin_flips,
     _covered_vertices,
     _index_tables,
-    _mask_trigraph,
     _sample_above_threshold,
     _tset_tables,
 )
@@ -839,6 +838,10 @@ class TestOneEdgePattern:
 
 # every (n, threshold) the sampler takes with 5 <= n <= 12
 SAMPLER_SHAPES = [(n, threshold) for n in range(5, 13) for threshold in range(n - 2)]
+# more draws at some shapes: the benchmark's, (12, 4) and (8, 4), and
+# (12, 9), the top threshold, where every pair gets repaired
+SAMPLER_DRAWS = {(12, 4): 200, (8, 4): 200, (5, 0): 50, (6, 1): 50, (7, 3): 50,
+                 (9, 3): 50, (10, 3): 50, (11, 3): 50, (12, 9): 50}
 
 
 class CountingRandom(Random):
@@ -886,7 +889,7 @@ class TestCertifyUpperBehavior:
     def test_sample_respects_threshold(self):
         rng = Random(1)
         for _ in range(30):
-            H = _mask_trigraph(7, _sample_above_threshold(7, 3, rng)[0])
+            H = TriGraph.from_mask(7, _sample_above_threshold(7, 3, rng)[0])
             assert min_codegree(H).min > 3
 
     @pytest.mark.parametrize("count", [4, 10, 20, 56, 220])
@@ -911,10 +914,10 @@ class TestCertifyUpperBehavior:
         # state and makes as many repair steps as the reference makes choices
         ours, ref = Random(n * 100 + threshold), CountingRandom(n * 100 + threshold)
         repairs = 0
-        for _ in range(20):
+        for _ in range(SAMPLER_DRAWS.get((n, threshold), 20)):
             inc, steps = _sample_above_threshold(n, threshold, ours)
             repairs += steps
-            assert _mask_trigraph(n, inc) == bf_sample_above_threshold(n, threshold, ref)
+            assert TriGraph.from_mask(n, inc) == bf_sample_above_threshold(n, threshold, ref)
         assert ours.getstate() == ref.getstate()
         assert repairs == ref.choices
 
@@ -929,26 +932,12 @@ class TestCertifyUpperBehavior:
             ends |= {"k = 1" if k == 1 else "low" if 2 * r < k else "high" for k, r in ref.picks}
         assert ends == {"k = 1", "low", "high"}
 
-    @pytest.mark.parametrize(
-        "n, threshold",
-        # (12, 9) is the top threshold, where every pair gets repaired
-        [(5, 0), (6, 1), (7, 3), (8, 4), (9, 3), (10, 3), (11, 3), (12, 4), (12, 9)],
-    )
-    def test_draws_match_reference_sampler(self, n, threshold):
-        # one stream per side, so the random state after each draw must agree
-        # too; the benchmark's shapes, (12, 4) and (8, 4), get more draws
-        ours, ref = Random(n * 100 + threshold), Random(n * 100 + threshold)
-        for _ in range(200 if (n, threshold) in ((12, 4), (8, 4)) else 50):
-            inc, _ = _sample_above_threshold(n, threshold, ours)
-            assert _mask_trigraph(n, inc) == bf_sample_above_threshold(n, threshold, ref)
-        assert ours.getstate() == ref.getstate()
-
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_top_threshold_gives_complete_graph(self, n):
         rng = Random(n)
         for _ in range(5):
             inc, _ = _sample_above_threshold(n, n - 3, rng)
-            assert _mask_trigraph(n, inc) == complete_trigraph(n)
+            assert TriGraph.from_mask(n, inc) == complete_trigraph(n)
 
     @pytest.mark.parametrize(
         "n, name, threshold, hits",
@@ -1080,7 +1069,7 @@ class TestMaskDetector:
                 sample, _ = _sample_above_threshold(n, low, rng)
                 sparse = rng.getrandbits(T) & rng.getrandbits(T) & rng.getrandbits(T)
                 for inc in (sample, sparse):
-                    H = _mask_trigraph(n, inc)
+                    H = TriGraph.from_mask(n, inc)
                     covered = _covered_vertices(inc, tsets, threshold, (1 << n) - 1)
                     for v in range(n):
                         got = bool(covered >> v & 1)
