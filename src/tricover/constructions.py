@@ -32,8 +32,11 @@ from .blowup import BlowupSpec, add_edge_list, add_matching_between, blowup
 from .hypergraphs import (
     Graph,
     TriGraph,
+    _cone,
     _delta2,
     _is_int,
+    _sparse,
+    _triple_mask,
     codegree_neighbourhoods,
     is_triangle_free,
 )
@@ -148,46 +151,18 @@ def link_graph_for(family: str, m: int) -> Graph:
     return g
 
 
-def _triple_mask(n: int, thirds: Callable[[int, int], int]) -> int:
-    """The triple mask on n vertices, bit i for the i-th triple of
-    ``combinations(range(n), 3)``, holding {a, b, c} with a < b < c exactly
-    when bit c of ``thirds(a, b)`` is set (bits c <= b are ignored).
-
-    In that order the triples of a pair a < b are one block of n - 1 - b
-    bits, one per c > b in increasing order, so the blocks are joined from
-    the last pair back to the first, each below those after it.
-    """
-    width_mask = [(1 << (n - 1 - b)) - 1 for b in range(n)]
-    mask = 0
-    for a in range(n - 3, -1, -1):
-        for b in range(n - 2, a, -1):
-            mask = mask << (n - 1 - b) | thirds(a, b) >> (b + 1) & width_mask[b]
-    return mask
-
-
 def construct_h(family: str, m: int) -> TriGraph:
     """Build H1, H2 or H3 with parameter m >= 1.
 
     Vertex 0 is the distinguished vertex x; its link is
     :func:`link_graph_for` shifted by one.  Every triple avoiding x is an
-    edge exactly when it spans at most one link edge: for a link pair ab
-    its thirds are the vertices adjacent to neither end, and for any other
-    pair those adjacent to at most one.
+    edge exactly when it spans at most one link edge: H is the K4^-
+    closed-form completion of its link, as ``exact_c2`` builds it.
     """
     link = link_graph_for(family, m)
-    # adjacency masks over H's vertices; x = 0 lies outside the link
-    nbrs = [0] + [sum(1 << (w + 1) for w in ws) for ws in link.adj]
-
-    def thirds(a: int, b: int) -> int:
-        if a == 0:
-            return nbrs[b]
-        na, nb = nbrs[a], nbrs[b]
-        return ~(na | nb) if na >> b & 1 else ~(na & nb)
-
-    class_of = {0: "x"}
-    for v in range(link.n):
-        class_of[v + 1] = link.class_of[v]
-    return TriGraph.from_mask(link.n + 1, _triple_mask(link.n + 1, thirds),
+    N = [sum(1 << w for w in ws) for ws in link.adj]
+    class_of = {0: "x", **{v + 1: link.class_of[v] for v in range(link.n)}}
+    return TriGraph.from_mask(link.n + 1, _cone(N, _sparse(N, 1)),
                               distinguished=0, class_of=class_of)
 
 
@@ -492,8 +467,10 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     against its closed form: same-part pairs give n-3, pairs through x give
     n-1-|V_i|, and cross-part pairs give |V_i|+|V_j|-1+d_T.  H's claims are
     read off one ``codegree_neighbourhoods(H)`` table, which the embedder's
-    refutation of x shares; d_T comes from T rebuilt from its sizes, as an
-    independent reference.  A ``Graph`` raises ValueError.
+    refutation of x shares.  d_T is read off ``construct_t``, which shares
+    ``_t_thirds`` with ``construct_h4``, so this confirms H against the
+    module's own T only; tier-1 and CI compare H4 with the independent
+    ``bf_construct_h4``.  A ``Graph`` raises ValueError.
     """
     _check_kind(H, "H4", TriGraph)
     if n is None:

@@ -18,6 +18,9 @@ the oracle's re-verification share), and ``pair_degree_table`` and
 triangle of a graph is found by one search over adjacency masks,
 ``_first_triangle``: ``is_triangle_free`` runs it on a 2-graph, and the K4^-
 obstruction on row x of the table, which holds the link of x.
+
+``_sparse`` and ``_cone`` build the triple masks of H1-H3 and of the oracle's
+witnesses by one sparse-completion rule; ``TriGraph.from_mask`` reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress, islice
 from math import comb
 from operator import lt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 def _is_int(v: object) -> bool:
@@ -235,7 +238,8 @@ class TriGraph:
         # the binary digits from bit 0 up, as bytes 0 and 1 for compress
         keep = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
         H.n = n
-        H.edges = tuple(compress(combinations(range(n), 3), keep))
+        # via a list: tuple(iterator) reallocs past the tuple free list, which then fills
+        H.edges = tuple([*compress(combinations(range(n), 3), keep)])
         H._edge_set = None
         H.distinguished = distinguished
         H.class_of = labels
@@ -277,6 +281,44 @@ class TriGraph:
     def __repr__(self) -> str:
         x = f", x={self.distinguished}" if self.distinguished is not None else ""
         return f"TriGraph(n={self.n}, edges={self.edge_count}{x})"
+
+
+def _triple_mask(n: int, thirds: Callable[[int, int], int]) -> int:
+    """The triple mask on n vertices, bit i for the i-th triple of
+    ``combinations(range(n), 3)``, holding {a, b, c} with a < b < c exactly
+    when bit c of ``thirds(a, b)`` is set (bits c <= b are ignored).  In that
+    order the triples of a pair a < b are one block of n - 1 - b bits, c > b
+    rising, so the blocks join from the last pair back, each below the later."""
+    width_mask = [(1 << (n - 1 - b)) - 1 for b in range(n)]
+    mask = 0
+    for a in range(n - 3, -1, -1):
+        for b in range(n - 2, a, -1):
+            mask = mask << (n - 1 - b) | thirds(a, b) >> (b + 1) & width_mask[b]
+    return mask
+
+
+def _sparse(N: Sequence[int], cap: int) -> int:
+    """The triple mask of the triples spanning at most ``cap`` edges of the
+    graph with adjacency masks N: a pair ab takes the thirds adjacent to at
+    most k = cap - [ab is an edge] of a and b."""
+
+    def thirds(a: int, b: int) -> int:
+        k = cap - (N[a] >> b & 1)
+        return -1 if k > 1 else ~(N[a] & N[b]) if k == 1 else ~(N[a] | N[b]) if k == 0 else 0
+
+    return _triple_mask(len(N), thirds)
+
+
+def _cone(N: Sequence[int], avoid: int) -> int:
+    """The triple mask on len(N) + 1 vertices of a vertex 0 whose link is the
+    graph with adjacency masks N, and of the triples of mask ``avoid`` on
+    N's vertices, all shifted up by one.  The triples through 0 come first,
+    in pair order, so this is N's pair mask | avoid << C(len(N), 2)."""
+    nv = len(N)
+    mask = avoid
+    for a in range(nv - 1, -1, -1):
+        mask = mask << (nv - 1 - a) | N[a] >> (a + 1)
+    return mask
 
 
 @dataclass(frozen=True)

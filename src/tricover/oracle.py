@@ -37,8 +37,10 @@ Search strategy (branch and bound):
   budgeted search climbs from v = 0: a budget may end it at any level, and
   it then reports the best bound reached, where a search that started at
   the bound would have no witness yet.  A level hands back (w, the link's
-  adjacency masks, the chosen triples); only the last witness, also when a
-  budget ends the ascent, becomes an edge list and a ``TriGraph``.
+  adjacency masks, the mask of the chosen triples); only the last witness,
+  also when a budget ends the ascent, becomes a ``TriGraph``: the cone over
+  its link (``_cone``) of those triples or, at a t = 4 leaf, of the triples
+  ``_sparse`` gives, the rule H1-H3 are built by.
 
 For the complete and near-complete patterns K_t / K_t^- vertex 0 is covered
 iff some (t-1)-set T satisfies "link pairs in T + edges in T >= threshold",
@@ -76,7 +78,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .fileio import to_json_dict
-from .hypergraphs import TriGraph, _delta2, _is_int, codegree_neighbourhoods
+from .hypergraphs import TriGraph, _cone, _delta2, _is_int, _sparse, codegree_neighbourhoods
 from .patterns import (
     Pattern,
     _check_pattern,
@@ -88,11 +90,9 @@ from .patterns import (
 DEFAULT_HARD_CAP = 10
 DEFAULT_SEED = 20160901
 
-_Edges = list[tuple[int, int, int]]
-# what a level hands back: (delta2, the link's adjacency masks, the chosen
-# triples avoiding vertex 0), the chosen triples None for the closed-form
-# t = 4 completion (``leaf_witness``)
-_Found = tuple[int, list[int], Optional[list[int]]]
+# what a level hands back: (delta2, the link's adjacency masks, the triple
+# mask of the chosen triples avoiding vertex 0, None for a t = 4 leaf)
+_Found = tuple[int, list[int], Optional[int]]
 # the completion tables of ``_InnerSearch``: set_pair_mask, set_tri_mask,
 # tri_sets, tri_flips
 _Tables = tuple[list[int], list[int], list[list[int]], list[tuple[tuple[int, int, int], ...]]]
@@ -223,13 +223,6 @@ class _InnerSearch:
             ]
         return set_pair_mask, set_tri_mask, tri_sets, tri_flips
 
-    def host_edges(self, N: Sequence[int], chosen: Sequence[int]) -> _Edges:
-        edges = [(0, x + 1, y + 1) for x, y in self.pairs if (N[x] >> y) & 1]
-        for i in chosen:
-            a, b, c = self.triples[i]
-            edges.append((a + 1, b + 1, c + 1))
-        return edges
-
     # -- closed-form completion for K4 and K4- ------------------------------
 
     def leaf_value(self, N: Sequence[int], v: int) -> int:
@@ -261,17 +254,6 @@ class _InnerSearch:
                 value = c
         return value
 
-    def leaf_witness(self, N: Sequence[int]) -> _Edges:
-        """t = 4: the link plus every triple spanning at most theta - 2 link
-        pairs, the completion that ``leaf_value`` measures."""
-        assert self.theta is not None
-        cap = self.theta - 2
-        chosen = [
-            i for i, (a, b, c) in enumerate(self.triples)
-            if ((N[a] >> b) & 1) + ((N[a] >> c) & 1) + ((N[b] >> c) & 1) <= cap
-        ]
-        return self.host_edges(N, chosen)
-
     def link_cut(self, N: Sequence[int], x: int, y: int, v: int) -> bool:
         """t = 4, once xy has joined the link: whether a link pair through x
         or y has its ``leaf_value`` closed form below v.  Only those pairs
@@ -295,7 +277,7 @@ class _InnerSearch:
 
     def decision_search(self, N: list[int], v: int, budget: _Budget) -> Optional[_Found]:
         """A completion of the link N with delta2 >= v, as (delta2, N, the
-        chosen triples in increasing order), or None.
+        triple mask of the chosen triples), or None.
 
         Each pair's bound ``val`` is its codegree if every undecided triple
         through it were added; it falls by one exactly when one of its
@@ -392,7 +374,7 @@ class _InnerSearch:
                     if least == v:
                         break
             if best < 0:
-                return min(degree, min(val)), N, sorted(i for i in stack if i >= 0)
+                return min(degree, min(val)), N, sum(1 << i for i in stack if i >= 0)
             m = und[best]
             bit = m & -m
             tri = bit.bit_length() - 1
@@ -418,7 +400,7 @@ class _InnerSearch:
 
     def search_level(self, v: int, budget: _Budget) -> Optional[_Found]:
         """The first link, in exclude-before-include order, whose completion
-        reaches delta2 >= v, as (delta2, link masks, chosen triples); None
+        reaches delta2 >= v, as (delta2, link masks, chosen triple mask); None
         refutes level v.
 
         Only lex-leaders are enumerated: links L with L <= s(L) for every
@@ -561,7 +543,7 @@ def exact_c2(
 
     start = time.monotonic()
     exhaustive = True
-    value, edges = -1, None
+    value = -1
     last: Optional[_Found] = None
     inner = _InnerSearch(n, pattern)
     level, ceiling = 0 if budgeted else _start_level(n, pattern), math.inf
@@ -582,16 +564,14 @@ def exact_c2(
                 break
     except BudgetExhausted:
         exhaustive = False
-    if last is not None:
-        # the one edge list of the search, for its last witness
-        _, N, chosen = last
-        edges = inner.leaf_witness(N) if chosen is None else inner.host_edges(N, chosen)
     elapsed = time.monotonic() - start
 
     witness = None
-    if edges is not None:
-        # independent re-verification of the returned certificate
-        witness = TriGraph(n, edges, distinguished=0)
+    if last is not None:
+        # the one graph of the search, its last witness, re-verified independently
+        _, N, avoid = last
+        mask = _cone(N, _sparse(N, inner.theta - 2) if avoid is None else avoid)
+        witness = TriGraph.from_mask(n, mask, distinguished=0)
         bits = codegree_neighbourhoods(witness)
         if _delta2(bits) != value or _exists(bits, n, 0, pattern):
             raise AssertionError("search produced an inconsistent witness")

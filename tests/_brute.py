@@ -195,6 +195,25 @@ def bf_construct_h(family: str, m: int) -> TriGraph:
     return TriGraph(link.n + 1, edges, distinguished=0, class_of=class_of)
 
 
+def bf_sparse_triples(N: list[int], cap: int) -> list[tuple[int, int, int]]:
+    """The triples on len(N) vertices spanning at most ``cap`` edges of the
+    graph whose adjacency masks are N, found by counting each triple's
+    edges."""
+    return [
+        tri for tri in combinations(range(len(N)), 3)
+        if sum((N[x] >> y) & 1 for x, y in combinations(tri, 2)) <= cap
+    ]
+
+
+def bf_cone_edges(N: list[int], triples) -> list[tuple[int, int, int]]:
+    """The edges on len(N) + 1 vertices of vertex 0 with the link N,
+    (0, x + 1, y + 1) for each edge xy of the graph whose adjacency masks
+    are N, and of the given triples on N's vertices shifted up by one."""
+    edges = [(0, x + 1, y + 1) for x, y in combinations(range(len(N)), 2) if (N[x] >> y) & 1]
+    edges += [(a + 1, b + 1, c + 1) for a, b, c in triples]
+    return edges
+
+
 def bf_construct_h4(n: int) -> TriGraph:
     """H4 on n vertices triple by triple: x = 0 and the parts V1, V2, V3 of
     sizes floor((n-1)/3), floor(n/3), floor((n+1)/3) in index order; x with

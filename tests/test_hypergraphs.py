@@ -22,9 +22,16 @@ from tricover import (
     min_codegree,
     pair_degree_table,
 )
-from tricover.hypergraphs import _delta2, _first_triangle
+from tricover.hypergraphs import _cone, _delta2, _first_triangle, _sparse
 
-from _brute import bf_codegree, bf_min_codegree, bf_triangle_free, random_trigraph
+from _brute import (
+    bf_codegree,
+    bf_cone_edges,
+    bf_min_codegree,
+    bf_sparse_triples,
+    bf_triangle_free,
+    random_trigraph,
+)
 
 
 class _SubInt(int):
@@ -241,6 +248,73 @@ class TestFromMask:
     def test_bad_labels_are_value_error(self, class_of):
         with pytest.raises(ValueError):
             TriGraph.from_mask(4, 1, class_of=class_of)
+
+
+def _adjacency(n, bits):
+    """The adjacency masks of the graph on n vertices whose pair i, in
+    ``combinations`` order, is an edge iff bit i of ``bits`` is set."""
+    N = [0] * n
+    for i, (x, y) in enumerate(combinations(range(n), 2)):
+        if bits >> i & 1:
+            N[x] |= 1 << y
+            N[y] |= 1 << x
+    return N
+
+
+class TestSparseAndCone:
+    """``_sparse(N, cap)``, the triples spanning at most ``cap`` edges of
+    the graph N, and ``_cone(N, avoid)``, vertex 0 with the link N plus the
+    triples of ``avoid`` shifted up by one, against the triple-by-triple
+    references ``bf_sparse_triples`` and ``bf_cone_edges``."""
+
+    @staticmethod
+    def check(N, cap):
+        n = len(N)
+        triples = bf_sparse_triples(N, cap)
+        assert TriGraph.from_mask(n, _sparse(N, cap)) == TriGraph(n, triples), (N, cap)
+        cone = TriGraph.from_mask(n + 1, _cone(N, _sparse(N, cap)))
+        assert cone == TriGraph(n + 1, bf_cone_edges(N, triples)), (N, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_every_graph_on_at_most_6_vertices(self, cap):
+        for n in range(7):
+            for bits in range(1 << comb(n, 2)):
+                self.check(_adjacency(n, bits), cap)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 3])
+    def test_other_caps_on_every_graph_on_at_most_5_vertices(self, cap):
+        for n in range(6):
+            for bits in range(1 << comb(n, 2)):
+                self.check(_adjacency(n, bits), cap)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_seeded_graphs_on_7_to_14_vertices(self, cap):
+        rng = Random(714 + cap)
+        for n in range(7, 15):
+            for _ in range(40):
+                # the meet of one to three random pair masks: dense to sparse
+                bits = -1
+                for _ in range(rng.randint(1, 3)):
+                    bits &= rng.getrandbits(comb(n, 2))
+                self.check(_adjacency(n, bits), cap)
+
+    def test_cone_of_any_triple_mask(self):
+        rng = Random(15)
+        for n in range(15):
+            triples = list(combinations(range(n), 3))
+            for _ in range(20):
+                N = _adjacency(n, rng.getrandbits(comb(n, 2)))
+                avoid = rng.getrandbits(len(triples))
+                chosen = [t for i, t in enumerate(triples) if avoid >> i & 1]
+                assert TriGraph.from_mask(n + 1, _cone(N, avoid)) == TriGraph(
+                    n + 1, bf_cone_edges(N, chosen)), (N, avoid)
+
+    def test_up_to_two_vertices_the_mask_is_0(self):
+        # no triple on 0-2 vertices; the cone on 1-2 vertices is 0 too
+        for N in ([], [0], [0, 0], [2, 1]):
+            for cap in (-1, 0, 1, 2, 3):
+                assert _sparse(N, cap) == 0
+        assert _cone([], 0) == _cone([0], 0) == 0
 
 
 _BOTH_TYPES = pytest.mark.parametrize(

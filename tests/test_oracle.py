@@ -30,6 +30,7 @@ from tricover import (
     min_codegree,
     to_json_dict,
 )
+from tricover.hypergraphs import _cone, _sparse
 from tricover.oracle import (
     _Budget,
     _InnerSearch,
@@ -335,13 +336,16 @@ class TestStartLevel:
 
 
 class TestClosedFormStep:
-    """For K4 and K4- the leaf is completed in closed form (``leaf_value``,
-    ``leaf_witness``).  Two references check it: ``bf_greedy_value``, the
-    greedy completion that adds every allowed triple, and
-    ``bf_decision_search``, the completion search with forced exclusion
-    from the root.  The references agree on every link and level; the
-    closed form matches both on the links the link DFS can yield, which are
-    all links for K4 and the triangle-free ones for K4-."""
+    """For K4 and K4- the leaf is completed in closed form: ``leaf_value``
+    measures it, and ``exact_c2`` builds its witness as the cone over the
+    link of the triples spanning at most theta - 2 link pairs
+    (``TriGraph.from_mask`` on ``_cone(N, _sparse(N, theta - 2))``).  Two
+    references check it: ``bf_greedy_value``, the greedy completion that
+    adds every allowed triple, and ``bf_decision_search``, the completion
+    search with forced exclusion from the root.  The references agree on
+    every link and level; the closed form matches both on the links the
+    link DFS can yield, which are all links for K4 and the triangle-free
+    ones for K4-."""
 
     @staticmethod
     def link_of(inner, bits):
@@ -372,7 +376,8 @@ class TestClosedFormStep:
         for v in range(inner.n - 1):
             got = inner.leaf_value(N, v)
             assert got == value if value >= v else got < v, (bits, v)
-        assert TriGraph(inner.n, inner.leaf_witness(N)) == TriGraph(inner.n, edges)
+        witness = TriGraph.from_mask(inner.n, _cone(N, _sparse(N, inner.theta - 2)))
+        assert witness == TriGraph(inner.n, edges), bits
 
     @classmethod
     def yieldable(cls, inner, F, bits):
@@ -411,6 +416,16 @@ class TestClosedFormStep:
         rng = Random(7)
         for _ in range(1000):
             self.references_agree(inner, F, rng.getrandbits(len(inner.pairs)))
+
+    @pytest.mark.parametrize("name", ["K4", "K4-"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_search_witness_is_the_greedy_completion_of_its_link(self, name, n):
+        F = builtin_pattern(name)
+        res = exact_c2(n, F)
+        link = [(a, b) for x, a, b in res.witness.edges if x == 0]
+        value, edges = bf_greedy_value(n, F, link)
+        assert res.value == value
+        assert res.witness == TriGraph(n, edges, distinguished=0)
 
     @pytest.mark.parametrize("name", ["K4", "K4-"])
     def test_closed_form_on_sampled_links_at_7(self, name):
@@ -574,10 +589,11 @@ class TestIncrementalBound:
             edges = bf_decision_search(inner.n, F, N, v, ref)
             assert (got is None) == (edges is None), (bits, v)
             if got is not None:
-                value, link, chosen = got
-                assert inner.host_edges(link, chosen) == edges, (bits, v)
+                value, link, avoid = got
+                H = TriGraph(inner.n, edges)
+                assert TriGraph.from_mask(inner.n, _cone(link, avoid)) == H, (bits, v)
                 # the delta2 read off the leaf's bounds is the witness's own
-                assert value == min_codegree(TriGraph(inner.n, edges)).min >= v, (bits, v)
+                assert value == min_codegree(H).min >= v, (bits, v)
             assert ours.nodes == ref.nodes, (bits, v)
             if clique_profile(F) is not None:
                 unforced = bf_decision_search(inner.n, F, N, v, _Budget(None, None), force=False)
@@ -630,25 +646,45 @@ class TestIncrementalBound:
                 self.agree(inner, BOOK2, bits)
 
 
+def count_trigraphs(monkeypatch):
+    """The list that receives the vertex count of every ``TriGraph`` built
+    from here on, by ``__init__`` or by ``from_mask``."""
+    built = []
+    init, from_mask = TriGraph.__init__, TriGraph.from_mask.__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    def counting_from_mask(cls, n, mask, **kwargs):
+        built.append(n)
+        return from_mask(cls, n, mask, **kwargs)
+
+    monkeypatch.setattr(TriGraph, "__init__", counting_init)
+    monkeypatch.setattr(TriGraph, "from_mask", classmethod(counting_from_mask))
+    return built
+
+
 class TestOneWitness:
-    """Levels hand back (delta2, link masks, chosen triples): a pruned search
-    builds the edge list and the ``TriGraph`` of its last witness once, at
-    the end, also when a budget ends the ascent, and re-verifies that one
-    graph.  A witness that fails the re-verification is an error."""
+    """Levels hand back (delta2, link masks, chosen triple mask): a pruned
+    search builds the triple mask and the ``TriGraph`` of its last witness
+    once, at the end, also when a budget ends the ascent, and re-verifies
+    that one graph.  A witness that fails the re-verification is an
+    error."""
 
     @pytest.mark.parametrize("n, name, budget", [
         (8, "K5", None), (8, "K4-", None), (7, "book2", None),
         (9, "K5-", 300), (12, "K4", 500),
     ])
-    def test_one_edge_list_per_search(self, n, name, budget, monkeypatch):
+    def test_one_cone_per_search(self, n, name, budget, monkeypatch):
         built = []
-        host_edges = _InnerSearch.host_edges
+        cone = oracle._cone
 
-        def counting(self, N, chosen):
-            built.append(self.n)
-            return host_edges(self, N, chosen)
+        def counting(N, avoid):
+            built.append(len(N) + 1)
+            return cone(N, avoid)
 
-        monkeypatch.setattr(_InnerSearch, "host_edges", counting)
+        monkeypatch.setattr(oracle, "_cone", counting)
         F = BOOK2 if name == "book2" else builtin_pattern(name)
         res = exact_c2(n, F, allow_large=True, node_budget=budget)
         assert res.exhaustive == (budget is None) and res.witness is not None
@@ -677,8 +713,8 @@ class TestOneWitness:
         # delta2 n - 2 is reported correctly, but vertex 0 is covered
         def complete(inner, found):
             full = (1 << inner.nv) - 1
-            return inner.n - 2, [full ^ (1 << x) for x in range(inner.nv)], list(
-                range(len(inner.triples))
+            return inner.n - 2, [full ^ (1 << x) for x in range(inner.nv)], (
+                (1 << len(inner.triples)) - 1
             )
 
         self.fake_levels(monkeypatch, complete)
@@ -687,14 +723,7 @@ class TestOneWitness:
 
     @pytest.mark.parametrize("name", ["K5", "K4-"])
     def test_one_trigraph_per_search(self, name, monkeypatch):
-        built = []
-        init = TriGraph.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args[0])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TriGraph, "__init__", counting)
+        built = count_trigraphs(monkeypatch)
         res = exact_c2(8, builtin_pattern(name))
         assert res.exhaustive and res.witness is not None
         assert built == [8]
@@ -720,14 +749,7 @@ class TestOneWitness:
 
     def test_non_clique_completion_builds_no_trigraph(self, monkeypatch):
         # the covering check follows one codegree table through the search
-        built = []
-        init = TriGraph.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args[0])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TriGraph, "__init__", counting)
+        built = count_trigraphs(monkeypatch)
         res = exact_c2(7, BOOK2)
         assert res.exhaustive and res.witness is not None
         assert built == [7]
