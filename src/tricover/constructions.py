@@ -218,28 +218,24 @@ def h4_part_sizes(n: int) -> tuple[int, int, int]:
 def construct_h4(n: int) -> TriGraph:
     """Build the K5^- certificate on n >= 5 vertices.
 
-    Vertex 0 is x; parts V1, V2, V3 occupy indices 1..n-1 in order.  Edges:
-    x with every cross-part pair, every non-transversal triple of the body,
-    and the transversal triples of :func:`construct_t` on the parts.
+    Vertex 0 is x; parts V1, V2, V3 occupy indices 1..n-1 in order.  H4 is
+    a cone: x's link is the complete 3-partite graph on the parts, and the
+    body holds every non-transversal triple and the transversal triples of
+    :func:`construct_t` on the parts.
     """
     a, m, ell = h4_part_sizes(n)
-    # the parts are index ranges ending at a, b and n - 1, and T's vertices
-    # are H's shifted down by one
-    b = a + m
-    third = {(u + 1, w + 1): z + 1 for (u, w), z in _t_thirds(a, m).items()}
-    after_v1, after_v2 = -1 << (a + 1), -1 << (b + 1)
-    v2 = after_v1 ^ after_v2
+    # body vertex v is H's vertex v + 1 and T's vertex v
+    parts = [(1 << a) - 1, ((1 << m) - 1) << a, ((1 << ell) - 1) << (a + m)]
+    N = [((1 << (n - 1)) - 1) ^ parts[_part(v, a, m)] for v in range(n - 1)]
+    third = _t_thirds(a, m)
 
     def thirds(u: int, w: int) -> int:
-        if u == 0:  # x with the parts after w's
-            return after_v1 if w <= a else after_v2 if w <= b else 0
-        if u <= a < w <= b:  # of the transversal triples, only T's
-            return v2 | 1 << third[u, w]
-        return -1
+        # of the transversal triples, only T's
+        return parts[1] | 1 << third[u, w] if u < a <= w < a + m else -1
 
-    class_of = {0: "x"}
-    class_of.update({v: f"V{_part(v - 1, a, m) + 1}" for v in range(1, n)})
-    return TriGraph.from_mask(n, _triple_mask(n, thirds), distinguished=0, class_of=class_of)
+    class_of = {0: "x", **{v + 1: f"V{_part(v, a, m) + 1}" for v in range(n - 1)}}
+    return TriGraph.from_mask(n, _cone(N, _triple_mask(n - 1, thirds)),
+                              distinguished=0, class_of=class_of)
 
 
 class _Family(NamedTuple):
@@ -465,12 +461,12 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
 
     Besides delta2 and x being uncovered, every pair codegree is checked
     against its closed form: same-part pairs give n-3, pairs through x give
-    n-1-|V_i|, and cross-part pairs give |V_i|+|V_j|-1+d_T.  H's claims are
-    read off one ``codegree_neighbourhoods(H)`` table, which the embedder's
-    refutation of x shares.  d_T is read off ``construct_t``, which shares
-    ``_t_thirds`` with ``construct_h4``, so this confirms H against the
-    module's own T only; tier-1 and CI compare H4 with the independent
-    ``bf_construct_h4``.  A ``Graph`` raises ValueError.
+    n-1-|V_i|, and cross-part pairs give |V_i|+|V_j|-1+d_T, with T's
+    codegree d_T read off the round-robin rule of
+    :func:`~tricover.koenig.complete_bipartite_matchings`, so the check
+    shares no code with ``construct_h4``.  Every claim is read off one
+    ``codegree_neighbourhoods(H)`` table, which the embedder's refutation of
+    x shares.  A ``Graph`` raises ValueError.
     """
     _check_kind(H, "H4", TriGraph)
     if n is None:
@@ -485,7 +481,6 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
     # vertex body[v] of T; body preserves order away from x
     body = [v if v < x else v - 1 for v in range(H.n)]
     part = [_part(b, a, m) for b in body]
-    t_bits = codegree_neighbourhoods(construct_t(sizes))
     bits = codegree_neighbourhoods(H)
     delta2 = _delta2(bits)
     same_ok = x_ok = cross_ok = True
@@ -499,9 +494,12 @@ def check_h4_construction(H: TriGraph, n: Optional[int] = None) -> ClaimReport:
             if d != n - 3:
                 same_ok = False
         else:
-            # T has n - 1 vertices: in an H larger than n, the vertices
-            # past them lie in no edge of T
-            d_t = t_bits[body[u]][body[w]].bit_count() if body[w] < n - 1 else 0
+            # T's matching class i pairs V1 vertex j with V2 vertex
+            # a + (j + i) mod m and takes V3 vertex a + m + i: d_T is 1 on
+            # V1 x V2, and with V3 vertex a + m + i it is [i < m] from V1 and
+            # [i < m and (r - i) mod m < a] from V2 vertex a + r
+            i = body[w] - a - m
+            d_t = part[w] == 1 or i < m and (part[u] == 0 or (body[u] - a - i) % m < a)
             if d != sizes[part[u]] + sizes[part[w]] - 1 + d_t:
                 cross_ok = False
     checks = {

@@ -19,7 +19,8 @@ triangle of a graph is found by one search over adjacency masks,
 ``_first_triangle``: ``is_triangle_free`` runs it on a 2-graph, and the K4^-
 obstruction on row x of the table, which holds the link of x.
 
-``_sparse`` and ``_cone`` build the triple masks of H1-H3 and of the oracle's
+``_cone`` builds the triple masks of H1-H4 and of the oracle's witnesses
+from a link and a body mask, ``_sparse`` the body of H1-H3 and of the
 witnesses by one sparse-completion rule; ``TriGraph.from_mask`` reads them.
 """
 

@@ -410,11 +410,17 @@ def test_h_claim_builds_one_table(monkeypatch, family, m):
 
 
 def test_h4_claim_builds_one_table_on_h(monkeypatch):
+    H = construct_h4(20)
     graphs = _count_tables(monkeypatch)
-    report = verify_claim("H4", n=20)
-    assert report.passed
-    # T, rebuilt from its sizes as an independent reference, has its own table
-    assert sorted(graphs, key=lambda G: G.n) == [construct_t(h4_part_sizes(20)), construct_h4(20)]
+
+    def refuse(*args):
+        raise AssertionError("the H4 check builds T")
+
+    # T's codegrees are a closed form of the matching rule, not T's table
+    for name in ("construct_t", "_t_thirds", "complete_bipartite_matchings"):
+        monkeypatch.setattr(constructions, name, refuse)
+    report = check_construction(H, "H4", n=20)
+    assert report.passed and graphs == [H]
 
 
 def test_construct_dispatcher_requires_params():
@@ -527,7 +533,7 @@ class TestParameterRules:
         assert report.passed and report.parameter["n"] == 9
 
     def test_a_graph_of_another_size_is_measured(self):
-        # H4(12) has vertices past the 8 of the T that n = 9 rebuilds, and
+        # H4(12) has vertices past the 8 of T's parts for n = 9, and
         # T(1, 1, 1) lacks most of the V1 x V2 pairs of sizes (2, 3, 3):
         # every check is still measured, none reads past a table
         checks = check_construction(construct_h4(12), "H4", n=9).checks
@@ -639,6 +645,18 @@ class TestEveryClaimCheckCanFail:
     def test_h4(self, key):
         report = check_construction(_h4_defect(key), "H4", n=9)
         assert report.checks[key] is False and not report.passed
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_h4_every_transversal_flip(self, n):
+        # adding or removing any one transversal triple moves the codegree
+        # of its V1 x V2 pair off |V1| + |V2|
+        H = construct_h4(n)
+        a, m, _ = h4_part_sizes(n)
+        for t in combinations(range(1, n), 3):
+            if t[0] <= a < t[1] <= a + m < t[2]:
+                flipped = _edit(H, remove=[t]) if H.has_edge(*t) else _edit(H, add=[t])
+                report = check_construction(flipped, "H4", n=n)
+                assert report.checks["codegree_cross_part"] is False, t
 
     @pytest.mark.parametrize("key", ["all_edges_transversal", "max_codegree_le_1", "v1_v2_codegree_1"])
     def test_t(self, key):
